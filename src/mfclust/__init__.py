@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from mfclust.basis import BasisSpec, build_basis, evaluate_basis, fit_coefficients, gram_matrix
 from mfclust.em import (
-    EmptyClusterError,
     FitResult,
     MixtureParams,
     NumericalError,
@@ -33,7 +32,7 @@ from mfclust.fpca import (
     standardize,
     transform,
 )
-from mfclust.select import SearchGrid, SelectionReport, adjusted_bic, model_search, two_phase_fit
+from mfclust.select import SearchGrid, SelectionReport, adjusted_bic, model_search
 from mfclust.simbench import (
     BenchmarkRow,
     SimulationDesign,
@@ -49,7 +48,6 @@ __all__ = [
     "BasisSpec",
     "BenchmarkRow",
     "CoefficientMatrix",
-    "EmptyClusterError",
     "FitResult",
     "FunctionalDataSet",
     "MixtureParams",
@@ -81,5 +79,4 @@ __all__ = [
     "select_num_components",
     "standardize",
     "transform",
-    "two_phase_fit",
 ]

@@ -19,7 +19,7 @@ from mfclust.basis import BasisSpec, build_basis
 from mfclust.em import FitResult, MixtureParams
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel
 from mfclust.select import SelectionReport, SelectionRow
-from mfclust.simbench import BenchmarkRow, ReplicateRecord, SimulationDesign
+from mfclust.simbench import BenchmarkRow, SimulationDesign
 
 SCHEMA_VERSION = 1
 
@@ -323,16 +323,6 @@ def write_benchmark_rows(rows: list[BenchmarkRow], path) -> None:
         writer.writerow(fields)
         for row in rows:
             writer.writerow([getattr(row, f) for f in fields])
-            fh.flush()
-
-
-def write_replicate_records(records: list[ReplicateRecord], path) -> None:
-    fields = list(ReplicateRecord.__dataclass_fields__)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow([getattr(rec, f) for f in fields])
             fh.flush()
 
 

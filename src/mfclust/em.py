@@ -31,10 +31,6 @@ class NumericalError(RuntimeError):
     """A fit failed for numerical reasons (collapse, underflow, no valid grid point)."""
 
 
-class EmptyClusterError(NumericalError):
-    """A cluster lost all responsibility mass."""
-
-
 @dataclass
 class MixtureParams:
     """Mixture parameters: proportions, mean matrix, shared diagonal variances."""
@@ -87,7 +83,6 @@ class PenaltySpec:
     lam: float = 0.0
     gamma: float = 0.0
     weights: np.ndarray | None = None
-    reference_means: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
@@ -123,7 +118,7 @@ class PenaltySpec:
                 w = np.linalg.norm(ref, axis=1) ** (-float(gamma))
             else:
                 w = np.abs(ref) ** (-float(gamma))
-        return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w, reference_means=ref)
+        return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w)
 
     def weights_for(self, m: int, q: int) -> np.ndarray:
         """Weights broadcast to their full shape, defaulting to ones."""
@@ -172,14 +167,6 @@ class FitResult:
         return float(max(b - a for a, b in zip(trace, trace[1:])))
 
 
-@dataclass(frozen=True)
-class ObjectiveValues:
-    """Penalized negative log-likelihood in both EM bookkeeping forms."""
-
-    observed: float
-    complete: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # densities and E-step
 
@@ -219,33 +206,14 @@ def _variances(Xsq_colsum, G, T, means, n):
     return raw
 
 
-def update_variances(B: CoefficientMatrix, tau: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Shared diagonal variances: responsibility-weighted squared residuals over n."""
-    X = B.scores
-    means = np.asarray(means, dtype=float)
-    raw = _variances((X**2).sum(axis=0), tau.T @ X, tau.sum(axis=0), means, X.shape[0])
-    if np.any(raw < _VARIANCE_FLOOR):
-        warnings.warn("degenerate variance floored at 1e-8")
-    return np.maximum(raw, _VARIANCE_FLOOR)
-
-
-def unpenalized_means(B: CoefficientMatrix, tau: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted column means per cluster."""
-    T = tau.sum(axis=0)
-    for k, t in enumerate(T):
-        if t <= _EMPTY_CLUSTER_TOL:
-            raise EmptyClusterError(f"cluster {k} is empty (responsibility mass {t:.3g})")
-    return (tau.T @ B.scores) / T[:, None]
-
-
 def _soft_threshold(values, thresholds):
     return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
 
 
-def _individual_update(G, T, sigma2, spec, m, q):
+def _individual_update(G, T, sigma2, spec):
+    """Entrywise soft-thresholded means: the exact minimizer for the individual penalty."""
+    m, q = G.shape
     mu_tilde = G / T[:, None]
-    if spec.lam == 0.0:
-        return mu_tilde
     W = spec.weights_for(m, q)
     pinned = spec.pinned(m, q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,10 +224,17 @@ def _individual_update(G, T, sigma2, spec, m, q):
     return out
 
 
-def _variable_update(G, T, sigma2, spec, current_means, m, q):
+def _variable_update(G, T, sigma2, spec, current_means):
+    """Means penalizing only each column's largest-magnitude cluster.
+
+    The non-argmax clusters (argmax taken on current_means, ties to the
+    lowest index) take their unpenalized means; the argmax cluster is
+    soft-thresholded. This is not the minimizer of the L-infinity penalty,
+    so the observed objective can rise under it (see ROADMAP.md, exact
+    M-step for the variable penalty).
+    """
+    m, q = G.shape
     mu_tilde = G / T[:, None]
-    if spec.lam == 0.0:
-        return mu_tilde
     W = spec.weights_for(m, q)
     pinned = spec.pinned(m, q)
     kstar = np.argmax(np.abs(current_means), axis=0)
@@ -275,10 +250,16 @@ def _variable_update(G, T, sigma2, spec, current_means, m, q):
     return out
 
 
-def _group_update(G, T, sigma2, spec, current_means, m, q, q_c):
+def _group_update(G, T, sigma2, spec, current_means, q_c):
+    """Blockwise shrunken means for the group penalty.
+
+    A (cluster, sensor) block is exactly zero when its variance-weighted
+    score norm is at or below lam * w_k * sqrt(q_c); otherwise it is the
+    diagonally shrunken unpenalized block mean, with the shrinkage built
+    from the block norm of current_means.
+    """
+    m, q = G.shape
     mu_tilde = G / T[:, None]
-    if spec.lam == 0.0:
-        return mu_tilde
     p = q // q_c
     w = spec.weights_for(m, q)
     thr = spec.lam * w * np.sqrt(q_c)  # (m,)
@@ -304,65 +285,6 @@ def _group_update(G, T, sigma2, spec, current_means, m, q, q_c):
     return out3.reshape(m, q)
 
 
-def update_means_individual(
-    B: CoefficientMatrix, tau: np.ndarray, sigma2: np.ndarray, spec: PenaltySpec
-) -> np.ndarray:
-    """Entrywise soft-thresholded mean update for the individual penalty."""
-    if spec.kind not in ("individual", "none"):
-        raise ValueError("spec.kind must be 'individual'")
-    unpenalized_means(B, tau)  # raises on empty clusters
-    m, q = tau.shape[1], B.q
-    return _individual_update(tau.T @ B.scores, tau.sum(axis=0), np.asarray(sigma2, float), spec, m, q)
-
-
-def update_means_variable(
-    B: CoefficientMatrix,
-    tau: np.ndarray,
-    sigma2: np.ndarray,
-    spec: PenaltySpec,
-    current_means: np.ndarray,
-) -> np.ndarray:
-    """Mean update penalizing only each column's largest-magnitude cluster.
-
-    The non-argmax clusters take their unpenalized means; the argmax
-    cluster (ties to the lowest index) is soft-thresholded. A column whose
-    thresholded maximum lands on zero is zeroed entirely, since every
-    entry is bounded by the column maximum.
-    """
-    if spec.kind != "variable":
-        raise ValueError("spec.kind must be 'variable'")
-    unpenalized_means(B, tau)
-    m, q = tau.shape[1], B.q
-    return _variable_update(
-        tau.T @ B.scores, tau.sum(axis=0), np.asarray(sigma2, float), spec,
-        np.asarray(current_means, float), m, q,
-    )
-
-
-def update_means_group(
-    B: CoefficientMatrix,
-    tau: np.ndarray,
-    sigma2: np.ndarray,
-    spec: PenaltySpec,
-    current_means: np.ndarray,
-) -> np.ndarray:
-    """Blockwise shrunken mean update for the group penalty.
-
-    A (cluster, sensor) block is exactly zero when the variance-weighted
-    score norm is at or below the threshold lam * w_k * sqrt(q_c);
-    otherwise it is the diagonally shrunken unpenalized block mean, with
-    the shrinkage built from the previous iterate's block norm.
-    """
-    if spec.kind != "group":
-        raise ValueError("spec.kind must be 'group'")
-    unpenalized_means(B, tau)
-    m, q = tau.shape[1], B.q
-    return _group_update(
-        tau.T @ B.scores, tau.sum(axis=0), np.asarray(sigma2, float), spec,
-        np.asarray(current_means, float), m, q, B.q_c,
-    )
-
-
 def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
     """Value of the penalty term at the given means."""
     if spec.kind == "none" or spec.lam == 0.0:
@@ -386,26 +308,11 @@ def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
     return float(spec.lam * np.sqrt(q_c) * (w_full[nz] * norms[nz]).sum())
 
 
-def penalized_nll(
-    B: CoefficientMatrix,
-    params: MixtureParams,
-    spec: PenaltySpec,
-    tau: np.ndarray | None = None,
-) -> ObjectiveValues:
-    """Observed-data and (given tau) complete-data penalized objectives.
-
-    The observed form is -sum_i log g(x_i) plus the penalty; the complete
-    form replaces the latent indicators with tau. Monotonicity checks use
-    the observed form.
-    """
+def penalized_nll(B: CoefficientMatrix, params: MixtureParams, spec: PenaltySpec) -> float:
+    """Observed-data penalized objective: -sum_i log g(x_i) plus the penalty."""
     X = B.scores
-    lj, lse = _log_joint(X, X**2, params.proportions, params.means, params.variances)
-    pen = penalty_value(params.means, spec, B.q_c)
-    observed = float(-lse.sum() + pen)
-    if tau is None:
-        return ObjectiveValues(observed=observed)
-    complete = float(-np.where(tau > 0, tau * lj, 0.0).sum() + pen)
-    return ObjectiveValues(observed=observed, complete=complete)
+    _, lse = _log_joint(X, X**2, params.proportions, params.means, params.variances)
+    return float(-lse.sum() + penalty_value(params.means, spec, B.q_c))
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +385,15 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 # full EM
 
 
-def _mean_update_for(spec, G, T, sigma2, current_means, m, q, q_c):
+def _mean_update_for(spec, G, T, sigma2, current_means, q_c):
+    """The M-step mean update for spec from the weighted sums G = tau.T @ X and masses T."""
     if spec.kind == "none" or spec.lam == 0.0:
         return G / T[:, None]
     if spec.kind == "individual":
-        return _individual_update(G, T, sigma2, spec, m, q)
+        return _individual_update(G, T, sigma2, spec)
     if spec.kind == "variable":
-        return _variable_update(G, T, sigma2, spec, current_means, m, q)
-    return _group_update(G, T, sigma2, spec, current_means, m, q, q_c)
+        return _variable_update(G, T, sigma2, spec, current_means)
+    return _group_update(G, T, sigma2, spec, current_means, q_c)
 
 
 def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -> set[str]:
@@ -523,7 +431,7 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
         pi_new = T / n
 
         G = tau.T @ X
-        means_new = _mean_update_for(spec, G, T, sigma2, means, m, q, q_c)
+        means_new = _mean_update_for(spec, G, T, sigma2, means, q_c)
         raw = _variances(Xsq_colsum, G, T, means_new, n)
         floored = floored or np.any(raw < _VARIANCE_FLOOR)
         sigma2_new = np.maximum(raw, _VARIANCE_FLOOR)
@@ -577,11 +485,18 @@ def run_em(
 
     The M-step updates the means first (using the previous iterate's
     variances inside the penalty terms) and then the variances from the
-    fresh means, so each step is an exact or majorizing coordinate update
-    and the observed penalized objective cannot rise. On an empty-cluster
-    collapse the fit restarts from a re-seeded initialization, up to 5
-    times, and otherwise returns the best collapsed attempt flagged as not
-    converged. Deterministic for fixed (B, m, spec, seed).
+    fresh means. For the none and individual penalties each step is an
+    exact coordinate update, and for the group penalty a majorizing one, so
+    the observed penalized objective does not rise. The variable update
+    thresholds only each column's current argmax, which is not a
+    minimizer: its objective can rise, and many variable fits then stop at
+    max_iter (see ROADMAP.md, exact M-step for the variable penalty).
+    FitResult.max_objective_rise reports the largest rise of a fit.
+
+    On an empty-cluster collapse the fit restarts from a re-seeded
+    initialization, up to 5 times, and otherwise returns the best collapsed
+    attempt flagged as not converged. Deterministic for fixed
+    (B, m, spec, seed).
     """
     if m < 1:
         raise ValueError("m must be at least 1")

@@ -4,7 +4,8 @@ Each penalty kind is fitted in two phases. The pilot phase runs the lambda
 grid with unit weights (the gamma = 0 member of the adaptive family) and
 keeps the minimum-BIC fit; its means become the reference for the adaptive
 weights. The adaptive phase reruns the lambda grid for every gamma in the
-grid with those weights. All rows, pilot and adaptive, compete for the
+grid with those weights; at lambda = 0 the weights do not matter, so it
+reuses the pilot's fit there. All rows, pilot and adaptive, compete for the
 final model under the adjusted BIC, whose effective dimension credits
 every mean component forced to zero.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,10 +130,20 @@ def _evaluate_point(B, m, spec, seed, tol, max_iter, init, phase):
     return row, fit
 
 
-def _lambda_sweep(B, m, kind, lambdas, seed, tol, max_iter, init, phase, gamma=0.0, reference=None):
-    """Fit every lambda; return rows, fits, the best converged index, failures."""
-    rows, fits, failures = [], [], []
+def _lambda_sweep(
+    B, m, kind, lambdas, seed, tol, max_iter, init, phase, gamma=0.0, reference=None, zero=None
+):
+    """Fit every lambda; return the (row, fit) points and the failures.
+
+    zero is the pilot's (row, fit) at lambda = 0. That spec has unit weights
+    whatever gamma is, so an adaptive sweep reuses it instead of refitting.
+    """
+    points, failures = [], []
     for lam in lambdas:
+        if lam == 0.0 and zero is not None:
+            row, fit = zero
+            points.append((replace(row, phase=phase), fit))
+            continue
         if kind == "none" or lam == 0.0:
             spec = PenaltySpec.none() if kind == "none" else PenaltySpec.unit(kind, 0.0, m, B.q)
         elif reference is None:
@@ -140,102 +151,52 @@ def _lambda_sweep(B, m, kind, lambdas, seed, tol, max_iter, init, phase, gamma=0
         else:
             spec = PenaltySpec.adaptive(kind, lam, gamma, reference)
         try:
-            row, fit = _evaluate_point(B, m, spec, seed, tol, max_iter, init, phase)
+            points.append(_evaluate_point(B, m, spec, seed, tol, max_iter, init, phase))
         except NumericalError as exc:
             failures.append(f"m={m}, kind={kind}, lam={lam:.4g}, gamma={gamma:g} ({phase}): {exc}")
-            continue
-        rows.append(row)
-        fits.append(fit)
-    best_idx = None
-    for i, row in enumerate(rows):
-        if row.converged and (best_idx is None or row_sort_key(row) < row_sort_key(rows[best_idx])):
-            best_idx = i
-    return rows, fits, best_idx, failures
+    return points, failures
 
 
-def two_phase_fit(
-    B: CoefficientMatrix,
-    m: int,
-    kind: str,
-    gamma: float,
-    grid: SearchGrid,
-    seed: int = 0,
-    tol: float = 1e-4,
-    max_iter: int = 500,
-) -> tuple[FitResult, np.ndarray]:
-    """Pilot-then-adaptive fit for one (m, kind, gamma).
-
-    Phase one sweeps the lambda grid with unit weights and takes the
-    minimum-BIC means as the reference; phase two re-sweeps the grid with
-    the gamma-powered adaptive weights. Returns the best phase-two fit and
-    the reference means.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive; the pilot phase covers gamma = 0")
-    lambdas = grid.lambdas(B.n)
-    init = initialize(B, m, seed + m)
-    rows1, fits1, best1, _ = _lambda_sweep(
-        B, m, kind, lambdas, seed + m, tol, max_iter, init, "pilot"
-    )
-    if best1 is None:
-        raise NumericalError(f"no pilot fit converged for m={m}, kind={kind}")
-    reference = fits1[best1].params.means
-    rows2, fits2, best2, _ = _lambda_sweep(
-        B, m, kind, lambdas, seed + m, tol, max_iter, init, "adaptive",
-        gamma=gamma, reference=reference,
-    )
-    if best2 is None:
-        raise NumericalError(f"no adaptive fit converged for m={m}, kind={kind}, gamma={gamma}")
-    return fits2[best2], reference
+def _best_point(points):
+    """The first converged (row, fit) with the smallest row_sort_key, or None."""
+    best = None
+    for row, fit in points:
+        if row.converged and (best is None or row_sort_key(row) < row_sort_key(best[0])):
+            best = (row, fit)
+    return best
 
 
 def _search_one_m(args):
+    """Pilot then adaptive sweeps for one m.
+
+    Returns m, every evaluated row, the best converged (row, fit) or None,
+    the reference means of the adaptive phase (None for kind 'none') and
+    the failure messages.
+    """
     B, m, kind, grid, seed, tol, max_iter = args
-    rows: list[SelectionRow] = []
-    keep: list[tuple[SelectionRow, FitResult]] = []
-    failures: list[str] = []
-    reference = None
     try:
         init = initialize(B, m, seed + m)
     except NumericalError as exc:
-        return m, rows, keep, None, [f"m={m}: initialization failed: {exc}"]
+        return m, [], None, None, [f"m={m}: initialization failed: {exc}"]
 
-    if kind == "none":
-        try:
-            row, fit = _evaluate_point(
-                B, m, PenaltySpec.none(), seed + m, tol, max_iter, init, "pilot"
-            )
-            rows.append(row)
-            keep.append((row, fit))
-        except NumericalError as exc:
-            failures.append(f"m={m}, kind=none: {exc}")
-        return m, rows, keep, None, failures
-
-    lambdas = grid.lambdas(B.n)
-    rows1, fits1, best1, fails1 = _lambda_sweep(
-        B, m, kind, lambdas, seed + m, tol, max_iter, init, "pilot"
-    )
-    rows.extend(rows1)
-    failures.extend(fails1)
-    for row, fit in zip(rows1, fits1):
-        if row.converged:
-            keep.append((row, fit))
-    if best1 is None:
-        failures.append(f"m={m}, kind={kind}: no pilot fit converged, adaptive phase skipped")
-        return m, rows, keep, None, failures
-
-    reference = fits1[best1].params.means
-    for gamma in grid.gamma_values:
-        rows2, fits2, _, fails2 = _lambda_sweep(
-            B, m, kind, lambdas, seed + m, tol, max_iter, init, "adaptive",
-            gamma=gamma, reference=reference,
-        )
-        rows.extend(rows2)
-        failures.extend(fails2)
-        for row, fit in zip(rows2, fits2):
-            if row.converged:
-                keep.append((row, fit))
-    return m, rows, keep, reference, failures
+    lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
+    points, failures = _lambda_sweep(B, m, kind, lambdas, seed + m, tol, max_iter, init, "pilot")
+    reference = None
+    if kind != "none":
+        pilot_best = _best_point(points)
+        if pilot_best is None:
+            failures.append(f"m={m}, kind={kind}: no pilot fit converged, adaptive phase skipped")
+        else:
+            reference = pilot_best[1].params.means
+            zero = next((p for p in points if p[0].lam == 0.0), None)
+            for gamma in grid.gamma_values:
+                adaptive, fails = _lambda_sweep(
+                    B, m, kind, lambdas, seed + m, tol, max_iter, init, "adaptive",
+                    gamma=gamma, reference=reference, zero=zero,
+                )
+                points.extend(adaptive)
+                failures.extend(fails)
+    return m, [row for row, _ in points], _best_point(points), reference, failures
 
 
 def model_search(
@@ -264,15 +225,12 @@ def model_search(
     outcomes.sort(key=lambda item: item[0])
 
     report = SelectionReport(kind=kind, rows=[], best_fit=None, chosen=None)
-    best_pair: tuple[SelectionRow, FitResult] | None = None
-    for m, rows, keep, reference, failures in outcomes:
+    for m, rows, _, reference, failures in outcomes:
         report.rows.extend(rows)
         report.failures.extend(failures)
         if reference is not None:
             report.reference_means[m] = reference
-        for row, fit in keep:
-            if best_pair is None or row_sort_key(row) < row_sort_key(best_pair[0]):
-                best_pair = (row, fit)
+    best_pair = _best_point([best for _, _, best, _, _ in outcomes if best is not None])
     for message in report.failures:
         log.warning("model search: %s", message)
     if best_pair is None:

@@ -443,53 +443,3 @@ def run_scenario(
             rows.append(row)
     return rows, records
 
-
-# ---------------------------------------------------------------------------
-# larger many-sensor analog for exercising the component-count rule
-
-
-def analog_design(n: int = 419, seed: int = 424242) -> SimulationDesign:
-    """A 42-sensor population with heterogeneous smoothness.
-
-    Most sensors concentrate their coefficient variance on a few smooth
-    modes, a minority spread it across many, so the variance-explained
-    rule has a realistic mix to work against. Six sensors carry cluster
-    mean separation, the rest are noise.
-    """
-    frozen = _load_frozen_design()
-    h = frozen["n_basis"]
-    m_true = frozen["m_true"]
-    p_signal, p_noise = 6, 36
-    rng = np.random.default_rng(np.random.SeedSequence([frozen["master_seed"], 777]))
-
-    def decay_profile(rate, scale=1.0):
-        return scale * rate ** np.arange(h)
-
-    signal_means = rng.normal(0.0, frozen["mean_scale"], size=(m_true, p_signal, h))
-    signal_variances = np.empty((m_true, p_signal, h))
-    for s in range(p_signal):
-        rate = rng.uniform(0.35, 0.6)
-        signal_variances[:, s, :] = decay_profile(rate)
-
-    noise_variances = np.empty((p_noise, h))
-    slow = rng.permutation(p_noise) < 7  # a minority needs many components
-    for s in range(p_noise):
-        rate = rng.uniform(0.75, 0.9) if slow[s] else rng.uniform(0.3, 0.55)
-        noise_variances[s] = decay_profile(rate)
-
-    return SimulationDesign(
-        n=n,
-        p_signal=p_signal,
-        p_noise=p_noise,
-        delta=1.5,
-        signal_means=signal_means,
-        signal_variances=signal_variances,
-        noise_variances=noise_variances,
-        seed=seed,
-        m_true=m_true,
-        proportions=tuple(frozen["proportions"]),
-        n_basis=h,
-        order=frozen["order"],
-        domain=tuple(frozen["domain"]),
-        n_times=frozen["n_times"],
-    )

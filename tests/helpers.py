@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 from scipy.stats import norm
 
+from mfclust.em import _mean_update_for
+
 
 def golden_section(f, lo, hi, tol=1e-12):
     """Golden-section minimum of a unimodal f on [lo, hi]."""
@@ -89,3 +91,17 @@ def two_separated_clouds(rng, n=100, q=4, gap=8.0):
     b = rng.normal(gap, 1.0, size=(n - half, q))
     labels = np.array([0] * half + [1] * (n - half))
     return np.vstack([a, b]), labels
+
+
+def mean_update(X, tau, sigma2, spec, current=None, q_c=1):
+    """The EM's M-step mean update for data X under responsibilities tau.
+
+    current defaults to zeros; only the variable and group updates read it.
+    """
+    X = np.asarray(X, dtype=float)
+    if current is None:
+        current = np.zeros((tau.shape[1], X.shape[1]))
+    return _mean_update_for(
+        spec, tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float),
+        np.asarray(current, dtype=float), q_c,
+    )

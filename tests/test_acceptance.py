@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import align_clusters, grid_plus_golden, reference_gmm_em
+from helpers import align_clusters, grid_plus_golden, mean_update, reference_gmm_em
 
 from mfclust.basis import build_basis, design_matrix, gram_matrix
 from mfclust.em import (
@@ -20,9 +20,6 @@ from mfclust.em import (
     initialize,
     penalized_nll,
     run_em,
-    update_means_group,
-    update_means_individual,
-    update_means_variable,
 )
 from mfclust.fpca import (
     CoefficientMatrix,
@@ -138,10 +135,9 @@ def test_criterion_2_mstep_optimality_oracles():
 
     for _ in range(50):  # individual penalty, scalar
         b, tau_k, sigma2, w, lam = scalar_config()
-        B = CoefficientMatrix.from_scores(b[:, None], 1)
         tau = np.column_stack([tau_k, 1 - tau_k])
         spec = PenaltySpec(kind="individual", lam=lam, weights=np.full((2, 1), w))
-        got = update_means_individual(B, tau, np.array([sigma2]), spec)[0, 0]
+        got = mean_update(b[:, None], tau, np.array([sigma2]), spec)[0, 0]
 
         def objective(mu):
             return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
@@ -151,11 +147,10 @@ def test_criterion_2_mstep_optimality_oracles():
 
     for _ in range(50):  # variable penalty, argmax coordinate
         b, tau_k, sigma2, w, lam = scalar_config()
-        B = CoefficientMatrix.from_scores(b[:, None], 1)
         tau = np.column_stack([tau_k, 1 - tau_k])
         spec = PenaltySpec(kind="variable", lam=lam, weights=np.full((2, 1), w))
         current = np.array([[100.0], [0.0]])  # cluster 0 is the column argmax
-        got = update_means_variable(B, tau, np.array([sigma2]), spec, current)[0, 0]
+        got = mean_update(b[:, None], tau, np.array([sigma2]), spec, current)[0, 0]
 
         def objective(mu):
             return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
@@ -165,12 +160,11 @@ def test_criterion_2_mstep_optimality_oracles():
 
     for _ in range(50):  # group penalty, scalar block via its fixed point
         b, tau_k, sigma2, w, lam = scalar_config()
-        B = CoefficientMatrix.from_scores(b[:, None], 1)
         tau = np.column_stack([tau_k, 1 - tau_k])
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
         mu = np.array([[1.0], [1.0]])
         for _ in range(50000):
-            nxt = update_means_group(B, tau, np.array([sigma2]), spec, mu)
+            nxt = mean_update(b[:, None], tau, np.array([sigma2]), spec, mu)
             if np.abs(nxt - mu).max() < 1e-10:
                 mu = nxt
                 break
@@ -192,11 +186,10 @@ def test_criterion_2_mstep_optimality_oracles():
         sigma2 = rng.uniform(0.4, 2.0, size=3)
         w = rng.uniform(0.2, 2.0)
         lam = rng.uniform(0.1, 6.0)
-        B = CoefficientMatrix.from_scores(Xb, 3)
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
         mu = np.ones((2, 3))
         for _ in range(100000):
-            nxt = update_means_group(B, tau, sigma2, spec, mu)
+            nxt = mean_update(Xb, tau, sigma2, spec, mu, q_c=3)
             if np.abs(nxt - mu).max() < 1e-13:
                 mu = nxt
                 break
@@ -365,13 +358,13 @@ def test_criterion_9_metric_unit_suite():
         means=fit.params.means[perm],
         variances=fit.params.variances,
     )
-    vals = penalized_nll(B, permuted, PenaltySpec.none())
+    value = penalized_nll(B, permuted, PenaltySpec.none())
     relabeled = type(fit)(
         params=permuted,
         responsibilities=fit.responsibilities[:, perm],
         hard_labels=fit.hard_labels,
-        penalized_nll=vals.observed,
-        plain_nll=vals.observed,
+        penalized_nll=value,
+        plain_nll=value,
         n_zero_means=int(permuted.zero_mask.sum()),
         removed_sensors=fit.removed_sensors,
         iterations=fit.iterations,

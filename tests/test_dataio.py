@@ -17,7 +17,6 @@ from mfclust.dataio import (
     write_benchmark_rows,
     write_long_csv,
     write_model,
-    write_replicate_records,
     write_scores_csv,
     write_truth,
 )
@@ -177,21 +176,16 @@ def test_assignments_round_trip_consistency(tmp_path):
 
 def test_benchmark_csvs(tmp_path):
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 2.0))
-    rows, records = run_scenario(
+    rows, _ = run_scenario(
         "signal-strength", reps=1, kinds=("group",), seed=10, levels=(1.5,), grid=grid
     )
     rows_path = tmp_path / "rows.csv"
-    reps_path = tmp_path / "reps.csv"
     write_benchmark_rows(rows, rows_path)
-    write_replicate_records(records, reps_path)
     with open(rows_path) as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 1
     assert parsed[0]["kind"] == "group"
     assert float(parsed[0]["mae_m"]) >= 0
-    with open(reps_path) as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == 1 and parsed[0]["rep"] == "0"
 
 
 def test_write_truth(tmp_path):

@@ -1,27 +1,38 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from helpers import align_clusters, grid_plus_golden, reference_gmm_em, two_separated_clouds
+from helpers import (
+    align_clusters,
+    grid_plus_golden,
+    mean_update,
+    reference_gmm_em,
+    two_separated_clouds,
+)
 
 from mfclust.em import (
-    EmptyClusterError,
     MixtureParams,
     PenaltySpec,
+    _removed_sensors,
+    _variances,
     e_step,
     initialize,
     penalized_nll,
     run_em,
-    unpenalized_means,
-    update_means_group,
-    update_means_individual,
-    update_means_variable,
-    update_variances,
 )
 from mfclust.fpca import CoefficientMatrix
 
 
 def cm(X, q_c=1):
     return CoefficientMatrix.from_scores(np.asarray(X, dtype=float), q_c)
+
+
+def variance_update(X, tau, means):
+    """The EM's raw M-step variances for data X, responsibilities tau and means."""
+    return _variances((X**2).sum(axis=0), tau.T @ X, tau.sum(axis=0), means, X.shape[0])
+
+
+def unpenalized(X, tau):
+    return mean_update(X, tau, np.ones(X.shape[1]), PenaltySpec.none())
 
 
 def make_params(pi, means, variances):
@@ -128,7 +139,7 @@ def test_update_variances_single_cluster_is_mle():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((25, 3)) * np.array([1.0, 2.0, 0.5])
     tau = np.ones((25, 1))
-    sigma2 = update_variances(cm(X), tau, X.mean(0, keepdims=True))
+    sigma2 = variance_update(X, tau, X.mean(0, keepdims=True))
     npt.assert_allclose(sigma2, X.var(axis=0), atol=1e-12)
 
 
@@ -137,27 +148,26 @@ def test_update_variances_one_hot_pooled():
     X, labels = two_separated_clouds(rng, n=50, q=2, gap=6.0)
     tau = np.eye(2)[labels]
     mu = np.vstack([X[labels == k].mean(0) for k in range(2)])
-    sigma2 = update_variances(cm(X), tau, mu)
+    sigma2 = variance_update(X, tau, mu)
     expected = sum(((X[labels == k] - mu[k]) ** 2).sum(0) for k in range(2)) / 50
     npt.assert_allclose(sigma2, expected, atol=1e-12)
 
 
 def test_update_variances_floors_degenerate():
     X = np.full((10, 2), 3.0)
-    tau = np.ones((10, 1))
     with pytest.warns(UserWarning, match="floored"):
-        sigma2 = update_variances(cm(X), tau, X.mean(0, keepdims=True))
+        sigma2 = run_em(cm(X), 1, PenaltySpec.none(), seed=0).params.variances
     npt.assert_allclose(sigma2, 1e-8)
 
 
 def test_unpenalized_means_cases():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((4, 2))
-    npt.assert_allclose(unpenalized_means(cm(X), np.ones((4, 1))), X.mean(0, keepdims=True))
+    npt.assert_allclose(unpenalized(X, np.ones((4, 1))), X.mean(0, keepdims=True))
 
     tau = np.array([[1.0, 0], [1.0, 0], [0, 1.0], [0, 1.0]])
     npt.assert_allclose(
-        unpenalized_means(cm(X), tau), np.vstack([X[:2].mean(0), X[2:].mean(0)]), atol=1e-12
+        unpenalized(X, tau), np.vstack([X[:2].mean(0), X[2:].mean(0)]), atol=1e-12
     )
 
     tau = rng.uniform(0.1, 1.0, size=(4, 2))
@@ -166,14 +176,7 @@ def test_unpenalized_means_cases():
         (tau[:, 0:1] * X).sum(0) / tau[:, 0].sum(),
         (tau[:, 1:2] * X).sum(0) / tau[:, 1].sum(),
     ])
-    npt.assert_allclose(unpenalized_means(cm(X), tau), expected, atol=1e-12)
-
-
-def test_unpenalized_means_empty_cluster():
-    X = np.zeros((3, 2))
-    tau = np.column_stack([np.ones(3), np.zeros(3)])
-    with pytest.raises(EmptyClusterError, match="cluster 1"):
-        unpenalized_means(cm(X), tau)
+    npt.assert_allclose(unpenalized(X, tau), expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +189,8 @@ def test_individual_lambda_zero_is_unpenalized():
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("individual", 0.0, 2, 3)
-    got = update_means_individual(cm(X), tau, np.ones(3), spec)
-    npt.assert_array_equal(got, unpenalized_means(cm(X), tau))
+    got = mean_update(X, tau, np.ones(3), spec)
+    npt.assert_array_equal(got, unpenalized(X, tau))
 
 
 def test_individual_zero_condition():
@@ -195,7 +198,7 @@ def test_individual_zero_condition():
     tau = np.ones((3, 1))
     s_abs = abs(X.sum())
     spec = PenaltySpec.unit("individual", s_abs / 1.0 + 1.0, 1, 1)  # lam * w * sigma2 >= |sum|
-    got = update_means_individual(cm(X), tau, np.ones(1), spec)
+    got = mean_update(X, tau, np.ones(1), spec)
     assert got[0, 0] == 0.0
 
 
@@ -203,7 +206,7 @@ def test_individual_scalar_case_and_oracle():
     X = np.array([[1.0], [2.0], [3.0]])
     tau = np.ones((3, 1))
     spec = PenaltySpec.unit("individual", 2.0, 1, 1)
-    got = update_means_individual(cm(X), tau, np.ones(1), spec)
+    got = mean_update(X, tau, np.ones(1), spec)
     npt.assert_allclose(got, [[4.0 / 3.0]], atol=1e-12)
 
     def objective(mu):
@@ -226,7 +229,7 @@ def test_individual_matches_numeric_minimizer(case):
     X = b[:, None]
     tau = np.column_stack([tau_k, 1 - tau_k])
     spec = PenaltySpec(kind="individual", lam=lam, weights=np.array([[w], [w]]))
-    got = update_means_individual(cm(X), tau, np.array([sigma2]), spec)[0, 0]
+    got = mean_update(X, tau, np.array([sigma2]), spec)[0, 0]
 
     def objective(mu):
         return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
@@ -242,7 +245,7 @@ def test_individual_optimality_conditions():
     tau /= tau.sum(axis=1, keepdims=True)
     sigma2 = rng.uniform(0.5, 1.5, size=4)
     spec = PenaltySpec.unit("individual", 6.0, 3, 4)
-    mu = update_means_individual(cm(X), tau, sigma2, spec)
+    mu = mean_update(X, tau, sigma2, spec)
 
     S = tau.T @ X
     T = tau.sum(axis=0)
@@ -263,8 +266,8 @@ def test_individual_shrinkage_dominated_by_unpenalized():
     tau = rng.uniform(0.01, 1, size=(25, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("individual", 2.0, 2, 3)
-    mu = update_means_individual(cm(X), tau, np.ones(3), spec)
-    mu_tilde = unpenalized_means(cm(X), tau)
+    mu = mean_update(X, tau, np.ones(3), spec)
+    mu_tilde = unpenalized(X, tau)
     assert np.all(np.abs(mu) <= np.abs(mu_tilde) + 1e-12)
     nz = mu != 0
     assert np.all(np.sign(mu[nz]) == np.sign(mu_tilde[nz]))
@@ -280,8 +283,8 @@ def test_variable_lambda_zero_is_unpenalized():
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("variable", 0.0, 2, 3)
-    got = update_means_variable(cm(X), tau, np.ones(3), spec, np.zeros((2, 3)))
-    npt.assert_array_equal(got, unpenalized_means(cm(X), tau))
+    got = mean_update(X, tau, np.ones(3), spec, np.zeros((2, 3)))
+    npt.assert_array_equal(got, unpenalized(X, tau))
 
 
 def test_variable_thresholds_only_argmax():
@@ -292,8 +295,8 @@ def test_variable_thresholds_only_argmax():
     tau = np.eye(2)[labels]
     current = np.array([[5.0], [1.0]])
     spec = PenaltySpec.unit("variable", 4.0, 2, 1)
-    mu_tilde = unpenalized_means(cm(X), tau)
-    got = update_means_variable(cm(X), tau, np.ones(1), spec, current)
+    mu_tilde = unpenalized(X, tau)
+    got = mean_update(X, tau, np.ones(1), spec, current)
     # cluster 0 is the argmax: soft thresholded by lam*w*sigma2/T = 4/20
     npt.assert_allclose(got[0, 0], mu_tilde[0, 0] - 4.0 / 20.0, atol=1e-12)
     npt.assert_allclose(got[1, 0], mu_tilde[1, 0], atol=1e-12)
@@ -304,7 +307,7 @@ def test_variable_tie_breaks_to_lowest_index():
     tau = np.eye(2)
     current = np.array([[2.0], [-2.0]])  # |.| tie
     spec = PenaltySpec.unit("variable", 0.5, 2, 1)
-    got = update_means_variable(cm(X), tau, np.ones(1), spec, current)
+    got = mean_update(X, tau, np.ones(1), spec, current)
     # cluster 0 thresholded: 2 - 0.5/1; cluster 1 untouched at its weighted mean
     npt.assert_allclose(got, [[1.5], [-2.0]], atol=1e-12)
 
@@ -315,7 +318,7 @@ def test_variable_zeroed_max_removes_whole_column():
     tau = np.eye(2)[np.repeat([0, 1], 15)]
     current = np.array([[0.05], [0.04]])
     spec = PenaltySpec.unit("variable", 10.0, 2, 1)
-    got = update_means_variable(cm(X), tau, np.ones(1), spec, current)
+    got = mean_update(X, tau, np.ones(1), spec, current)
     npt.assert_array_equal(got, np.zeros((2, 1)))
 
 
@@ -334,7 +337,7 @@ def test_variable_argmax_update_matches_numeric_minimizer(case):
     tau = np.column_stack([tau_k, 1 - tau_k])
     spec = PenaltySpec(kind="variable", lam=lam, weights=np.full((2, 1), w))
     current = np.array([[10.0], [0.1]])  # cluster 0 is argmax
-    got = update_means_variable(cm(X), tau, np.array([sigma2]), spec, current)[0, 0]
+    got = mean_update(X, tau, np.array([sigma2]), spec, current)[0, 0]
 
     def objective(mu):
         return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
@@ -353,8 +356,8 @@ def test_group_lambda_zero_is_unpenalized():
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("group", 0.0, 2, 6)
-    got = update_means_group(cm(X, q_c=3), tau, np.ones(6), spec, np.zeros((2, 6)))
-    npt.assert_array_equal(got, unpenalized_means(cm(X), tau))
+    got = mean_update(X, tau, np.ones(6), spec, np.zeros((2, 6)), q_c=3)
+    npt.assert_array_equal(got, unpenalized(X, tau))
 
 
 def test_group_zero_condition_exact_zero_block():
@@ -365,11 +368,11 @@ def test_group_zero_condition_exact_zero_block():
     score_norm = np.linalg.norm(X.sum(axis=0) / sigma2)
     lam = score_norm / np.sqrt(3) + 0.5
     spec = PenaltySpec.unit("group", lam, 1, 3)
-    got = update_means_group(cm(X, q_c=3), tau, sigma2, spec, np.ones((1, 3)))
+    got = mean_update(X, tau, sigma2, spec, np.ones((1, 3)), q_c=3)
     npt.assert_array_equal(got, np.zeros((1, 3)))
     # and the zero condition is tight: slightly smaller lam keeps the block
     spec2 = PenaltySpec.unit("group", score_norm / np.sqrt(3) - 0.01, 1, 3)
-    got2 = update_means_group(cm(X, q_c=3), tau, sigma2, spec2, np.ones((1, 3)))
+    got2 = mean_update(X, tau, sigma2, spec2, np.ones((1, 3)), q_c=3)
     assert np.linalg.norm(got2) > 0
 
 
@@ -389,7 +392,7 @@ def test_group_scalar_fixed_point_matches_numeric_minimizer(case):
     # iterate the one-step update to its fixed point (q_c = 1)
     mu = np.array([[1.0], [1.0]])
     for _ in range(10000):
-        nxt = update_means_group(cm(X, q_c=1), tau, np.array([sigma2]), spec, mu)
+        nxt = mean_update(X, tau, np.array([sigma2]), spec, mu, q_c=1)
         if np.abs(nxt - mu).max() < 1e-12:
             mu = nxt
             break
@@ -415,7 +418,7 @@ def test_group_fixed_point_satisfies_stationarity_q3():
 
     mu = np.ones((2, 3))
     for _ in range(20000):
-        nxt = update_means_group(cm(X, q_c=3), tau, sigma2, spec, mu)
+        nxt = mean_update(X, tau, sigma2, spec, mu, q_c=3)
         if np.abs(nxt - mu).max() < 1e-13:
             mu = nxt
             break
@@ -442,11 +445,11 @@ def test_penalized_nll_single_gaussian():
     X = rng.standard_normal((12, 3))
     mu = X.mean(0, keepdims=True)
     var = X.var(0)
-    vals = penalized_nll(cm(X), make_params([1.0], mu, var), PenaltySpec.none())
+    value = penalized_nll(cm(X), make_params([1.0], mu, var), PenaltySpec.none())
     expected = 0.5 * (
         12 * 3 * np.log(2 * np.pi) + 12 * np.log(var).sum() + (((X - mu) ** 2) / var).sum()
     )
-    npt.assert_allclose(vals.observed, expected, atol=1e-10)
+    npt.assert_allclose(value, expected, atol=1e-10)
 
 
 def test_penalized_nll_translation_invariance_of_likelihood():
@@ -455,8 +458,8 @@ def test_penalized_nll_translation_invariance_of_likelihood():
     params = initialize(cm(X), 2, seed=3)
     shift = np.array([3.0, -1.0])
     shifted = make_params(params.proportions, params.means + shift, params.variances)
-    a = penalized_nll(cm(X), params, PenaltySpec.none()).observed
-    b = penalized_nll(cm(X + shift), shifted, PenaltySpec.none()).observed
+    a = penalized_nll(cm(X), params, PenaltySpec.none())
+    b = penalized_nll(cm(X + shift), shifted, PenaltySpec.none())
     npt.assert_allclose(a, b, atol=1e-9)
 
 
@@ -467,7 +470,7 @@ def test_penalized_nll_matches_brute_force():
     mu = rng.standard_normal((2, 2))
     var = rng.uniform(0.5, 1.5, size=2)
     spec = PenaltySpec.unit("individual", 1.5, 2, 2)
-    vals = penalized_nll(cm(X), make_params(pi, mu, var), spec, tau=np.full((4, 2), 0.5))
+    value = penalized_nll(cm(X), make_params(pi, mu, var), spec)
 
     def density(x, mean):
         z = (x - mean) ** 2 / var
@@ -475,11 +478,7 @@ def test_penalized_nll_matches_brute_force():
 
     loglik = sum(np.log(sum(pi[k] * density(X[i], mu[k]) for k in range(2))) for i in range(4))
     pen = 1.5 * np.abs(mu).sum()
-    npt.assert_allclose(vals.observed, -loglik + pen, atol=1e-10)
-    complete = -sum(
-        0.5 * (np.log(pi[k]) + np.log(density(X[i], mu[k]))) for i in range(4) for k in range(2)
-    )
-    npt.assert_allclose(vals.complete, complete + pen, atol=1e-10)
+    npt.assert_allclose(value, -loglik + pen, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +547,25 @@ def test_run_em_objective_monotone(kind, lam):
     assert rises.max(initial=0.0) <= 1e-8
 
 
+def test_run_em_restarts_collapsed_attempt_from_reseed():
+    # unstructured data, so fits from different seeds end at different points
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((60, 3))
+    B = cm(X)
+    spec = PenaltySpec.none()
+    center = X.mean(axis=0)
+    # the third component sits far from every point, so it gets no mass
+    far = make_params(np.ones(3) / 3, [center, center + 0.5, center + 1e3], X.var(axis=0))
+    fit = run_em(B, 3, spec, seed=0, init=far)
+    reseeded = run_em(B, 3, spec, seed=0 + 7919)
+    npt.assert_array_equal(fit.params.means, reseeded.params.means)
+    npt.assert_array_equal(fit.params.variances, reseeded.params.variances)
+    npt.assert_array_equal(fit.params.proportions, reseeded.params.proportions)
+    assert fit.iterations == reseeded.iterations
+    assert fit.converged
+    assert fit.responsibilities.sum(axis=0).min() > 1e-12
+
+
 def test_run_em_deterministic():
     rng = np.random.default_rng(26)
     X = rng.standard_normal((50, 4))
@@ -574,9 +592,8 @@ def test_relabeling_leaves_objective_and_bookkeeping_unchanged():
     spec_perm = PenaltySpec(kind="group", lam=spec.lam, weights=spec.weights_for(2, 4)[perm])
     a = penalized_nll(B, fit.params, spec)
     b = penalized_nll(B, permuted, spec_perm)
-    npt.assert_allclose(a.observed, b.observed, atol=1e-10)
+    npt.assert_allclose(a, b, atol=1e-10)
     assert int(permuted.zero_mask.sum()) == fit.n_zero_means
-    from mfclust.em import _removed_sensors
     assert _removed_sensors(permuted.zero_mask, B.sensor_names, B.q_c) == fit.removed_sensors
 
 

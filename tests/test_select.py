@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,6 @@ from mfclust.select import (
     SelectionRow,
     adjusted_bic,
     model_search,
-    two_phase_fit,
 )
 
 
@@ -83,13 +83,13 @@ def test_adjusted_bic_relabeling_invariant():
         means=fit.params.means[perm],
         variances=fit.params.variances,
     )
-    vals = penalized_nll(B, params, PenaltySpec.none())
+    value = penalized_nll(B, params, PenaltySpec.none())
     permuted = type(fit)(
         params=params,
         responsibilities=fit.responsibilities[:, perm],
         hard_labels=fit.hard_labels,
-        penalized_nll=vals.observed,
-        plain_nll=vals.observed,
+        penalized_nll=value,
+        plain_nll=value,
         n_zero_means=int(params.zero_mask.sum()),
         removed_sensors=fit.removed_sensors,
         iterations=fit.iterations,
@@ -103,16 +103,17 @@ def test_adjusted_bic_relabeling_invariant():
 def test_two_phase_lambda_zero_grid_reduces_to_unpenalized():
     B, _ = three_cluster_data()
     grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0,))
-    fit, reference = two_phase_fit(B, 3, "group", 1.0, grid, seed=5)
+    report = model_search(B, grid, "group", seed=5)
     plain = run_em(B, 3, PenaltySpec.none(), seed=5 + 3)
-    npt.assert_allclose(fit.params.means, plain.params.means, atol=1e-12)
-    npt.assert_allclose(reference, plain.params.means, atol=1e-12)
+    npt.assert_allclose(report.best_fit.params.means, plain.params.means, atol=1e-12)
+    npt.assert_allclose(report.reference_means[3], plain.params.means, atol=1e-12)
 
 
 def test_two_phase_zeroes_tiny_reference_components():
     B, _ = three_cluster_data(noise_cols=4)
-    grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0, 0.5, 1.0, 2.0))
-    fit, reference = two_phase_fit(B, 3, "individual", 2.0, grid, seed=2)
+    grid = SearchGrid(m_values=(3,), gamma_values=(2.0,), lambda_multipliers=(0.0, 0.5, 1.0, 2.0))
+    report = model_search(B, grid, "individual", seed=2)
+    fit = report.best_fit
     assert fit.converged
     # noise columns (2..5) should be zeroed across all clusters in phase 2
     assert fit.params.zero_mask[:, 2:].sum() >= 8
@@ -121,16 +122,16 @@ def test_two_phase_zeroes_tiny_reference_components():
 def test_two_phase_rejects_nonpositive_gamma():
     B, _ = three_cluster_data()
     with pytest.raises(ValueError):
-        two_phase_fit(B, 2, "group", 0.0, small_grid())
+        model_search(B, replace(small_grid(), gamma_values=(0.0,)), "group")
 
 
 def test_two_phase_deterministic():
     B, _ = three_cluster_data()
     grid = small_grid()
-    a, ref_a = two_phase_fit(B, 3, "group", 1.0, grid, seed=9)
-    b, ref_b = two_phase_fit(B, 3, "group", 1.0, grid, seed=9)
-    npt.assert_array_equal(a.params.means, b.params.means)
-    npt.assert_array_equal(ref_a, ref_b)
+    a = model_search(B, grid, "group", seed=9)
+    b = model_search(B, grid, "group", seed=9)
+    npt.assert_array_equal(a.best_fit.params.means, b.best_fit.params.means)
+    npt.assert_array_equal(a.reference_means[3], b.reference_means[3])
 
 
 def test_adaptive_weights_at_gamma_zero_equal_unit_weights():
@@ -169,6 +170,11 @@ def test_model_search_reports_every_grid_point():
     assert len(pilot) == 2 * 2  # m x lambda
     assert len(adaptive) == 2 * 2 * 2  # m x gamma x lambda
     assert 2 in report.reference_means and 3 in report.reference_means
+    # at lambda = 0 the adaptive rows repeat the pilot fit, whatever gamma is
+    for row in adaptive:
+        if row.lam == 0.0:
+            (twin,) = [r for r in pilot if r.m == row.m and r.lam == 0.0]
+            assert replace(row, phase="pilot") == twin
 
 
 def test_model_search_none_kind_fits_plain_models():
