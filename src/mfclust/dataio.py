@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,13 +71,18 @@ def read_long_csv(path) -> FunctionalDataSet:
                 raise DataFormatError(
                     f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
                 ) from None
+            # each distinct time is checked once; nan equals no set member,
+            # so it always reaches the check
+            if t not in times_seen:
+                if not math.isfinite(t):
+                    raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+                times_seen.add(t)
             obs_seen[obs] = None
             sensor_seen[sensor] = None
             series = cells.setdefault((obs, sensor), {})
             if t in series:
                 raise DataFormatError(f"duplicate sample for ({obs}, {sensor}, {t})")
             series[t] = v
-            times_seen.add(t)
 
     if not cells:
         raise DataFormatError("no data rows")
@@ -156,9 +162,12 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
                 continue
             obs_ids.append(row[0])
             try:
-                rows.append([float(x) for x in row[1:]])
+                values = [float(x) for x in row[1:]]
             except ValueError:
                 raise DataFormatError(f"line {lineno}: non-numeric score") from None
+            if not all(map(math.isfinite, values)):
+                raise DataFormatError(f"line {lineno}: non-finite score")
+            rows.append(values)
     scores = np.asarray(rows)
     return CoefficientMatrix(scores=scores, q_c=q_c, sensor_names=sensor_names), obs_ids
 

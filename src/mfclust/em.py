@@ -478,7 +478,7 @@ def run_em(
     seed: int,
     tol: float = 1e-4,
     max_iter: int = 500,
-    init: MixtureParams | None = None,
+    inits: dict[int, MixtureParams] | None = None,
 ) -> FitResult:
     """Alternate E-steps and penalty-specific M-steps until the parameter
     change drops to tol.
@@ -493,19 +493,29 @@ def run_em(
     max_iter (see ROADMAP.md, exact M-step for the variable penalty).
     FitResult.max_objective_rise reports the largest rise of a fit.
 
-    On an empty-cluster collapse the fit restarts from a re-seeded
-    initialization, up to 5 times, and otherwise returns the best collapsed
-    attempt flagged as not converged. Deterministic for fixed
+    Attempt a starts from initialize(B, m, seed + 7919 * a). On an
+    empty-cluster collapse the fit restarts from the next attempt's
+    initialization, up to 5 attempts, and otherwise returns the best
+    collapsed attempt flagged as not converged. Deterministic for fixed
     (B, m, spec, seed).
+
+    inits memoizes those initializations by seed: an attempt takes its
+    starting parameters from it when present and stores them there after
+    computing them (a failed initialization is not stored). A memo is valid
+    for one (B, m) only; model_search shares one across the grid points of
+    a cluster count, so each seed's k-means runs once however many points
+    collapse. Its entries are never modified.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if inits is None:
+        inits = {}
     best = None
     for attempt in range(_MAX_RESTARTS):
-        if init is not None and attempt == 0:
-            params0 = init
-        else:
-            params0 = initialize(B, m, seed + 7_919 * attempt)
+        init_seed = seed + 7_919 * attempt
+        params0 = inits.get(init_seed)
+        if params0 is None:
+            params0 = inits[init_seed] = initialize(B, m, init_seed)
         result, collapsed = _em_attempt(B, m, spec, params0, tol, max_iter)
         if not collapsed:
             return result

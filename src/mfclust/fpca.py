@@ -11,7 +11,7 @@ blocks are then assembled side by side into one coefficient matrix.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,32 +127,21 @@ class SensorFpcaModel:
         return self.eigen_coeffs.shape[1]
 
 
-def fit_sensor_fpca(
-    data: FunctionalDataSet,
-    sensor: str,
-    basis: BasisSpec,
-    q_c: int,
-    standardization: tuple[float, float] = (0.0, 1.0),
-) -> SensorFpcaModel:
-    """Fit the principal component model for one sensor.
-
-    The eigenproblem is solved on the Gram-whitened coefficient covariance
-    (divisor n), so eigenvalues equal the empirical score variances and
-    eigenfunctions are Gram-orthonormal. Eigenvector signs are fixed so the
-    largest-magnitude spline coefficient is positive.
-    """
-    n = data.n
+def _check_q_c(q_c: int, n: int, basis: BasisSpec) -> None:
     if not 1 <= q_c <= min(n - 1, basis.n_basis):
         raise ValueError(
             f"q_c must be in [1, min(n-1, n_basis)] = [1, {min(n - 1, basis.n_basis)}], got {q_c}"
         )
-    curves = data.values[:, data.sensor_index(sensor), :]
-    coeffs = fit_coefficients(basis, data.times, curves)
+
+
+def _sensor_model(sensor, basis, times, coeffs, gram, q_c, standardization) -> SensorFpcaModel:
+    """The principal component model of one sensor from its (n, n_basis)
+    spline coefficients and the basis Gram matrix."""
+    n = coeffs.shape[0]
     mean_coeffs = coeffs.mean(axis=0)
     centered = coeffs - mean_coeffs
     cov = centered.T @ centered / n
 
-    gram = gram_matrix(basis)
     chol = np.linalg.cholesky(gram)
     whitened = chol.T @ cov @ chol
     whitened = 0.5 * (whitened + whitened.T)
@@ -176,7 +165,7 @@ def fit_sensor_fpca(
     return SensorFpcaModel(
         sensor=sensor,
         basis=basis,
-        times=data.times.copy(),
+        times=times.copy(),
         mean_coeffs=mean_coeffs,
         eigen_coeffs=eigen_coeffs,
         eigenvalues=evals[:q_c],
@@ -186,6 +175,31 @@ def fit_sensor_fpca(
     )
 
 
+def fit_sensor_fpca(
+    data: FunctionalDataSet,
+    sensor: str,
+    basis: BasisSpec,
+    q_c: int,
+    standardization: tuple[float, float] = (0.0, 1.0),
+) -> SensorFpcaModel:
+    """Fit the principal component model for one sensor.
+
+    The eigenproblem is solved on the Gram-whitened coefficient covariance
+    (divisor n), so eigenvalues equal the empirical score variances and
+    eigenfunctions are Gram-orthonormal. Eigenvector signs are fixed so the
+    largest-magnitude spline coefficient is positive.
+    """
+    _check_q_c(q_c, data.n, basis)
+    curves = data.values[:, data.sensor_index(sensor), :]
+    coeffs = fit_coefficients(basis, data.times, curves)
+    return _sensor_model(sensor, basis, data.times, coeffs, gram_matrix(basis), q_c, standardization)
+
+
+def _project(model: SensorFpcaModel, coeffs: np.ndarray) -> np.ndarray:
+    """Scores of curves given by their spline coefficients."""
+    return (coeffs - model.mean_coeffs) @ model.gram @ model.eigen_coeffs
+
+
 def transform(model: SensorFpcaModel, curve: np.ndarray) -> np.ndarray:
     """Scores of one curve sampled on the model's time grid."""
     curve = np.asarray(curve, dtype=float)
@@ -193,15 +207,13 @@ def transform(model: SensorFpcaModel, curve: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"curve has {curve.shape[0]} samples, model grid has {model.times.shape[0]}"
         )
-    coeffs = fit_coefficients(model.basis, model.times, curve)
-    return (coeffs - model.mean_coeffs) @ model.gram @ model.eigen_coeffs
+    return _project(model, fit_coefficients(model.basis, model.times, curve))
 
 
 def score_matrix(model: SensorFpcaModel, data: FunctionalDataSet) -> np.ndarray:
     """Scores for every observation of the model's sensor, shape (n, q_c)."""
     curves = data.values[:, data.sensor_index(model.sensor), :]
-    coeffs = fit_coefficients(model.basis, data.times, curves)
-    return (coeffs - model.mean_coeffs) @ model.gram @ model.eigen_coeffs
+    return _project(model, fit_coefficients(model.basis, data.times, curves))
 
 
 def reconstruct(model: SensorFpcaModel, scores: np.ndarray) -> np.ndarray:
@@ -313,31 +325,26 @@ def fit_fpca(
     from models fitted at the maximum usable q_c.
     """
     stats = standardization or {}
-    max_q = min(data.n - 1, basis.n_basis)
+    fit_q = min(data.n - 1, basis.n_basis) if q_c is None else q_c
+    _check_q_c(fit_q, data.n, basis)
+    # one Gram matrix for the shared basis and one coefficient fit per
+    # sensor, reused for both the eigenproblem and the scores
+    gram = gram_matrix(basis)
+    coeffs = [fit_coefficients(basis, data.times, data.values[:, s, :]) for s in range(data.p)]
+    models = [
+        _sensor_model(name, basis, data.times, c, gram, fit_q, stats.get(name, (0.0, 1.0)))
+        for name, c in zip(data.sensor_names, coeffs)
+    ]
     if q_c is None:
-        probes = [
-            fit_sensor_fpca(data, name, basis, max_q, stats.get(name, (0.0, 1.0)))
-            for name in data.sensor_names
-        ]
-        q_c = select_num_components(probes, alpha, beta)
+        q_c = select_num_components(models, alpha, beta)
         models = [
-            SensorFpcaModel(
-                sensor=m.sensor,
-                basis=m.basis,
-                times=m.times,
-                mean_coeffs=m.mean_coeffs,
+            replace(
+                m,
                 eigen_coeffs=m.eigen_coeffs[:, :q_c],
                 eigenvalues=m.eigenvalues[:q_c],
                 variance_explained=m.variance_explained[:q_c],
-                standardization=m.standardization,
-                gram=m.gram,
             )
-            for m in probes
+            for m in models
         ]
-    else:
-        models = [
-            fit_sensor_fpca(data, name, basis, q_c, stats.get(name, (0.0, 1.0)))
-            for name in data.sensor_names
-        ]
-    blocks = [(m.sensor, score_matrix(m, data)) for m in models]
+    blocks = [(m.sensor, _project(m, c)) for m, c in zip(models, coeffs)]
     return models, assemble_coefficients(blocks)

@@ -68,7 +68,7 @@ def zero_lambda_fits():
         )
         for kind in KINDS_AT_ZERO:
             spec = PenaltySpec.none() if kind == "none" else PenaltySpec.unit(kind, 0.0, 2, B.q)
-            fit = run_em(B, 2, spec, seed=seed, tol=1e-9, max_iter=5000, init=init)
+            fit = run_em(B, 2, spec, seed=seed, tol=1e-9, max_iter=5000, inits={seed: init})
             perm = align_clusters(mu_ref, fit.params.means)
             diff = max(
                 np.abs(fit.params.means[perm] - mu_ref).max(),

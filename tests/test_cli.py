@@ -187,6 +187,34 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                    "--replicates", tmp_path / "r.csv") == 1
 
 
+def test_fit_rejects_non_finite_score(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    rows = [f"o{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(4)) for i in range(30)]
+    rows[5] = "o5,0.1,nan,0.3,0.4"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("obs_id,s1_pc1,s1_pc2,s2_pc1,s2_pc2\n" + "\n".join(rows) + "\n")
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", "2", "--jobs", 1,
+    )
+    assert code == 2
+    assert "line 7: non-finite score" in capsys.readouterr().err
+
+
+def test_transform_rejects_non_finite_time(tmp_path, capsys):
+    data, _ = simulate_small(tmp_path)
+    lines = data.read_text().splitlines()
+    obs, sensor, _, value = lines[3].split(",")
+    lines[3] = f"{obs},{sensor},inf,{value}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = run_cli("transform", "--input", bad, "--scores", tmp_path / "s.csv",
+                   "--model", tmp_path / "m.json")
+    assert code == 2
+    assert "line 4: non-finite time 'inf'" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(small_run, monkeypatch):
     tmp_path, data, _ = small_run
     from mfclust import cli as cli_mod

@@ -70,6 +70,26 @@ def test_long_csv_duplicate_and_bad_values(tmp_path):
         read_long_csv(hdr)
 
 
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+def test_long_csv_rejects_non_finite_time(tmp_path, time):
+    path = tmp_path / "times.csv"
+    path.write_text(
+        "obs_id,sensor_id,time,value\n"
+        f"a,s1,0,1.0\na,s1,{time},2.0\na,s1,2,3.0\n"
+        f"b,s1,0,4.0\nb,s1,{time},5.0\nb,s1,2,6.0\n"
+    )
+    with pytest.raises(DataFormatError, match=r"line 3: non-finite time"):
+        read_long_csv(path)
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_scores_csv_rejects_non_finite_score(tmp_path, score):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"obs_id,s1_pc1,s1_pc2\na,0.5,1.0\nb,{score},2.0\nc,1.5,0.0\n")
+    with pytest.raises(DataFormatError, match=r"line 3: non-finite score"):
+        read_scores_csv(path)
+
+
 def test_long_csv_round_trip(tmp_path):
     _, data = small_dataset(seed=1)
     path = tmp_path / "round.csv"

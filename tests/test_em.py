@@ -9,6 +9,7 @@ from helpers import (
     two_separated_clouds,
 )
 
+from mfclust import em
 from mfclust.em import (
     MixtureParams,
     PenaltySpec,
@@ -547,16 +548,21 @@ def test_run_em_objective_monotone(kind, lam):
     assert rises.max(initial=0.0) <= 1e-8
 
 
-def test_run_em_restarts_collapsed_attempt_from_reseed():
-    # unstructured data, so fits from different seeds end at different points
+def collapsing_start():
+    """Unstructured data, so fits from different seeds end at different
+    points, and a start whose third component sits far from every point,
+    so it gets no mass."""
     rng = np.random.default_rng(30)
     X = rng.standard_normal((60, 3))
-    B = cm(X)
-    spec = PenaltySpec.none()
     center = X.mean(axis=0)
-    # the third component sits far from every point, so it gets no mass
     far = make_params(np.ones(3) / 3, [center, center + 0.5, center + 1e3], X.var(axis=0))
-    fit = run_em(B, 3, spec, seed=0, init=far)
+    return cm(X), far
+
+
+def test_run_em_restarts_collapsed_attempt_from_reseed():
+    B, far = collapsing_start()
+    spec = PenaltySpec.none()
+    fit = run_em(B, 3, spec, seed=0, inits={0: far})
     reseeded = run_em(B, 3, spec, seed=0 + 7919)
     npt.assert_array_equal(fit.params.means, reseeded.params.means)
     npt.assert_array_equal(fit.params.variances, reseeded.params.variances)
@@ -564,6 +570,28 @@ def test_run_em_restarts_collapsed_attempt_from_reseed():
     assert fit.iterations == reseeded.iterations
     assert fit.converged
     assert fit.responsibilities.sum(axis=0).min() > 1e-12
+
+
+def test_run_em_reuses_given_inits(monkeypatch):
+    B, far = collapsing_start()
+    spec = PenaltySpec.none()
+    inits = {0: far}
+    # attempt 0 collapses, so attempt 1 computes its start and stores it
+    first = run_em(B, 3, spec, seed=0, inits=inits)
+    assert sorted(inits) == [0, 7919]
+
+    def no_initialize(*args):
+        raise AssertionError("initialize called although the memo holds the seed")
+
+    monkeypatch.setattr(em, "initialize", no_initialize)
+    second = run_em(B, 3, spec, seed=0, inits=inits)
+    assert sorted(inits) == [0, 7919]
+    npt.assert_array_equal(second.params.means, first.params.means)
+    npt.assert_array_equal(second.params.variances, first.params.variances)
+    npt.assert_array_equal(second.params.proportions, first.params.proportions)
+    npt.assert_array_equal(second.responsibilities, first.responsibilities)
+    assert second.objective_trace == first.objective_trace
+    assert (second.iterations, second.converged) == (first.iterations, first.converged)
 
 
 def test_run_em_deterministic():

@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mfclust import em, select
+from mfclust.basis import build_basis
 from mfclust.em import MixtureParams, PenaltySpec, penalized_nll, run_em
-from mfclust.fpca import CoefficientMatrix
+from mfclust.fpca import CoefficientMatrix, fit_fpca
 from mfclust.select import (
     SearchGrid,
     SelectionReport,
@@ -14,6 +17,7 @@ from mfclust.select import (
     adjusted_bic,
     model_search,
 )
+from mfclust.simbench import default_design, generate_dataset
 
 
 def three_cluster_data(seed=0, n=150, noise_cols=4, sep=4.0):
@@ -202,6 +206,27 @@ def test_model_search_parallel_matches_serial():
     parallel = model_search(B, grid, "group", seed=12, n_jobs=2)
     assert serial.chosen == parallel.chosen
     assert [r.bic for r in serial.rows] == [r.bic for r in parallel.rows]
+
+
+def test_model_search_initializes_each_seed_once(monkeypatch):
+    # n = 200 reference data at m = 4, 5: several group grid points collapse
+    # and restart from reseeded initializations
+    design = default_design(n=200, seed=1)
+    basis = build_basis(*design.domain, design.n_basis, design.order)
+    _, B = fit_fpca(generate_dataset(design), basis, q_c=3)
+    calls = Counter()
+    real = em.initialize
+
+    def counting(B, m, seed):
+        calls[m, seed] += 1
+        return real(B, m, seed)
+
+    monkeypatch.setattr(em, "initialize", counting)
+    monkeypatch.setattr(select, "initialize", counting)
+    grid = SearchGrid(m_values=(4, 5), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
+    model_search(B, grid, "group", seed=12)
+    assert len(calls) > len(grid.m_values)  # some fits restarted
+    assert max(calls.values()) == 1
 
 
 def _row(bic, m=2, lam=1.0, gamma=1.0, converged=True):
