@@ -70,6 +70,85 @@ def test_long_csv_duplicate_and_bad_values(tmp_path):
         read_long_csv(hdr)
 
 
+def test_long_csv_rows_in_any_order(tmp_path):
+    rng = np.random.default_rng(12)
+    samples = {
+        (obs, sensor, t): float(rng.standard_normal())
+        for obs in ("o1", "o2", "o3") for sensor in ("s1", "s2") for t in (0.0, 0.5, 1.5, 3.0)
+    }
+    rows = list(samples)
+    rng.shuffle(rows)
+    path = tmp_path / "shuffled.csv"
+    path.write_text(
+        "obs_id,sensor_id,time,value\n"
+        + "".join(f"{o},{s},{t!r},{samples[o, s, t]!r}\n" for o, s, t in rows)
+    )
+    data = read_long_csv(path)
+    assert data.obs_ids == list(dict.fromkeys(o for o, _, _ in rows))
+    assert data.sensor_names == list(dict.fromkeys(s for _, s, _ in rows))
+    npt.assert_array_equal(data.times, [0.0, 0.5, 1.5, 3.0])
+    for i, obs in enumerate(data.obs_ids):
+        for s, sensor in enumerate(data.sensor_names):
+            expected = [samples[obs, sensor, t] for t in data.times]
+            npt.assert_array_equal(data.values[i, s], expected)
+
+
+def test_long_csv_lists_first_ten_missing_cells_in_order(tmp_path):
+    # obs first appear as z, a, m; a.s2 misses 4 times, m.s1 misses 2,
+    # m.s2 misses all 5, z misses none; only the first 10 of 11 are listed
+    absent = {("a", "s2", t) for t in (0.5, 1, 2, 3)} | {("m", "s1", 1), ("m", "s1", 3)}
+    absent |= {("m", "s2", t) for t in (0, 0.5, 1, 2, 3)}
+    lines = [
+        f"{o},{s},{t},1.0\n"
+        for o in ("z", "a", "m") for s in ("s1", "s2") for t in (0, 0.5, 1, 2, 3)
+        if (o, s, t) not in absent
+    ]
+    path = tmp_path / "gaps.csv"
+    path.write_text("obs_id,sensor_id,time,value\n" + "".join(lines))
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == (
+        "incomplete grid; first missing cells: (a, s2, 0.5), (a, s2, 1), (a, s2, 2), "
+        "(a, s2, 3), (m, s1, 1), (m, s1, 3), (m, s2, 0), (m, s2, 0.5), (m, s2, 1), (m, s2, 2)"
+    )
+
+
+def test_long_csv_reports_first_repeat_in_file_order(tmp_path):
+    path = tmp_path / "repeats.csv"
+    path.write_text(
+        "obs_id,sensor_id,time,value\n"
+        "a,s1,0,1.0\na,s1,1,2.0\nb,s1,1,3.0\nb,s1,0,4.0\n"
+        "b,s1,1.0,5.0\na,s1,0,6.0\n"
+    )
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == "duplicate sample for (b, s1, 1.0)"
+
+
+def test_long_csv_rejects_wrong_field_count(tmp_path):
+    path = tmp_path / "fields.csv"
+    path.write_text("obs_id,sensor_id,time,value\na,s1,0,1.0\na,s1,1\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == "line 3: expected 4 fields, got 3"
+
+
+def test_long_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("obs_id,sensor_id,time,value\n\na,s1,0,1.0\n\n\na,s1,1,2.0\n\n")
+    data = read_long_csv(path)
+    npt.assert_array_equal(data.values, [[[1.0, 2.0]]])
+    npt.assert_array_equal(data.times, [0.0, 1.0])
+
+
+def test_long_csv_header_only_has_no_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("obs_id,sensor_id,time,value\n\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == "no data rows"
+
+
 @pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
 def test_long_csv_rejects_non_finite_time(tmp_path, time):
     path = tmp_path / "times.csv"
