@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,11 +48,20 @@ def write_long_csv(data: FunctionalDataSet, path) -> None:
 
 
 def read_long_csv(path) -> FunctionalDataSet:
-    """Assemble a dataset from long rows, insisting on a rectangular grid."""
-    cells: dict[tuple[str, str], dict[float, float]] = {}
-    obs_seen: dict[str, None] = {}
-    sensor_seen: dict[str, None] = {}
-    times_seen: set[float] = set()
+    """Assemble a dataset from long rows, insisting on a rectangular grid.
+
+    Rows may come in any order; blank lines are skipped. Observations and
+    sensors keep their order of first appearance and times are sorted. A
+    bad header, a wrong field count, a non-numeric field or a non-finite
+    time raises DataFormatError naming its line. A repeated cell (the first
+    repeat in file order) and an incomplete grid (the first 10 missing
+    cells) are found once the file is parsed, so a parse error on a later
+    line is reported before an earlier repeat.
+    """
+    obs_index: dict[str, int] = {}
+    sensor_index: dict[str, int] = {}
+    obs_col, sensor_col = array("i"), array("i")
+    time_col, value_col = array("d"), array("d")
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -71,53 +81,37 @@ def read_long_csv(path) -> FunctionalDataSet:
                 raise DataFormatError(
                     f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
                 ) from None
-            # each distinct time is checked once; nan equals no set member,
-            # so it always reaches the check
-            if t not in times_seen:
-                if not math.isfinite(t):
-                    raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
-                times_seen.add(t)
-            obs_seen[obs] = None
-            sensor_seen[sensor] = None
-            series = cells.setdefault((obs, sensor), {})
-            if t in series:
-                raise DataFormatError(f"duplicate sample for ({obs}, {sensor}, {t})")
-            series[t] = v
+            if not math.isfinite(t):
+                raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+            obs_col.append(obs_index.setdefault(obs, len(obs_index)))
+            sensor_col.append(sensor_index.setdefault(sensor, len(sensor_index)))
+            time_col.append(t)
+            value_col.append(v)
 
-    if not cells:
+    if not value_col:
         raise DataFormatError("no data rows")
-    obs_order = list(obs_seen)
-    sensor_order = list(sensor_seen)
-    times = sorted(times_seen)
-
-    missing = []
-    for obs in obs_order:
-        for sensor in sensor_order:
-            have = cells.get((obs, sensor), {})
-            for t in times:
-                if t not in have:
-                    missing.append((obs, sensor, t))
-                    if len(missing) >= 10:
-                        break
-            if len(missing) >= 10:
-                break
-        if len(missing) >= 10:
-            break
+    obs_order, sensor_order = list(obs_index), list(sensor_index)
+    times, time_idx = np.unique(np.frombuffer(time_col), return_inverse=True)
+    shape = (len(obs_order), len(sensor_order), len(times))
+    cell_idx = (np.frombuffer(obs_col, np.intc), np.frombuffer(sensor_col, np.intc), time_idx)
+    flat = np.ravel_multi_index(cell_idx, shape)
+    filled = np.zeros(shape, dtype=bool)
+    filled.flat[flat] = True
+    if np.count_nonzero(filled) < len(flat):
+        order = np.argsort(flat, kind="stable")
+        r = order[1:][flat[order[1:]] == flat[order[:-1]]].min()
+        raise DataFormatError(
+            f"duplicate sample for ({obs_order[obs_col[r]]}, {sensor_order[sensor_col[r]]}, {time_col[r]})"
+        )
+    missing = [
+        f"({obs_order[i]}, {sensor_order[s]}, {times[k]:g})" for i, s, k in np.argwhere(~filled)[:10]
+    ]
     if missing:
-        listing = ", ".join(f"({o}, {s}, {t:g})" for o, s, t in missing)
-        raise DataFormatError(f"incomplete grid; first missing cells: {listing}")
+        raise DataFormatError(f"incomplete grid; first missing cells: {', '.join(missing)}")
 
-    values = np.empty((len(obs_order), len(sensor_order), len(times)))
-    for i, obs in enumerate(obs_order):
-        for s, sensor in enumerate(sensor_order):
-            series = cells[(obs, sensor)]
-            values[i, s, :] = [series[t] for t in times]
-    return FunctionalDataSet(
-        times=np.asarray(times),
-        values=values,
-        sensor_names=sensor_order,
-        obs_ids=obs_order,
-    )
+    values = np.empty(shape)
+    values.flat[flat] = np.frombuffer(value_col)
+    return FunctionalDataSet(times=times, values=values, sensor_names=sensor_order, obs_ids=obs_order)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +154,8 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             obs_ids.append(row[0])
             try:
                 values = [float(x) for x in row[1:]]
@@ -168,6 +164,8 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
             if not all(map(math.isfinite, values)):
                 raise DataFormatError(f"line {lineno}: non-finite score")
             rows.append(values)
+    if not rows:
+        raise DataFormatError("no data rows")
     scores = np.asarray(rows)
     return CoefficientMatrix(scores=scores, q_c=q_c, sensor_names=sensor_names), obs_ids
 
@@ -277,13 +275,13 @@ def read_model(path) -> ModelBundle:
         bundle.fpca_models = [_sensor_model_from_json(o) for o in doc["fpca"]["sensors"]]
     if doc.get("mixture") is not None:
         mx = doc["mixture"]
-        means = np.asarray(mx["means"])
         bundle.mixture = MixtureParams(
             proportions=np.asarray(mx["proportions"]),
-            means=means,
+            means=np.asarray(mx["means"]),
             variances=np.asarray(mx["variances"]),
-            zero_mask=np.asarray(mx["zero_mask"], dtype=bool),
         )
+        if not np.array_equal(np.asarray(mx["zero_mask"], dtype=bool), bundle.mixture.zero_mask):
+            raise DataFormatError("mixture zero_mask must mark exactly the zero means")
     if doc.get("selection_table") is not None:
         bundle.selection_rows = [SelectionRow(**r) for r in doc["selection_table"]]
     if doc.get("chosen") is not None:

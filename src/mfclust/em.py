@@ -38,7 +38,6 @@ class MixtureParams:
     proportions: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    zero_mask: np.ndarray = None
 
     def __post_init__(self):
         self.proportions = np.asarray(self.proportions, dtype=float)
@@ -53,12 +52,11 @@ class MixtureParams:
             raise ValueError("proportions must be nonnegative and sum to 1")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
-        if self.zero_mask is None:
-            self.zero_mask = self.means == 0.0
-        else:
-            self.zero_mask = np.asarray(self.zero_mask, dtype=bool)
-            if not np.array_equal(self.zero_mask, self.means == 0.0):
-                raise ValueError("zero_mask must mark exactly the zero means")
+
+    @property
+    def zero_mask(self) -> np.ndarray:
+        """Boolean (m, q) mask of the means that are exactly zero."""
+        return self.means == 0.0
 
     @property
     def m(self) -> int:

@@ -202,6 +202,18 @@ def test_fit_rejects_non_finite_score(tmp_path, capsys):
     assert "line 7: non-finite score" in capsys.readouterr().err
 
 
+def test_fit_rejects_ragged_scores(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("obs_id,s1_pc1,s1_pc2\no0,0.1,0.2\no1,0.3\no2,0.5,0.6\n")
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", "2", "--jobs", 1,
+    )
+    assert code == 2
+    assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
+
+
 def test_transform_rejects_non_finite_time(tmp_path, capsys):
     data, _ = simulate_small(tmp_path)
     lines = data.read_text().splitlines()

@@ -20,7 +20,7 @@ from mfclust.dataio import (
     write_scores_csv,
     write_truth,
 )
-from mfclust.em import PenaltySpec, e_step, run_em
+from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
 from mfclust.fpca import assemble_coefficients, fit_fpca, score_matrix
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import default_design, generate_dataset, run_scenario
@@ -169,6 +169,24 @@ def test_scores_csv_rejects_non_finite_score(tmp_path, score):
         read_scores_csv(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,0.5,1.0\nb,2.0\nc,1.5,0.0\n", "line 3: expected 3 fields, got 2"),
+        ("a,0.5,1.0\n\nc,1.5,0.0,4.0\n", "line 4: expected 3 fields, got 4"),
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+    ],
+    ids=["short-row", "long-row", "header-only", "blank-lines-only"],
+)
+def test_scores_csv_rejects_ragged_and_empty(tmp_path, body, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("obs_id,s1_pc1,s1_pc2\n" + body)
+    with pytest.raises(DataFormatError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value) == message
+
+
 def test_long_csv_round_trip(tmp_path):
     _, data = small_dataset(seed=1)
     path = tmp_path / "round.csv"
@@ -243,6 +261,20 @@ def test_model_version_mismatch(tmp_path):
     corrupt.write_text("{not json")
     with pytest.raises(DataFormatError, match="corrupted"):
         read_model(corrupt)
+
+
+def test_model_rejects_zero_mask_disagreeing_with_means(tmp_path):
+    mixture = MixtureParams(
+        proportions=[0.5, 0.5], means=[[0.0, 1.0], [2.0, 0.0]], variances=[1.0, 1.0]
+    )
+    path = tmp_path / "model.json"
+    write_model(ModelBundle(mixture=mixture), path)
+    npt.assert_array_equal(read_model(path).mixture.zero_mask, [[True, False], [False, True]])
+    doc = json.loads(path.read_text())
+    doc["mixture"]["zero_mask"][0][0] = False
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="zero_mask"):
+        read_model(path)
 
 
 def test_assignments_single_cluster(tmp_path):
