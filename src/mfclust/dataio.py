@@ -98,6 +98,8 @@ def read_long_csv(path) -> FunctionalDataSet:
     filled = np.zeros(shape, dtype=bool)
     filled.flat[flat] = True
     if np.count_nonzero(filled) < len(flat):
+        # a stable sort keeps file order within a cell, so every row that
+        # equals its predecessor here repeats an earlier row
         order = np.argsort(flat, kind="stable")
         r = order[1:][flat[order[1:]] == flat[order[:-1]]].min()
         raise DataFormatError(
