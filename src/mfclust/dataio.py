@@ -51,12 +51,11 @@ def read_long_csv(path) -> FunctionalDataSet:
     """Assemble a dataset from long rows, insisting on a rectangular grid.
 
     Rows may come in any order; blank lines are skipped. Observations and
-    sensors keep their order of first appearance and times are sorted. A
-    bad header, a wrong field count, a non-numeric field or a non-finite
-    time raises DataFormatError naming its line. A repeated cell (the first
-    repeat in file order) and an incomplete grid (the first 10 missing
-    cells) are found once the file is parsed, so a parse error on a later
-    line is reported before an earlier repeat.
+    sensors keep their order of first appearance and times are sorted. A bad
+    header, wrong field count, non-numeric field or non-finite time raises
+    DataFormatError naming its line. Repeated cells (the first in file
+    order) and missing cells (the first 10) are found after parsing, so a
+    later line's parse error is reported before an earlier repeat.
     """
     obs_index: dict[str, int] = {}
     sensor_index: dict[str, int] = {}
@@ -95,21 +94,24 @@ def read_long_csv(path) -> FunctionalDataSet:
     shape = (len(obs_order), len(sensor_order), len(times))
     cell_idx = (np.frombuffer(obs_col, np.intc), np.frombuffer(sensor_col, np.intc), time_idx)
     flat = np.ravel_multi_index(cell_idx, shape)
-    filled = np.zeros(shape, dtype=bool)
-    filled.flat[flat] = True
-    if np.count_nonzero(filled) < len(flat):
-        # a stable sort keeps file order within a cell, so every row that
-        # equals its predecessor here repeats an earlier row
-        order = np.argsort(flat, kind="stable")
-        r = order[1:][flat[order[1:]] == flat[order[:-1]]].min()
-        raise DataFormatError(
-            f"duplicate sample for ({obs_order[obs_col[r]]}, {sensor_order[sensor_col[r]]}, {time_col[r]})"
-        )
-    missing = [
-        f"({obs_order[i]}, {sensor_order[s]}, {times[k]:g})" for i, s, k in np.argwhere(~filled)[:10]
-    ]
-    if missing:
-        raise DataFormatError(f"incomplete grid; first missing cells: {', '.join(missing)}")
+    n_cells = math.prod(shape)
+    # every array below holds at most one entry per row, however large the grid
+    if len(flat) == n_cells:
+        filled = np.zeros(n_cells, dtype=bool)
+        filled[flat] = True
+    if len(flat) != n_cells or not filled.all():
+        cells, first = np.unique(flat, return_index=True)
+        if len(cells) < len(flat):
+            # the first row that is not the first of its cell repeats an earlier row
+            r = np.setdiff1d(np.arange(len(flat)), first, assume_unique=True)[0]
+            raise DataFormatError(
+                f"duplicate sample for ({obs_order[obs_col[r]]}, {sensor_order[sensor_col[r]]}, {time_col[r]})"
+            )
+        # with no repeats, the first 10 missing cells lie below len(cells) + 10
+        head = np.arange(min(n_cells, len(cells) + 10))
+        missing = np.unravel_index(np.setdiff1d(head, cells, assume_unique=True)[:10], shape)
+        listed = ", ".join(f"({obs_order[i]}, {sensor_order[s]}, {times[k]:g})" for i, s, k in zip(*missing))
+        raise DataFormatError(f"incomplete grid; first missing cells: {listed}")
 
     values = np.empty(shape)
     values.flat[flat] = np.frombuffer(value_col)
@@ -168,8 +170,7 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
             rows.append(values)
     if not rows:
         raise DataFormatError("no data rows")
-    scores = np.asarray(rows)
-    return CoefficientMatrix(scores=scores, q_c=q_c, sensor_names=sensor_names), obs_ids
+    return CoefficientMatrix(scores=np.asarray(rows), q_c=q_c, sensor_names=sensor_names), obs_ids
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ def test_transform_rejects_non_finite_time(tmp_path, capsys):
     assert "line 4: non-finite time 'inf'" in capsys.readouterr().err
 
 
+def test_transform_rejects_curves_on_own_times(tmp_path, capsys):
+    data = tmp_path / "own.csv"
+    data.write_text(
+        "obs_id,sensor_id,time,value\n"
+        + "".join(f"o{i},s1,{3 * i + k}.5,1.0\n" for i in range(4) for k in range(3))
+    )
+    code = run_cli("transform", "--input", data, "--scores", tmp_path / "s.csv",
+                   "--model", tmp_path / "m.json")
+    assert code == 2
+    assert "incomplete grid; first missing cells: (o0, s1, 3.5), (o0, s1, 4.5)" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_failure(small_run, monkeypatch):
     tmp_path, data, _ = small_run
     from mfclust import cli as cli_mod

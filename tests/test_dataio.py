@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -111,6 +112,44 @@ def test_long_csv_lists_first_ten_missing_cells_in_order(tmp_path):
         "incomplete grid; first missing cells: (a, s2, 0.5), (a, s2, 1), (a, s2, 2), "
         "(a, s2, 3), (m, s1, 1), (m, s1, 3), (m, s2, 0), (m, s2, 0.5), (m, s2, 1), (m, s2, 2)"
     )
+
+
+def own_times_csv(path, n_obs, n_sensors, n_times):
+    """Write a long CSV whose every curve is sampled on its own times."""
+    lines = [
+        f"o{i},s{s},{(i * n_sensors + s) * n_times + k},1.0\n"
+        for i in range(n_obs) for s in range(n_sensors) for k in range(n_times)
+    ]
+    path.write_text("obs_id,sensor_id,time,value\n" + "".join(lines))
+
+
+def test_long_csv_curves_on_own_times_are_incomplete(tmp_path):
+    # curve (o0, s0) has times 0-2, (o0, s1) 3-5, ...: o0.s0 misses 3-11,
+    # o0.s1 misses 0 first
+    path = tmp_path / "own.csv"
+    own_times_csv(path, 2, 2, 3)
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == (
+        "incomplete grid; first missing cells: (o0, s0, 3), (o0, s0, 4), (o0, s0, 5), "
+        "(o0, s0, 6), (o0, s0, 7), (o0, s0, 8), (o0, s0, 9), (o0, s0, 10), (o0, s0, 11), "
+        "(o0, s1, 0)"
+    )
+
+
+def test_long_csv_memory_follows_rows_not_grid(tmp_path):
+    # 5,000 rows on a 40 x 5 x 5,000 grid of a million cells: a reader that
+    # allocates per grid cell takes megabytes, one that allocates per row does not
+    path = tmp_path / "own.csv"
+    own_times_csv(path, 40, 5, 25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="incomplete grid"):
+            read_long_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_long_csv_reports_first_repeat_in_file_order(tmp_path):
