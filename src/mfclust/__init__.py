@@ -10,7 +10,7 @@ sweeps.
 
 __version__ = "0.1.0"
 
-from mfclust.basis import BasisSpec, build_basis, evaluate_basis, fit_coefficients, gram_matrix
+from mfclust.basis import BasisSpec, build_basis, fit_coefficients, gram_matrix
 from mfclust.em import (
     FitResult,
     MixtureParams,
@@ -63,7 +63,6 @@ __all__ = [
     "build_basis",
     "default_design",
     "e_step",
-    "evaluate_basis",
     "fit_coefficients",
     "fit_fpca",
     "fit_sensor_fpca",

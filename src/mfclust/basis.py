@@ -108,11 +108,6 @@ def design_matrix(basis: BasisSpec, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_basis(basis: BasisSpec, t: float) -> np.ndarray:
-    """Values of all n_basis functions at a single t inside the domain."""
-    return design_matrix(basis, np.array([float(t)]))[0]
-
-
 def fit_coefficients(basis: BasisSpec, times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Least-squares spline coefficients for samples (times, values).
 

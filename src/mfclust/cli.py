@@ -17,9 +17,7 @@ from mfclust.basis import build_basis
 from mfclust.dataio import (
     DataFormatError,
     ModelBundle,
-    read_assignments,
     read_long_csv,
-    read_model,
     read_scores_csv,
     write_assignments,
     write_benchmark_rows,
@@ -193,6 +191,20 @@ def _qc_rule(args):
     return args.qc
 
 
+def _check_distinct_outputs(args, *dests) -> None:
+    """Refuse two output options naming one file, before anything is written."""
+    seen: dict[str, str] = {}
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
+        seen[real] = flag
+
+
 def _transform_pipeline(args):
     raw = read_long_csv(args.input)
     data, stats = standardize(raw)
@@ -218,11 +230,10 @@ def _print_variance_table(models):
 
 
 def cmd_transform(args) -> int:
+    _check_distinct_outputs(args, "scores", "model")
     raw, data, models, B = _transform_pipeline(args)
     write_scores_csv(B, args.scores, obs_ids=raw.obs_ids)
     write_model(ModelBundle(fpca_models=models, q_c=B.q_c), args.model)
-    read_scores_csv(args.scores)  # validate by reread
-    read_model(args.model)
     print(f"n={data.n} sensors={data.p} components={B.q_c} (q={B.q})")
     _print_variance_table(models)
     return 0
@@ -233,6 +244,7 @@ def cmd_fit(args) -> int:
         raise UsageError("give exactly one of --input or --scores")
     if args.cluster_means and not args.input:
         raise UsageError("--cluster-means needs raw curves (--input)")
+    _check_distinct_outputs(args, "report", "assignments", "removed", "cluster_means")
     models = None
     obs_ids = None
     if args.input:
@@ -271,8 +283,6 @@ def cmd_fit(args) -> int:
         fh.writelines(name + "\n" for name in removed)
     if args.cluster_means:
         write_cluster_means(models, best.best_fit.params, B.q_c, args.cluster_means)
-    read_model(args.report)  # validate by reread
-    read_assignments(args.assignments)
     m, lam, gamma, kind = merged.chosen
     print(f"chosen: kind={kind} m={m} lambda={lam:.4g} gamma={gamma:g}")
     print(f"removed {len(removed)} of {B.p} sensors: {', '.join(removed) if removed else '(none)'}")
@@ -280,15 +290,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_distinct_outputs(args, "output", "truth")
     design = default_design(
         n=args.n, p_signal=args.p_signal, p_noise=args.p_noise, delta=args.delta, seed=args.seed
     )
     data = generate_dataset(design)
     write_long_csv(data, args.output)
     write_truth(design, data, args.truth)
-    read_long_csv(args.output)  # validate by reread
-    with open(args.truth) as fh:
-        json.load(fh)
     print(
         f"simulated n={design.n} sensors={design.p} "
         f"(signal={design.p_signal}, noise={design.p_noise}) delta={design.delta} "
@@ -298,6 +306,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _check_distinct_outputs(args, "output", "replicates")
     grid = _grid_from(args)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     kinds = _as_kinds(args.kinds)
@@ -333,12 +342,6 @@ def cmd_benchmark(args) -> int:
             on_record=stream,
         )
     write_benchmark_rows(rows, args.output)
-    with open(args.output, newline="") as fh:  # validate by reread
-        if csv.DictReader(fh).fieldnames is None:
-            raise DataFormatError("benchmark output has no header")
-    with open(args.replicates, newline="") as fh:
-        if csv.DictReader(fh).fieldnames is None:
-            raise DataFormatError("replicate output has no header")
 
     print(f"{'level':>8}  {'penalty':<12} {'MAE(m)':>7} {'vars rm':>8} {'rm ok':>6} {'rm bad':>7} {'ARI med':>8}")
     for row in rows:

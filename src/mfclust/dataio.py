@@ -123,6 +123,13 @@ def read_long_csv(path) -> FunctionalDataSet:
 
 
 def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = None) -> None:
+    """Score CSV with one column <sensor>_pc<l> per component, sensor-major.
+
+    An empty sensor name gives columns that read_scores_csv rejects, so it
+    raises DataFormatError before the file is opened.
+    """
+    if "" in B.sensor_names:
+        raise DataFormatError("score columns need non-empty sensor names, got an empty sensor_id")
     obs_ids = obs_ids or [str(i) for i in range(B.n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -308,22 +315,6 @@ def write_assignments(fit: FitResult, path, obs_ids: list[str] | None = None) ->
         writer.writerow(["obs_id", "label"] + [f"resp_{k + 1}" for k in range(m)])
         for obs, label, resp in zip(obs_ids, fit.hard_labels, fit.responsibilities):
             writer.writerow([obs, int(label)] + [repr(float(r)) for r in resp])
-
-
-def read_assignments(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["obs_id", "label"]:
-            raise DataFormatError("assignments file must start with obs_id,label")
-        obs_ids, labels, resps = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            obs_ids.append(row[0])
-            labels.append(int(row[1]))
-            resps.append([float(x) for x in row[2:]])
-    return obs_ids, np.asarray(labels), np.asarray(resps)
 
 
 def write_benchmark_rows(rows: list[BenchmarkRow], path) -> None:

@@ -10,6 +10,7 @@ blocks are then assembled side by side into one coefficient matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -76,7 +77,8 @@ def standardize(data: FunctionalDataSet) -> tuple[FunctionalDataSet, dict[str, t
 
     Pooling is over all curves and time points of the sensor. Returns the
     rescaled dataset and per-sensor (mean, sd) so the transform can be
-    inverted exactly.
+    inverted exactly. A sensor whose mean or sd overflows (values near the
+    float limit) or whose sd is zero raises ValueError.
     """
     stats: dict[str, tuple[float, float]] = {}
     out = data.values.copy()
@@ -84,6 +86,8 @@ def standardize(data: FunctionalDataSet) -> tuple[FunctionalDataSet, dict[str, t
         block = data.values[:, s, :]
         mean = float(block.mean())
         sd = float(block.std())
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise ValueError(f"sensor {name!r} has a non-finite mean or spread, cannot standardize")
         if sd <= 0.0:
             raise ValueError(f"sensor {name!r} has zero variance, cannot standardize")
         out[:, s, :] = (block - mean) / sd
@@ -275,16 +279,6 @@ class CoefficientMatrix:
     @property
     def q(self) -> int:
         return self.scores.shape[1]
-
-    def column_of(self, sensor_idx: int, component: int) -> int:
-        if not 0 <= sensor_idx < self.p or not 0 <= component < self.q_c:
-            raise IndexError("sensor or component out of range")
-        return sensor_idx * self.q_c + component
-
-    def sensor_component_of(self, column: int) -> tuple[int, int]:
-        if not 0 <= column < self.q:
-            raise IndexError("column out of range")
-        return divmod(column, self.q_c)
 
     @classmethod
     def from_scores(cls, scores: np.ndarray, q_c: int, sensor_names: list[str] | None = None):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import BSpline
 
-from mfclust.basis import build_basis, design_matrix, evaluate_basis, fit_coefficients, gram_matrix
+from mfclust.basis import build_basis, design_matrix, fit_coefficients, gram_matrix
 
 
 def test_build_basis_shapes():
@@ -19,7 +19,7 @@ def test_build_basis_shapes():
 def test_build_basis_single_constant():
     b = build_basis(0, 1, 1, 1)
     for t in [0.0, 0.3, 1.0]:
-        npt.assert_allclose(evaluate_basis(b, t), [1.0])
+        npt.assert_allclose(design_matrix(b, [t])[0], [1.0])
 
 
 def test_build_basis_rejects_bad_args():
@@ -33,7 +33,7 @@ def test_build_basis_rejects_bad_args():
 
 def test_partition_of_unity_spot_check():
     b = build_basis(0, 10, 5, 3)
-    assert abs(evaluate_basis(b, 2.5).sum() - 1.0) < 1e-12
+    assert abs(design_matrix(b, [2.5])[0].sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("order,n_basis", [(1, 4), (2, 5), (3, 12), (4, 12)])
@@ -48,15 +48,15 @@ def test_partition_of_unity_random_points(order, n_basis):
 def test_evaluate_order_one_is_indicator():
     b = build_basis(0, 1, 4, 1)
     for t in [0.0, 0.1, 0.26, 0.74, 0.99, 1.0]:
-        v = evaluate_basis(b, t)
+        v = design_matrix(b, [t])[0]
         assert np.count_nonzero(v) == 1
         assert v.max() == 1.0
 
 
 def test_evaluate_clamped_endpoints():
     b = build_basis(0, 30, 12, 3)
-    lo = evaluate_basis(b, 0.0)
-    hi = evaluate_basis(b, 30.0)
+    lo = design_matrix(b, [0.0])[0]
+    hi = design_matrix(b, [30.0])[0]
     assert lo[0] == pytest.approx(1.0) and np.all(lo[1:] == 0)
     assert hi[-1] == pytest.approx(1.0) and np.all(hi[:-1] == 0)
 
@@ -64,9 +64,9 @@ def test_evaluate_clamped_endpoints():
 def test_evaluate_out_of_domain_raises():
     b = build_basis(0, 30, 12, 3)
     with pytest.raises(ValueError):
-        evaluate_basis(b, -0.1)
+        design_matrix(b, [-0.1])
     with pytest.raises(ValueError):
-        evaluate_basis(b, 30.1)
+        design_matrix(b, [30.1])
 
 
 @pytest.mark.parametrize("order,n_basis", [(2, 6), (3, 12), (4, 9)])

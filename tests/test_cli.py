@@ -3,10 +3,12 @@ import hashlib
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from mfclust.cli import main
-from mfclust.dataio import read_assignments, read_model, read_scores_csv
+from mfclust.dataio import read_long_csv, read_model, read_scores_csv
+from mfclust.simbench import default_design, generate_dataset
 
 
 def run_cli(*args):
@@ -46,6 +48,16 @@ def test_simulate_deterministic(tmp_path):
     b, tb = simulate_small(tmp_path / "b", seed=9)
     assert digest(a) == digest(b)
     assert json.loads(ta.read_text())["labels"] == json.loads(tb.read_text())["labels"]
+
+
+def test_simulate_output_reads_back_as_generated_dataset(tmp_path):
+    data, _ = simulate_small(tmp_path, n=30, p_noise=2, seed=5, delta=2.0)
+    back = read_long_csv(data)
+    want = generate_dataset(default_design(n=30, p_noise=2, delta=2.0, seed=5))
+    npt.assert_array_equal(back.values, want.values)
+    npt.assert_array_equal(back.times, want.times)
+    assert back.sensor_names == want.sensor_names
+    assert back.obs_ids == [str(i) for i in range(30)]
 
 
 @pytest.fixture()
@@ -117,8 +129,10 @@ def test_fit_group_penalty_end_to_end(small_run):
     assert bundle.chosen is not None and bundle.chosen[3] == "group"
     removed = (tmp_path / "removed.txt").read_text().split()
     assert set(removed) <= {"sig01", "sig02", "noi01", "noi02", "noi03"}
-    obs_ids, labels, resps = read_assignments(tmp_path / "assign.csv")
-    assert len(labels) == 40
+    with open(tmp_path / "assign.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 40
+    resps = np.array([[float(r[f"resp_{k + 1}"]) for k in range(bundle.mixture.m)] for r in rows])
     np.testing.assert_allclose(resps.sum(axis=1), 1.0, atol=1e-8)
 
 
@@ -237,6 +251,58 @@ def test_transform_rejects_curves_on_own_times(tmp_path, capsys):
                    "--model", tmp_path / "m.json")
     assert code == 2
     assert "incomplete grid; first missing cells: (o0, s1, 3.5), (o0, s1, 4.5)" in capsys.readouterr().err
+
+
+def rewrite_sensor(data, path, sensor, new_name, scale=1.0):
+    """Copy a long CSV, renaming one sensor and scaling its values."""
+    with open(data, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for obs, name, t, v in rows:
+            if name == sensor:
+                name, v = new_name, repr(float(v) * scale)
+            writer.writerow([obs, name, t, v])
+
+
+@pytest.mark.parametrize("new_name,scale,message", [
+    ("", 1.0, "score columns need non-empty sensor names"),
+    ("noi01", 1e305, "sensor 'noi01' has a non-finite mean or spread"),
+], ids=["empty-sensor-id", "overflowing-spread"])
+def test_transform_rejects_bad_sensor(tmp_path, capsys, new_name, scale, message):
+    data, _ = simulate_small(tmp_path)
+    bad = tmp_path / "bad.csv"
+    rewrite_sensor(data, bad, "noi01", new_name, scale)
+    code = run_cli("transform", "--input", bad, "--scores", tmp_path / "s.csv",
+                   "--model", tmp_path / "m.json", "--qc", 2)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "m.json").exists()
+
+
+REPEATED_OUTPUTS = {
+    "transform": lambda d, o: ["transform", "--input", d, "--scores", o / "x", "--model", o / "x"],
+    "fit": lambda d, o: ["fit", "--input", d, "--report", o / "x", "--assignments", o / "x",
+                         "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2, "--qc", 2],
+    "fit-cluster-means": lambda d, o: ["fit", "--input", d, "--report", o / "r.json",
+                                       "--assignments", o / "a.csv", "--removed", o / "x",
+                                       "--cluster-means", o / "a" / ".." / "x", "--penalty", "none",
+                                       "--m-grid", 2, "--qc", 2],
+    "simulate": lambda d, o: ["simulate", "--n", 20, "--output", o / "x", "--truth", o / "x"],
+    "benchmark": lambda d, o: ["benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1,
+                               "--kinds", "none", "--m-grid", 2, "--output", o / "x",
+                               "--replicates", o / "x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPEATED_OUTPUTS))
+def test_repeated_output_path_exits_1(small_run, capsys, command):
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*REPEATED_OUTPUTS[command](data, tmp_path), "--jobs", 1) == 1
+    assert "name the same file" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_exit_code_numerical_failure(small_run, monkeypatch):

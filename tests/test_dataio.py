@@ -10,7 +10,6 @@ from mfclust.basis import build_basis
 from mfclust.dataio import (
     DataFormatError,
     ModelBundle,
-    read_assignments,
     read_long_csv,
     read_model,
     read_scores_csv,
@@ -316,6 +315,15 @@ def test_model_rejects_zero_mask_disagreeing_with_means(tmp_path):
         read_model(path)
 
 
+def read_assignments_csv(path):
+    """Obs ids, hard labels and responsibility matrix of an assignments CSV."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[:2] == ["obs_id", "label"]
+    labels = np.array([int(r[1]) for r in rows])
+    return [r[0] for r in rows], labels, np.array([[float(x) for x in r[2:]] for r in rows])
+
+
 def test_assignments_single_cluster(tmp_path):
     rng = np.random.default_rng(7)
     from mfclust.fpca import CoefficientMatrix
@@ -324,7 +332,7 @@ def test_assignments_single_cluster(tmp_path):
     fit = run_em(B, 1, PenaltySpec.none(), seed=0)
     path = tmp_path / "assign.csv"
     write_assignments(fit, path)
-    obs_ids, labels, resps = read_assignments(path)
+    obs_ids, labels, resps = read_assignments_csv(path)
     assert resps.shape == (8, 1)
     npt.assert_allclose(resps, 1.0)
     npt.assert_array_equal(labels, 0)
@@ -337,7 +345,7 @@ def test_assignments_round_trip_consistency(tmp_path):
     fit = run_em(B, 3, PenaltySpec.none(), seed=9)
     path = tmp_path / "assign.csv"
     write_assignments(fit, path, obs_ids=[f"r{i}" for i in range(B.n)])
-    obs_ids, labels, resps = read_assignments(path)
+    obs_ids, labels, resps = read_assignments_csv(path)
     assert obs_ids[0] == "r0"
     npt.assert_allclose(resps.sum(axis=1), 1.0, atol=1e-8)
     npt.assert_array_equal(resps.argmax(axis=1), labels)

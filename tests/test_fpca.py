@@ -43,6 +43,14 @@ def test_standardize_zero_variance_errors():
         standardize(data)
 
 
+def test_standardize_rejects_overflowing_spread():
+    # the mean of these values is finite but their variance overflows to inf
+    rng = np.random.default_rng(3)
+    values = np.stack([synth_sensor_curves(rng, 10), 1e305 * synth_sensor_curves(rng, 10)], axis=1)
+    with pytest.raises(ValueError, match="'s01' has a non-finite mean or spread"):
+        standardize(make_dataset(values))
+
+
 def test_standardize_is_idempotent():
     rng = np.random.default_rng(0)
     raw = make_dataset(synth_sensor_curves(rng, 20)[:, None, :])
@@ -209,14 +217,14 @@ def test_select_num_components_falls_back_with_warning():
 
 
 def test_assemble_column_map():
-    blocks = [("a", np.zeros((5, 3))), ("b", np.ones((5, 3)))]
+    rng = np.random.default_rng(5)
+    blocks = [("a", rng.standard_normal((5, 3))), ("b", rng.standard_normal((5, 3)))]
     cm = assemble_coefficients(blocks)
-    assert cm.q == 6
-    assert cm.column_of(1, 0) == 3
-    assert cm.sensor_component_of(3) == (1, 0)
-    for j in range(cm.q):
-        s, l = cm.sensor_component_of(j)
-        assert cm.column_of(s, l) == j
+    assert cm.q == 6 and cm.q_c == 3 and cm.sensor_names == ["a", "b"]
+    # sensor-major: column s * q_c + l holds component l of sensor s
+    for s, (_, block) in enumerate(blocks):
+        for l in range(cm.q_c):
+            npt.assert_array_equal(cm.scores[:, s * cm.q_c + l], block[:, l])
 
 
 def test_assemble_wide():
