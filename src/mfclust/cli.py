@@ -191,16 +191,17 @@ def _qc_rule(args):
     return args.qc
 
 
-def _check_distinct_outputs(args, *dests) -> None:
-    """Refuse two output options naming one file, before anything is written."""
+def _check_distinct_outputs(args, *dests, inputs=()) -> None:
+    """Refuse an output option naming an input file or another output's
+    file, before anything is read or written."""
     seen: dict[str, str] = {}
-    for dest in dests:
+    for dest in (*inputs, *dests):
         path = getattr(args, dest)
         if path is None:
             continue
         flag = "--" + dest.replace("_", "-")
         real = os.path.realpath(path)
-        if real in seen:
+        if real in seen and dest in dests:
             raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
         seen[real] = flag
 
@@ -230,7 +231,7 @@ def _print_variance_table(models):
 
 
 def cmd_transform(args) -> int:
-    _check_distinct_outputs(args, "scores", "model")
+    _check_distinct_outputs(args, "scores", "model", inputs=("input",))
     raw, data, models, B = _transform_pipeline(args)
     write_scores_csv(B, args.scores, obs_ids=raw.obs_ids)
     write_model(ModelBundle(fpca_models=models, q_c=B.q_c), args.model)
@@ -244,7 +245,9 @@ def cmd_fit(args) -> int:
         raise UsageError("give exactly one of --input or --scores")
     if args.cluster_means and not args.input:
         raise UsageError("--cluster-means needs raw curves (--input)")
-    _check_distinct_outputs(args, "report", "assignments", "removed", "cluster_means")
+    _check_distinct_outputs(
+        args, "report", "assignments", "removed", "cluster_means", inputs=("input", "scores")
+    )
     models = None
     obs_ids = None
     if args.input:

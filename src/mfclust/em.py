@@ -1,13 +1,20 @@
 """Penalized EM for a Gaussian mixture with one shared diagonal covariance.
 
 The mixture is fitted to the rows of a coefficient matrix. Cluster means
-may be penalized entrywise (individual), through the per-column maximum
-(variable), or in per-(cluster, sensor) blocks through their L2 norm
-(group); adaptive weights sharpen any of the three. All mean updates are
-closed form: soft thresholding for the individual and variable penalties,
-and a diagonally shrunken block update with an exact zero condition for
-the group penalty. Entries whose adaptive weight is infinite (reference
-mean exactly zero) are pinned to zero for the whole fit.
+may be penalized entrywise (individual), through each column's largest
+absolute mean (variable), or in per-(cluster, sensor) blocks through their
+L2 norm (group); adaptive weights sharpen any of the three. Every mean
+update is the exact minimizer of its M-step objective: entrywise soft
+thresholding (individual), the proximal map of a weighted L-infinity norm
+per column (variable), and a block shrinkage whose norm is the root of a
+scalar equation, solved by Newton's method (group). Each update
+sets a mean, column or block exactly to zero on its zero condition.
+Entries whose adaptive weight is infinite (reference mean exactly zero)
+are pinned to zero for the whole fit.
+
+The EM map is accelerated by SQUAREM (Varadhan & Roland, 2008), kept
+monotone by falling back to the plain EM iterate whenever an extrapolated
+point does not lower the observed objective.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _VARIANCE_FLOOR = 1e-8
 _EMPTY_CLUSTER_TOL = 1e-12
 _MAX_RESTARTS = 5
+_NEWTON_MAX_STEPS = 100
+_NEWTON_RTOL = 4 * np.finfo(float).eps
 
 PENALTY_KINDS = ("none", "individual", "variable", "group")
 
@@ -71,9 +80,10 @@ class MixtureParams:
 class PenaltySpec:
     """Penalty kind plus strength, adaptive exponent, and weights.
 
-    weights is (m, q) for the individual and variable penalties and (m,)
-    for the group penalty; None means unit weights. Infinite weights arise
-    from reference means that are exactly zero and pin the corresponding
+    weights is (m, q) for the individual penalty (one per mean), (q,) for
+    the variable penalty (one per column) and (m,) for the group penalty
+    (one per cluster); None means unit weights. Infinite weights arise from
+    reference means that are exactly zero and pin the corresponding
     parameters to zero.
     """
 
@@ -104,23 +114,25 @@ class PenaltySpec:
         """Unit weights, i.e. the gamma = 0 member of the adaptive family."""
         if kind == "none":
             return cls.none()
-        shape = (m,) if kind == "group" else (m, q)
-        return cls(kind=kind, lam=float(lam), gamma=0.0, weights=np.ones(shape))
+        return cls(kind=kind, lam=float(lam), gamma=0.0, weights=np.ones(_weight_shape(kind, m, q)))
 
     @classmethod
     def adaptive(cls, kind: str, lam: float, gamma: float, reference_means: np.ndarray) -> "PenaltySpec":
-        """Weights 1/|ref|^gamma (entrywise) or 1/||ref_k||^gamma (per cluster)."""
+        """Weights 1/|ref_kj|^gamma (individual), 1/max_k |ref_kj|^gamma
+        (variable) or 1/||ref_k||^gamma (group)."""
         ref = np.asarray(reference_means, dtype=float)
         with np.errstate(divide="ignore"):
             if kind == "group":
                 w = np.linalg.norm(ref, axis=1) ** (-float(gamma))
+            elif kind == "variable":
+                w = np.abs(ref).max(axis=0) ** (-float(gamma))
             else:
                 w = np.abs(ref) ** (-float(gamma))
         return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w)
 
     def weights_for(self, m: int, q: int) -> np.ndarray:
-        """Weights broadcast to their full shape, defaulting to ones."""
-        shape = (m,) if self.kind == "group" else (m, q)
+        """Weights in their full shape, defaulting to ones."""
+        shape = _weight_shape(self.kind, m, q)
         if self.weights is None:
             return np.ones(shape)
         if self.weights.shape != shape:
@@ -131,10 +143,16 @@ class PenaltySpec:
         """Boolean (m, q) mask of means pinned to zero by infinite weights."""
         if self.kind == "none" or self.lam == 0.0 or self.weights is None:
             return np.zeros((m, q), dtype=bool)
-        w = self.weights_for(m, q)
+        inf = np.isinf(self.weights_for(m, q))
         if self.kind == "group":
-            return np.repeat(np.isinf(w)[:, None], q, axis=1)
-        return np.isinf(w)
+            return np.repeat(inf[:, None], q, axis=1)
+        if self.kind == "variable":
+            return np.repeat(inf[None, :], m, axis=0)
+        return inf
+
+
+def _weight_shape(kind: str, m: int, q: int) -> tuple[int, ...]:
+    return {"variable": (q,), "group": (m,)}.get(kind, (m, q))
 
 
 @dataclass
@@ -204,10 +222,6 @@ def _variances(Xsq_colsum, G, T, means, n):
     return raw
 
 
-def _soft_threshold(values, thresholds):
-    return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
-
-
 def _individual_update(G, T, sigma2, spec):
     """Entrywise soft-thresholded means: the exact minimizer for the individual penalty."""
     m, q = G.shape
@@ -222,69 +236,84 @@ def _individual_update(G, T, sigma2, spec):
     return out
 
 
-def _variable_update(G, T, sigma2, spec, current_means):
-    """Means penalizing only each column's largest-magnitude cluster.
+def _variable_update(G, T, sigma2, spec):
+    """Exact minimizer for the variable penalty: one L-infinity prox per column.
 
-    The non-argmax clusters (argmax taken on current_means, ties to the
-    lowest index) take their unpenalized means; the argmax cluster is
-    soft-thresholded. This is not the minimizer of the L-infinity penalty,
-    so the observed objective can rise under it (see ROADMAP.md, exact
-    M-step for the variable penalty).
+    Column j minimizes sum_k T_k (mu_k - a_k)^2 / (2 sigma2_j) plus
+    lam * w_j * max_k |mu_k|, with a = G / T. The minimizer clips every
+    |a_k| at the level c_j solving sum_k T_k (|a_k| - c_j)_+ = lam w_j
+    sigma2_j and keeps the signs; the column is exactly zero iff
+    sum_k |G_kj| <= lam w_j sigma2_j. With the clusters sorted by |a_k|,
+    decreasing, c_j is the largest of (S_i - lam w_j sigma2_j) / W_i over
+    the prefix sums S_i of |G| and W_i of T, and at least 0.
     """
     m, q = G.shape
-    mu_tilde = G / T[:, None]
-    W = spec.weights_for(m, q)
-    pinned = spec.pinned(m, q)
-    kstar = np.argmax(np.abs(current_means), axis=0)
-    cols = np.arange(q)
-    out = mu_tilde.copy()
-    thr = spec.lam * W[kstar, cols] * sigma2 / T[kstar]
-    shrunk = _soft_threshold(mu_tilde[kstar, cols], thr)
-    out[kstar, cols] = shrunk
-    # A zeroed maximum forces the whole column to zero: all entries are
-    # bounded by the column maximum, so max = 0 removes the variable.
-    out[:, shrunk == 0.0] = 0.0
-    out[pinned] = 0.0
+    abs_G = np.abs(G)
+    A = abs_G / T[:, None]
+    order = np.argsort(-A, axis=0, kind="stable")
+    budget = spec.lam * spec.weights_for(m, q) * sigma2
+    prefix_G = np.cumsum(np.take_along_axis(abs_G, order, axis=0), axis=0)
+    levels = (prefix_G - budget) / np.cumsum(T[order], axis=0)
+    c = np.maximum(levels.max(axis=0), 0.0)
+    out = np.sign(G) * np.minimum(A, c)
+    out[:, c == 0.0] = 0.0
     return out
 
 
 def _group_update(G, T, sigma2, spec, current_means, q_c):
-    """Blockwise shrunken means for the group penalty.
+    """Exact block minimizer for the group penalty.
 
-    A (cluster, sensor) block is exactly zero when its variance-weighted
-    score norm is at or below lam * w_k * sqrt(q_c); otherwise it is the
-    diagonally shrunken unpenalized block mean, with the shrinkage built
-    from the block norm of current_means.
+    Block (k, l) minimizes sum_i T_k (mu_i - a_i)^2 / (2 sigma2_i) plus
+    thr_k ||mu||, with a = G / T over the block and thr_k = lam w_k
+    sqrt(q_c). It is exactly zero iff ||G / sigma2|| <= thr_k; otherwise
+    mu_i = G_i r / (T_k r + thr_k sigma2_i), where r = ||mu|| is the root of
+    sum_i G_i^2 / (T_k r + thr_k sigma2_i)^2 = 1. Newton's method runs on
+    that equation in the form psi(r) = (sum_i G_i^2 / (T_k r + thr_k
+    sigma2_i)^2)^(-1/2) = 1: psi is increasing, concave (a power mean of
+    exponent -2) and nearly linear, exactly linear for a single component.
+    Started at min(||current block||, ||G|| / T_k) and clamped at 0, the
+    iterates rise monotonically to the root after at most one step. It runs
+    on the nonzero blocks only, all at once.
     """
     m, q = G.shape
-    mu_tilde = G / T[:, None]
     p = q // q_c
-    w = spec.weights_for(m, q)
-    thr = spec.lam * w * np.sqrt(q_c)  # (m,)
-
+    thr = spec.lam * spec.weights_for(m, q) * np.sqrt(q_c)  # (m,)
     G3 = G.reshape(m, p, q_c)
     sig3 = sigma2.reshape(p, q_c)
-    score_norm = np.linalg.norm(G3 / sig3[None, :, :], axis=2)  # (m, p)
-    zero_block = score_norm <= thr[:, None]
-
-    cur_norm = np.linalg.norm(current_means.reshape(m, p, q_c), axis=2)  # (m, p)
-    # A block that is currently zero stays zero unless its score norm clears
-    # the threshold with margin; it is then re-opened from a tiny norm.
-    reopen = (cur_norm == 0.0) & (score_norm > thr[:, None] * (1.0 + 1e-6))
-    stuck = (cur_norm == 0.0) & ~reopen & ~zero_block
-    cur_norm = np.where(reopen, 1e-8, cur_norm)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = thr[:, None] / (T[:, None] * cur_norm)  # (m, p)
-        bdiag = 1.0 / (1.0 + ratio[:, :, None] * sig3[None, :, :])
-    bdiag = np.where(np.isfinite(bdiag), bdiag, 0.0)
-    out3 = bdiag * mu_tilde.reshape(m, p, q_c)
-    out3[zero_block | stuck] = 0.0
-    return out3.reshape(m, q)
+    live = np.linalg.norm(G3 / sig3[None, :, :], axis=2) > thr[:, None]  # (m, p)
+    out = np.zeros((m, p, q_c))
+    k, block = np.nonzero(live)
+    g2 = G3[live] ** 2  # (L, q_c)
+    t = T[k][:, None]
+    c = thr[k][:, None] * sig3[block]
+    r = np.minimum(
+        np.linalg.norm(current_means.reshape(m, p, q_c)[live], axis=1),
+        np.sqrt(g2.sum(axis=1)) / T[k],
+    )
+    settled = np.zeros(r.shape, dtype=bool)
+    for step in range(_NEWTON_MAX_STEPS):
+        d = t * r[:, None] + c
+        S = (g2 / d**2).sum(axis=1)
+        # psi = S^(-1/2) and psi' = T_k S^(-3/2) sum_i G_i^2 / d_i^3
+        r_next = np.maximum(r + (S**1.5 - S) / (T[k] * (g2 / d**3).sum(axis=1)), 0.0)
+        done = np.abs(r_next - r) <= _NEWTON_RTOL * r_next
+        if step:  # past the first step the iterates only rise: a fall is rounding at the root
+            done |= r_next < r
+        r = np.where(settled, r, r_next)
+        settled |= done
+        if settled.all():
+            break
+    out[live] = G3[live] * r[:, None] / (t * r[:, None] + c)
+    return out.reshape(m, q)
 
 
 def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
-    """Value of the penalty term at the given means."""
+    """Value of the penalty term at the given means.
+
+    individual: lam sum_kj w_kj |mu_kj|; variable: lam sum_j w_j max_k
+    |mu_kj|; group: lam sqrt(q_c) sum_k w_k sum_l ||mu_kl||, over the
+    (cluster, sensor) blocks mu_kl.
+    """
     if spec.kind == "none" or spec.lam == 0.0:
         return 0.0
     means = np.asarray(means, dtype=float)
@@ -295,11 +324,9 @@ def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
         nz = means != 0.0
         return float(spec.lam * (w[nz] * np.abs(means[nz])).sum())
     if spec.kind == "variable":
-        kstar = np.argmax(np.abs(means), axis=0)
-        cols = np.arange(q)
-        mx = np.abs(means[kstar, cols])
+        mx = np.abs(means).max(axis=0)
         nz = mx != 0.0
-        return float(spec.lam * (w[kstar, cols][nz] * mx[nz]).sum())
+        return float(spec.lam * (w[nz] * mx[nz]).sum())
     norms = np.linalg.norm(means.reshape(m, q // q_c, q_c), axis=2)
     nz = norms != 0.0
     w_full = np.broadcast_to(w[:, None], norms.shape)
@@ -390,7 +417,7 @@ def _mean_update_for(spec, G, T, sigma2, current_means, q_c):
     if spec.kind == "individual":
         return _individual_update(G, T, sigma2, spec)
     if spec.kind == "variable":
-        return _variable_update(G, T, sigma2, spec, current_means)
+        return _variable_update(G, T, sigma2, spec)
     return _group_update(G, T, sigma2, spec, current_means, q_c)
 
 
@@ -400,6 +427,47 @@ def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -
     return {name for name, g in zip(sensor_names, gone) if g}
 
 
+def _expect(X, Xsq, theta, spec, q_c):
+    """E-step at theta = (proportions, means, variances): the observed
+    objective there, the responsibilities and the cluster masses."""
+    lj, lse = _log_joint(X, Xsq, *theta)
+    tau = np.exp(lj - lse[:, None])
+    return float(-lse.sum()) + penalty_value(theta[1], spec, q_c), tau, tau.sum(axis=0)
+
+
+def _screened(X, Xsq, theta, spec, q_c):
+    """_expect at a point reached by extrapolation, or None where that point
+    underflows or leaves a cluster without mass."""
+    try:
+        state = _expect(X, Xsq, theta, spec, q_c)
+    except NumericalError:
+        return None
+    return state if state[2].min() > _EMPTY_CLUSTER_TOL else None
+
+
+def _norm(parts):
+    return float(np.sqrt(sum((x**2).sum() for x in parts)))
+
+
+def _extrapolate(theta0, theta1, theta2):
+    """The SQUAREM point theta0 - 2 alpha r + alpha^2 v, or None when it has
+    a proportion or variance that is not positive.
+
+    r = theta1 - theta0 and v = theta2 - theta1 - r; alpha = -||r|| / ||v||,
+    capped at -1, where alpha = -1 gives theta2 itself.
+    """
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - b - d for b, c, d in zip(theta1, theta2, r)]
+    norm_v = _norm(v)
+    if norm_v == 0.0:
+        return None
+    alpha = min(-_norm(r) / norm_v, -1.0)
+    point = tuple(a - 2.0 * alpha * d + alpha**2 * e for a, d, e in zip(theta0, r, v))
+    if point[0].min() <= 0.0 or point[2].min() <= 0.0:
+        return None
+    return point
+
+
 def _em_attempt(B, m, spec, params0, tol, max_iter):
     X = B.scores
     Xsq = X**2
@@ -407,46 +475,62 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
     n, q = X.shape
     q_c = B.q_c
 
-    pinned = spec.pinned(m, q)
-    pi = params0.proportions.copy()
-    means = np.where(pinned, 0.0, params0.means)
-    sigma2 = params0.variances.copy()
-
+    # theta is the next input of the EM map and state its E-step. cycle holds
+    # the SQUAREM cycle so far: [theta0] and [theta0, theta1] while theta is
+    # a plain EM iterate, [theta0, theta1, theta2] while theta is the
+    # extrapolated point.
+    theta = (params0.proportions.copy(), np.where(spec.pinned(m, q), 0.0, params0.means),
+             params0.variances.copy())
+    state = _expect(X, Xsq, theta, spec, q_c)
+    cycle = []
     trace = []
     converged = False
     collapsed = False
     iterations = 0
     floored = False
-    for _ in range(max_iter):
-        lj, lse = _log_joint(X, Xsq, pi, means, sigma2)
-        trace.append(float(-lse.sum()) + penalty_value(means, spec, q_c))
-        tau = np.exp(lj - lse[:, None])
-        T = tau.sum(axis=0)
+    while iterations < max_iter:
+        objective, tau, T = state
+        if not cycle:
+            trace.append(objective)
         if T.min() <= _EMPTY_CLUSTER_TOL:
             collapsed = True
             break
         iterations += 1
-        pi_new = T / n
-
         G = tau.T @ X
-        means_new = _mean_update_for(spec, G, T, sigma2, means, q_c)
-        raw = _variances(Xsq_colsum, G, T, means_new, n)
+        means = _mean_update_for(spec, G, T, theta[2], theta[1], q_c)
+        raw = _variances(Xsq_colsum, G, T, means, n)
         floored = floored or np.any(raw < _VARIANCE_FLOOR)
-        sigma2_new = np.maximum(raw, _VARIANCE_FLOOR)
+        mapped = (T / n, means, np.maximum(raw, _VARIANCE_FLOOR))
 
-        delta = np.sqrt(
-            ((means_new - means) ** 2).sum()
-            + ((sigma2_new - sigma2) ** 2).sum()
-            + ((pi_new - pi) ** 2).sum()
-        )
-        pi, means, sigma2 = pi_new, means_new, sigma2_new
-        if delta <= tol:
-            converged = True
-            break
+        if len(cycle) < 2:  # a plain EM step, from theta0 or theta1
+            cycle.append(theta)
+            if _norm([a - b for a, b in zip(mapped, theta)]) <= tol:
+                theta, converged = mapped, True
+                break
+            if len(cycle) == 2:  # mapped is theta2: map the extrapolated point next
+                cycle.append(mapped)
+                point = _extrapolate(*cycle)
+                screened = None if point is None else _screened(X, Xsq, point, spec, q_c)
+                if screened is not None:
+                    theta, state = point, screened
+                    continue
+                cycle = []  # no usable point: the next cycle starts at theta2
+            theta, state = mapped, _expect(X, Xsq, mapped, spec, q_c)
+        else:  # the stabilizing step from the extrapolated point
+            state = _screened(X, Xsq, mapped, spec, q_c)
+            if state is not None and state[0] <= trace[-1]:
+                theta = mapped
+            else:
+                theta = cycle[2]
+                state = _expect(X, Xsq, theta, spec, q_c)
+            cycle = []
+    if len(cycle) == 3:  # max_iter ran out before the extrapolated point was mapped
+        theta = cycle[2]
 
     if floored:
         warnings.warn("degenerate variance floored at 1e-8 during EM")
 
+    pi, means, sigma2 = theta
     lj, lse = _log_joint(X, Xsq, pi, means, sigma2)
     tau = np.exp(lj - lse[:, None])
     plain = float(-lse.sum())
@@ -478,18 +562,31 @@ def run_em(
     max_iter: int = 500,
     inits: dict[int, MixtureParams] | None = None,
 ) -> FitResult:
-    """Alternate E-steps and penalty-specific M-steps until the parameter
-    change drops to tol.
+    """Penalized EM, accelerated by SQUAREM, until a plain EM step moves the
+    parameters by at most tol.
 
-    The M-step updates the means first (using the previous iterate's
-    variances inside the penalty terms) and then the variances from the
-    fresh means. For the none and individual penalties each step is an
-    exact coordinate update, and for the group penalty a majorizing one, so
-    the observed penalized objective does not rise. The variable update
-    thresholds only each column's current argmax, which is not a
-    minimizer: its objective can rise, and many variable fits then stop at
-    max_iter (see ROADMAP.md, exact M-step for the variable penalty).
-    FitResult.max_objective_rise reports the largest rise of a fit.
+    One EM map is an E-step followed by the M-step, which updates the means
+    first (using the input's variances inside the penalty terms) and then
+    the variances from the fresh means. Both are exact minimizers for every
+    penalty kind, so the map never raises the observed penalized objective.
+
+    Each SQUAREM cycle (Varadhan & Roland, 2008) maps theta0 to theta1 and
+    theta1 to theta2, extrapolates theta' = theta0 - 2 alpha r + alpha^2 v
+    with r = theta1 - theta0, v = theta2 - theta1 - r and alpha =
+    min(-||r|| / ||v||, -1), and maps theta' once more, which restores the
+    exact zeros of the M-step. The next cycle starts from that point if
+    theta' has positive proportions and variances, neither theta' nor the
+    point leaves a cluster without mass, and the point's objective is at
+    most theta0's; otherwise from theta2. Every cycle therefore descends,
+    and a collapse at an extrapolated point only rejects it. The fit
+    converges when either plain step of a cycle moves the parameters
+    (proportions, means, variances together, in Euclidean norm) by at
+    most tol.
+
+    FitResult.iterations counts EM-map evaluations, plain and stabilizing,
+    and max_iter bounds that count. FitResult.objective_trace holds the
+    observed objective at the start of every cycle and at the returned
+    point; FitResult.max_objective_rise is its largest rise.
 
     Attempt a starts from initialize(B, m, seed + 7919 * a). On an
     empty-cluster collapse the fit restarts from the next attempt's

@@ -84,8 +84,10 @@ def standardize(data: FunctionalDataSet) -> tuple[FunctionalDataSet, dict[str, t
     out = data.values.copy()
     for s, name in enumerate(data.sensor_names):
         block = data.values[:, s, :]
-        mean = float(block.mean())
-        sd = float(block.std())
+        # an overflow shows as a non-finite mean or sd, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(block.mean())
+            sd = float(block.std())
         if not (math.isfinite(mean) and math.isfinite(sd)):
             raise ValueError(f"sensor {name!r} has a non-finite mean or spread, cannot standardize")
         if sd <= 0.0:

@@ -39,6 +39,24 @@ def grid_plus_golden(f, lo, hi, n_grid=2001):
     return x if f(x) <= f(0.0) else 0.0
 
 
+def max_norm_minimizer(objective, centers):
+    """Numeric minimizer of objective(mu) = sum_k f_k(mu_k) + c * max_k |mu_k|
+    for convex f_k minimized at centers[k].
+
+    Under the bound max_k |mu_k| <= t the best mu clips every center to
+    [-t, t], and the bound is tight at the minimizer, so the problem reduces
+    to the convex function t -> objective(clip(centers, -t, t)) on
+    [0, max_k |centers_k|], minimized by golden section.
+    """
+    centers = np.asarray(centers, dtype=float)
+
+    def along_bound(t):
+        return objective(np.clip(centers, -t, t))
+
+    t = golden_section(along_bound, 0.0, np.abs(centers).max())
+    return np.clip(centers, -t, t) if along_bound(t) <= along_bound(0.0) else np.zeros_like(centers)
+
+
 def reference_gmm_em(X, pi0, mu0, var0, tol=1e-9, max_iter=5000):
     """Plain diagonal-covariance GMM EM, written independently of the library.
 
@@ -96,7 +114,7 @@ def two_separated_clouds(rng, n=100, q=4, gap=8.0):
 def mean_update(X, tau, sigma2, spec, current=None, q_c=1):
     """The EM's M-step mean update for data X under responsibilities tau.
 
-    current defaults to zeros; only the variable and group updates read it.
+    current defaults to zeros; only the group update reads it, as Newton's start.
     """
     X = np.asarray(X, dtype=float)
     if current is None:

@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import align_clusters, grid_plus_golden, mean_update, reference_gmm_em
+from helpers import (
+    align_clusters,
+    grid_plus_golden,
+    max_norm_minimizer,
+    mean_update,
+    reference_gmm_em,
+)
 
 from mfclust.basis import build_basis, design_matrix, gram_matrix
 from mfclust.em import (
@@ -145,40 +151,33 @@ def test_criterion_2_mstep_optimality_oracles():
         best = grid_plus_golden(objective, -12, 12)
         worst_gap = max(worst_gap, objective(got) - objective(best))
 
-    for _ in range(50):  # variable penalty, argmax coordinate
+    for _ in range(50):  # variable penalty, full two-cluster column
         b, tau_k, sigma2, w, lam = scalar_config()
         tau = np.column_stack([tau_k, 1 - tau_k])
-        spec = PenaltySpec(kind="variable", lam=lam, weights=np.full((2, 1), w))
-        current = np.array([[100.0], [0.0]])  # cluster 0 is the column argmax
-        got = mean_update(b[:, None], tau, np.array([sigma2]), spec, current)[0, 0]
+        spec = PenaltySpec(kind="variable", lam=lam, weights=np.array([w]))
+        got = mean_update(b[:, None], tau, np.array([sigma2]), spec)[:, 0]
 
         def objective(mu):
-            return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
+            return 0.5 * (tau * (b[:, None] - mu) ** 2).sum() / sigma2 + lam * w * np.abs(mu).max()
 
-        best = grid_plus_golden(objective, -12, 12)
+        best = max_norm_minimizer(objective, tau.T @ b / tau.sum(axis=0))
         worst_gap = max(worst_gap, objective(got) - objective(best))
 
-    for _ in range(50):  # group penalty, scalar block via its fixed point
+    for _ in range(50):  # group penalty, scalar blocks in one call
         b, tau_k, sigma2, w, lam = scalar_config()
         tau = np.column_stack([tau_k, 1 - tau_k])
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
-        mu = np.array([[1.0], [1.0]])
-        for _ in range(50000):
-            nxt = mean_update(b[:, None], tau, np.array([sigma2]), spec, mu)
-            if np.abs(nxt - mu).max() < 1e-10:
-                mu = nxt
-                break
-            mu = nxt
-        got = mu[0, 0]
+        got = mean_update(b[:, None], tau, np.array([sigma2]), spec, np.ones((2, 1)))[:, 0]
+        for k, weights in enumerate((tau_k, 1 - tau_k)):
 
-        def objective(x):
-            return 0.5 * (tau_k * (b - x) ** 2).sum() / sigma2 + lam * w * abs(x)
+            def objective(x):
+                return 0.5 * (weights * (b - x) ** 2).sum() / sigma2 + lam * w * abs(x)
 
-        best = grid_plus_golden(objective, -12, 12)
-        worst_gap = max(worst_gap, objective(got) - objective(best))
+            best = grid_plus_golden(objective, -12, 12)
+            worst_gap = max(worst_gap, objective(got[k]) - objective(best))
 
     worst_resid = 0.0
-    for _ in range(50):  # group penalty, q_c=3 block: fixed point + zero condition
+    for _ in range(50):  # group penalty, q_c=3 blocks in one call: stationarity + zero condition
         n = int(rng.integers(10, 30))
         Xb = rng.normal(rng.uniform(-1.5, 1.5), 1.0, size=(n, 3))
         tau_k = rng.uniform(0.05, 1.0, size=n)
@@ -187,13 +186,7 @@ def test_criterion_2_mstep_optimality_oracles():
         w = rng.uniform(0.2, 2.0)
         lam = rng.uniform(0.1, 6.0)
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
-        mu = np.ones((2, 3))
-        for _ in range(100000):
-            nxt = mean_update(Xb, tau, sigma2, spec, mu, q_c=3)
-            if np.abs(nxt - mu).max() < 1e-13:
-                mu = nxt
-                break
-            mu = nxt
+        mu = mean_update(Xb, tau, sigma2, spec, np.ones((2, 3)), q_c=3)
         S = tau.T @ Xb
         T = tau.sum(axis=0)
         thr = lam * w * math.sqrt(3)
@@ -210,16 +203,16 @@ def test_criterion_2_mstep_optimality_oracles():
     check(
         2,
         ok,
-        "closed-form mean updates match numeric M-step minimizers",
+        "exact mean updates match numeric M-step minimizers and optimality conditions",
         f"worst objective gap {worst_gap:.2e}, worst stationarity residual {worst_resid:.2e}, "
         f"{time.time() - t0:.0f}s",
     )
 
 
-def test_criterion_3_monotone_descent(zero_lambda_fits, table1_group):
+def test_criterion_3_monotone_descent(zero_lambda_fits, table1_group, table1_variable):
     worst = max(r["fit"].max_objective_rise for r in zero_lambda_fits)
-    _, records = table1_group
-    worst = max(worst, max(rec.max_rise for rec in records))
+    for _, records in (table1_group, table1_variable):
+        worst = max(worst, max(rec.max_rise for rec in records))
     check(
         3,
         worst <= 1e-8,

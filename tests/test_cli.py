@@ -305,6 +305,26 @@ def test_repeated_output_path_exits_1(small_run, capsys, command):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+INPUT_AS_OUTPUT = {
+    "transform": lambda d, s, o: ["transform", "--input", d, "--scores", d, "--model", o / "m.json"],
+    "fit": lambda d, s, o: ["fit", "--scores", s, "--report", s, "--assignments", o / "a.csv",
+                            "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_AS_OUTPUT))
+def test_output_naming_an_input_exits_1(small_run, capsys, command):
+    tmp_path, data, _ = small_run
+    scores = tmp_path / "s.csv"
+    assert run_cli("transform", "--input", data, "--scores", scores, "--model", tmp_path / "m0.json",
+                   "--qc", 2) == 0
+    capsys.readouterr()
+    before = {p: digest(p) for p in tmp_path.rglob("*") if p.is_file()}
+    assert run_cli(*INPUT_AS_OUTPUT[command](data, scores, tmp_path), "--jobs", 1) == 1
+    assert "name the same file" in capsys.readouterr().err
+    assert {p: digest(p) for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_exit_code_numerical_failure(small_run, monkeypatch):
     tmp_path, data, _ = small_run
     from mfclust import cli as cli_mod

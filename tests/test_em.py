@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     align_clusters,
     grid_plus_golden,
+    max_norm_minimizer,
     mean_update,
     reference_gmm_em,
     two_separated_clouds,
@@ -294,57 +295,72 @@ def test_variable_thresholds_only_argmax():
     labels = np.repeat([0, 1], n // 2)
     X = np.where(labels[:, None] == 0, 5.0, 1.0) + rng.normal(0, 0.01, size=(n, 1))
     tau = np.eye(2)[labels]
-    current = np.array([[5.0], [1.0]])
     spec = PenaltySpec.unit("variable", 4.0, 2, 1)
     mu_tilde = unpenalized(X, tau)
-    got = mean_update(X, tau, np.ones(1), spec, current)
-    # cluster 0 is the argmax: soft thresholded by lam*w*sigma2/T = 4/20
+    got = mean_update(X, tau, np.ones(1), spec)
+    # only cluster 0 lies above the clipping level: soft thresholded by lam*w*sigma2/T = 4/20
     npt.assert_allclose(got[0, 0], mu_tilde[0, 0] - 4.0 / 20.0, atol=1e-12)
     npt.assert_allclose(got[1, 0], mu_tilde[1, 0], atol=1e-12)
 
 
-def test_variable_tie_breaks_to_lowest_index():
+def test_variable_tie_shrinks_every_tied_cluster():
     X = np.array([[2.0], [-2.0]])
     tau = np.eye(2)
-    current = np.array([[2.0], [-2.0]])  # |.| tie
     spec = PenaltySpec.unit("variable", 0.5, 2, 1)
-    got = mean_update(X, tau, np.ones(1), spec, current)
-    # cluster 0 thresholded: 2 - 0.5/1; cluster 1 untouched at its weighted mean
-    npt.assert_allclose(got, [[1.5], [-2.0]], atol=1e-12)
+    got = mean_update(X, tau, np.ones(1), spec)
+    # both clusters clip at the level c with (2 - c) + (2 - c) = 0.5
+    npt.assert_allclose(got, [[1.75], [-1.75]], atol=1e-12)
+
+    def objective(mu):
+        return 0.5 * ((mu - X[:, 0]) ** 2).sum() + 0.5 * np.abs(mu).max()
+
+    best = max_norm_minimizer(objective, X[:, 0])
+    npt.assert_allclose(got[:, 0], best, atol=1e-6)
 
 
 def test_variable_zeroed_max_removes_whole_column():
     rng = np.random.default_rng(14)
     X = rng.normal(0.05, 0.01, size=(30, 1))
     tau = np.eye(2)[np.repeat([0, 1], 15)]
-    current = np.array([[0.05], [0.04]])
     spec = PenaltySpec.unit("variable", 10.0, 2, 1)
-    got = mean_update(X, tau, np.ones(1), spec, current)
+    got = mean_update(X, tau, np.ones(1), spec)
     npt.assert_array_equal(got, np.zeros((2, 1)))
+
+
+def test_variable_weights_are_per_column():
+    ref = np.array([[0.5, 0.0, -2.0], [-1.5, 0.0, 1.0]])
+    spec = PenaltySpec.adaptive("variable", lam=2.0, gamma=1.0, reference_means=ref)
+    npt.assert_allclose(spec.weights_for(2, 3), [1 / 1.5, np.inf, 1 / 2.0])
+    npt.assert_array_equal(spec.pinned(2, 3), [[False, True, False], [False, True, False]])
+    npt.assert_array_equal(PenaltySpec.unit("variable", 2.0, 2, 3).weights_for(2, 3), np.ones(3))
+    means = np.array([[1.0, 0.0, 0.5], [-3.0, 0.0, -0.25]])
+    # lam * sum_j w_j max_k |mu_kj|; the pinned zero column adds nothing
+    npt.assert_allclose(em.penalty_value(means, spec, 1), 2.0 * (3.0 / 1.5 + 0.5 / 2.0))
+    with pytest.raises(ValueError, match="weights shape"):
+        PenaltySpec(kind="variable", lam=1.0, weights=np.ones((2, 3))).weights_for(2, 3)
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_variable_argmax_update_matches_numeric_minimizer(case):
-    # with the non-argmax entries at their unpenalized means, the argmax
-    # coordinate minimizes a 1-D soft-threshold objective
+    # the update minimizes the full column objective over all three
+    # clusters, not only the argmax coordinate
     rng = np.random.default_rng(200 + case)
-    n = 10
-    b = rng.normal(3.0, 1.0, size=n)
-    tau_k = rng.uniform(0.05, 1.0, size=n)
+    n, m = 12, 3
+    b = rng.normal(3.0, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    tau = rng.uniform(0.05, 1.0, size=(n, m))
+    tau /= tau.sum(axis=1, keepdims=True)
     sigma2 = rng.uniform(0.5, 2.0)
     w = rng.uniform(0.5, 2.0)
     lam = rng.uniform(0.1, 4.0)
-    X = b[:, None]
-    tau = np.column_stack([tau_k, 1 - tau_k])
-    spec = PenaltySpec(kind="variable", lam=lam, weights=np.full((2, 1), w))
-    current = np.array([[10.0], [0.1]])  # cluster 0 is argmax
-    got = mean_update(X, tau, np.array([sigma2]), spec, current)[0, 0]
+    spec = PenaltySpec(kind="variable", lam=lam, weights=np.array([w]))
+    got = mean_update(b[:, None], tau, np.array([sigma2]), spec)[:, 0]
 
     def objective(mu):
-        return 0.5 * (tau_k * (b - mu) ** 2).sum() / sigma2 + lam * w * abs(mu)
+        return 0.5 * (tau * (b[:, None] - mu) ** 2).sum() / sigma2 + lam * w * np.abs(mu).max()
 
-    best = grid_plus_golden(objective, -8, 8)
+    best = max_norm_minimizer(objective, tau.T @ b / tau.sum(axis=0))
     assert objective(got) <= objective(best) + 1e-6
+    npt.assert_allclose(got, best, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +406,8 @@ def test_group_scalar_fixed_point_matches_numeric_minimizer(case):
     tau = np.column_stack([tau_k, 1 - tau_k])
     spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
 
-    # iterate the one-step update to its fixed point (q_c = 1)
-    mu = np.array([[1.0], [1.0]])
-    for _ in range(10000):
-        nxt = mean_update(X, tau, np.array([sigma2]), spec, mu, q_c=1)
-        if np.abs(nxt - mu).max() < 1e-12:
-            mu = nxt
-            break
-        mu = nxt
-    got = mu[0, 0]
+    # the update is exact, so one call from any start is its own fixed point (q_c = 1)
+    got = mean_update(X, tau, np.array([sigma2]), spec, np.ones((2, 1)), q_c=1)[0, 0]
 
     def objective(x):
         return 0.5 * (tau_k * (b - x) ** 2).sum() / sigma2 + lam * w * abs(x)
@@ -417,13 +426,8 @@ def test_group_fixed_point_satisfies_stationarity_q3():
     lam, w = 2.0, 0.7
     spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
 
-    mu = np.ones((2, 3))
-    for _ in range(20000):
-        nxt = mean_update(X, tau, sigma2, spec, mu, q_c=3)
-        if np.abs(nxt - mu).max() < 1e-13:
-            mu = nxt
-            break
-        mu = nxt
+    # the update is exact, so one call from any start is its own fixed point
+    mu = mean_update(X, tau, sigma2, spec, np.ones((2, 3)), q_c=3)
 
     S = tau.T @ X
     T = tau.sum(axis=0)
@@ -537,7 +541,9 @@ def test_run_em_lambda_zero_same_for_all_penalties(kind):
     npt.assert_allclose(fit.params.variances, base.params.variances, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind,lam", [("none", 0.0), ("individual", 5.0), ("group", 5.0)])
+@pytest.mark.parametrize(
+    "kind,lam", [("none", 0.0), ("individual", 5.0), ("variable", 5.0), ("group", 5.0)]
+)
 def test_run_em_objective_monotone(kind, lam):
     rng = np.random.default_rng(25)
     X, _ = two_separated_clouds(rng, n=80, q=4, gap=3.0)

@@ -145,6 +145,9 @@ def test_adaptive_weights_at_gamma_zero_equal_unit_weights():
     npt.assert_array_equal(adaptive.weights_for(2, 2), unit.weights_for(2, 2))
     adaptive_g = PenaltySpec.adaptive("group", 3.0, 0.0, ref)
     npt.assert_array_equal(adaptive_g.weights_for(2, 2), np.ones(2))
+    adaptive_v = PenaltySpec.adaptive("variable", 3.0, 0.0, ref)
+    unit_v = PenaltySpec.unit("variable", 3.0, 2, 2)
+    npt.assert_array_equal(adaptive_v.weights_for(2, 2), unit_v.weights_for(2, 2))
 
 
 def test_model_search_recovers_three_clusters():
@@ -209,22 +212,28 @@ def test_model_search_parallel_matches_serial():
 
 
 def test_model_search_initializes_each_seed_once(monkeypatch):
-    # n = 200 reference data at m = 4, 5: several group grid points collapse
-    # and restart from reseeded initializations
+    # every attempt-0 start (seed + m) has a component far from the data, so
+    # every grid point collapses once and restarts from a reseeded start
     design = default_design(n=200, seed=1)
     basis = build_basis(*design.domain, design.n_basis, design.order)
     _, B = fit_fpca(generate_dataset(design), basis, q_c=3)
+    seed = 12
     calls = Counter()
     real = em.initialize
 
-    def counting(B, m, seed):
-        calls[m, seed] += 1
-        return real(B, m, seed)
+    def counting(B, m, init_seed):
+        calls[m, init_seed] += 1
+        start = real(B, m, init_seed)
+        if init_seed != seed + m:
+            return start
+        means = start.means.copy()
+        means[-1] += 1e3
+        return MixtureParams(start.proportions, means, start.variances)
 
     monkeypatch.setattr(em, "initialize", counting)
     monkeypatch.setattr(select, "initialize", counting)
     grid = SearchGrid(m_values=(4, 5), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
-    model_search(B, grid, "group", seed=12)
+    model_search(B, grid, "group", seed=seed)
     assert len(calls) > len(grid.m_values)  # some fits restarted
     assert max(calls.values()) == 1
 
