@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A JSON config file can predefine any long option (underscored keys);
-explicit flags win. MFCLUST_JOBS sets the default worker count.
+explicit flags win. A config value is read as its flag's text (a list as
+the comma form), so argparse checks it like the flag. A bad search grid is
+a usage error, raised before any input is read or output written.
+MFCLUST_JOBS sets the default worker count.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from mfclust.basis import build_basis
 from mfclust.dataio import (
@@ -34,7 +38,6 @@ from mfclust.select import (
     DEFAULT_LAMBDA_MULTIPLIERS,
     DEFAULT_M_VALUES,
     SearchGrid,
-    SelectionReport,
     model_search,
     row_sort_key,
 )
@@ -69,20 +72,20 @@ def _default_jobs() -> int:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in str(text).split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in str(text).split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _kind_list(text: str) -> tuple[str, ...]:
-    kinds = tuple(k.strip() for k in str(text).split(","))
+    kinds = tuple(k.strip() for k in text.split(","))
     for k in kinds:
         if k not in PENALTY_KINDS:
             raise UsageError(f"unknown penalty kind {k!r}; choose from {PENALTY_KINDS}")
@@ -117,13 +120,19 @@ def build_parser(config: dict | None = None) -> _Parser:
     qc_opts.add_argument("--beta", type=float, default=None,
                          help="variance share for the component rule (default 0.8)")
 
+    grid_opts = argparse.ArgumentParser(add_help=False)
+    grid_opts.add_argument("--m-grid", type=_int_list, default=DEFAULT_M_VALUES)
+    grid_opts.add_argument("--gamma-grid", type=_float_list, default=DEFAULT_GAMMA_VALUES)
+    grid_opts.add_argument("--lambda-multipliers", type=_float_list,
+                           default=DEFAULT_LAMBDA_MULTIPLIERS)
+
     p = add_command("transform", parents=[common, basis_opts, qc_opts],
                     help="reduce curves to per-sensor component scores")
     p.add_argument("--input", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--model", required=True)
 
-    p = add_command("fit", parents=[common, basis_opts, qc_opts],
+    p = add_command("fit", parents=[common, basis_opts, qc_opts, grid_opts],
                     help="cluster scores with penalized mixtures")
     p.add_argument("--input", help="raw long CSV (transformed on the fly)")
     p.add_argument("--scores", help="score CSV from the transform step")
@@ -132,9 +141,6 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--removed", required=True, help="output removed-sensor list")
     p.add_argument("--cluster-means", help="tidy CSV of per-cluster mean curves (needs --input)")
     p.add_argument("--penalty", type=_kind_list, default=("group",))
-    p.add_argument("--m-grid", type=_int_list, default=DEFAULT_M_VALUES)
-    p.add_argument("--gamma-grid", type=_float_list, default=DEFAULT_GAMMA_VALUES)
-    p.add_argument("--lambda-multipliers", type=_float_list, default=DEFAULT_LAMBDA_MULTIPLIERS)
 
     p = add_command("simulate", parents=[common], help="write a synthetic dataset")
     p.add_argument("--n", type=int, default=200)
@@ -144,19 +150,19 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--truth", required=True)
 
-    p = add_command("benchmark", parents=[common], help="run a factor sweep")
+    p = add_command("benchmark", parents=[common, grid_opts], help="run a factor sweep")
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--kinds", type=_kind_list, default=DEFAULT_KINDS)
     p.add_argument("--levels", type=_float_list, default=None)
     p.add_argument("--qc", type=int, default=3)
-    p.add_argument("--m-grid", type=_int_list, default=DEFAULT_M_VALUES)
-    p.add_argument("--gamma-grid", type=_float_list, default=DEFAULT_GAMMA_VALUES)
-    p.add_argument("--lambda-multipliers", type=_float_list, default=DEFAULT_LAMBDA_MULTIPLIERS)
     p.add_argument("--output", required=True, help="aggregate rows CSV")
     p.add_argument("--replicates", required=True, help="per-replicate CSV")
 
     if config:
+        # argparse applies an option's type to a string default, so a
+        # config value given as its flag's text is checked like the flag
+        config = {key: _flag_text(value) for key, value in config.items()}
         # subcommands parse into a fresh namespace, so defaults must be
         # planted on every subparser, not just the root
         parser.set_defaults(**config)
@@ -165,24 +171,18 @@ def build_parser(config: dict | None = None) -> _Parser:
     return parser
 
 
-def _as_int_tuple(value) -> tuple[int, ...]:
-    return _int_list(value) if isinstance(value, str) else tuple(int(v) for v in value)
-
-
-def _as_float_tuple(value) -> tuple[float, ...]:
-    return _float_list(value) if isinstance(value, str) else tuple(float(v) for v in value)
-
-
-def _as_kinds(value) -> tuple[str, ...]:
-    return _kind_list(value if isinstance(value, str) else ",".join(value))
+def _flag_text(value):
+    """A JSON config value as its flag's text: a list in comma form."""
+    if value is None or isinstance(value, str):
+        return value
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _grid_from(args) -> SearchGrid:
-    return SearchGrid(
-        m_values=_as_int_tuple(args.m_grid),
-        gamma_values=_as_float_tuple(args.gamma_grid),
-        lambda_multipliers=_as_float_tuple(args.lambda_multipliers),
-    )
+    try:
+        return SearchGrid(args.m_grid, args.gamma_grid, args.lambda_multipliers)
+    except ValueError as exc:
+        raise UsageError(f"bad search grid: {exc}") from None
 
 
 def _qc_rule(args):
@@ -248,6 +248,7 @@ def cmd_fit(args) -> int:
     _check_distinct_outputs(
         args, "report", "assignments", "removed", "cluster_means", inputs=("input", "scores")
     )
+    grid = _grid_from(args)
     models = None
     obs_ids = None
     if args.input:
@@ -256,37 +257,26 @@ def cmd_fit(args) -> int:
     else:
         B, obs_ids = read_scores_csv(args.scores)
 
-    grid = _grid_from(args)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    penalty_kinds = _as_kinds(args.penalty)
-    reports: list[SelectionReport] = []
-    for kind in penalty_kinds:
-        reports.append(
-            model_search(B, grid, kind, seed=args.seed, tol=args.tol,
-                         max_iter=args.max_iter, n_jobs=jobs)
-        )
-
-    kind_rank = {k: i for i, k in enumerate(penalty_kinds)}
-    best = min(
-        (r for r in reports if r.best_fit is not None),
-        key=lambda r: (row_sort_key(r.best_row), kind_rank[r.kind]),
-    )
-    merged = SelectionReport(
-        kind=best.kind,
+    reports = [
+        model_search(B, grid, kind, seed=args.seed, tol=args.tol, max_iter=args.max_iter,
+                     n_jobs=jobs)
+        for kind in args.penalty
+    ]
+    # min keeps the first of equal keys: a tie goes to the kind listed first
+    best = replace(
+        min(reports, key=lambda r: row_sort_key(r.best_row)),
         rows=[row for r in reports for row in r.rows],
-        best_fit=best.best_fit,
-        chosen=best.chosen,
-        reference_means=best.reference_means,
         failures=[f for r in reports for f in r.failures],
     )
-    write_model(ModelBundle.from_report(merged, fpca_models=models, q_c=B.q_c), args.report)
+    write_model(ModelBundle.from_report(best, fpca_models=models, q_c=B.q_c), args.report)
     write_assignments(best.best_fit, args.assignments, obs_ids=obs_ids)
     removed = sorted(best.best_fit.removed_sensors)
     with open(args.removed, "w") as fh:
         fh.writelines(name + "\n" for name in removed)
     if args.cluster_means:
         write_cluster_means(models, best.best_fit.params, B.q_c, args.cluster_means)
-    m, lam, gamma, kind = merged.chosen
+    m, lam, gamma, kind = best.chosen
     print(f"chosen: kind={kind} m={m} lambda={lam:.4g} gamma={gamma:g}")
     print(f"removed {len(removed)} of {B.p} sensors: {', '.join(removed) if removed else '(none)'}")
     return 0
@@ -312,12 +302,6 @@ def cmd_benchmark(args) -> int:
     _check_distinct_outputs(args, "output", "replicates")
     grid = _grid_from(args)
     jobs = args.jobs if args.jobs is not None else _default_jobs()
-    kinds = _as_kinds(args.kinds)
-    levels = args.levels
-    if levels is not None:
-        levels = _as_float_tuple(levels)
-        if args.scenario in ("sample-size", "noise-ratio"):
-            levels = tuple(int(v) for v in levels)
 
     # replicate rows are flushed as they finish, so an interrupted run
     # still leaves a valid partial CSV
@@ -336,7 +320,7 @@ def cmd_benchmark(args) -> int:
             reps=args.reps,
             kinds=args.kinds,
             seed=args.seed,
-            levels=levels,
+            levels=args.levels,
             q_c=args.qc,
             grid=grid,
             tol=args.tol,

@@ -200,10 +200,10 @@ class ModelBundle:
         return cls(
             fpca_models=fpca_models,
             q_c=q_c,
-            mixture=report.best_fit.params if report.best_fit else None,
+            mixture=report.best_fit.params,
             selection_rows=report.rows,
             chosen=report.chosen,
-            removed_sensors=sorted(report.best_fit.removed_sensors) if report.best_fit else None,
+            removed_sensors=sorted(report.best_fit.removed_sensors),
         )
 
 

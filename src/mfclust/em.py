@@ -260,7 +260,7 @@ def _variable_update(G, T, sigma2, spec):
     return out
 
 
-def _group_update(G, T, sigma2, spec, current_means, q_c):
+def _group_update(G, T, sigma2, spec, q_c):
     """Exact block minimizer for the group penalty.
 
     Block (k, l) minimizes sum_i T_k (mu_i - a_i)^2 / (2 sigma2_i) plus
@@ -271,9 +271,10 @@ def _group_update(G, T, sigma2, spec, current_means, q_c):
     that equation in the form psi(r) = (sum_i G_i^2 / (T_k r + thr_k
     sigma2_i)^2)^(-1/2) = 1: psi is increasing, concave (a power mean of
     exponent -2) and nearly linear, exactly linear for a single component.
-    Started at min(||current block||, ||G|| / T_k) and clamped at 0, the
-    iterates rise monotonically to the root after at most one step. It runs
-    on the nonzero blocks only, all at once.
+    Since T_k r + thr_k sigma2_i <= T_k r + thr_k max_i sigma2_i, the root is
+    at least max((||G|| - thr_k max_i sigma2_i) / T_k, 0); started there,
+    below the root of a concave increasing psi, the iterates rise
+    monotonically to it. It runs on the nonzero blocks only, all at once.
     """
     m, q = G.shape
     p = q // q_c
@@ -286,19 +287,15 @@ def _group_update(G, T, sigma2, spec, current_means, q_c):
     g2 = G3[live] ** 2  # (L, q_c)
     t = T[k][:, None]
     c = thr[k][:, None] * sig3[block]
-    r = np.minimum(
-        np.linalg.norm(current_means.reshape(m, p, q_c)[live], axis=1),
-        np.sqrt(g2.sum(axis=1)) / T[k],
-    )
+    r = np.maximum((np.sqrt(g2.sum(axis=1)) - c.max(axis=1)) / T[k], 0.0)
     settled = np.zeros(r.shape, dtype=bool)
-    for step in range(_NEWTON_MAX_STEPS):
+    for _ in range(_NEWTON_MAX_STEPS):
         d = t * r[:, None] + c
         S = (g2 / d**2).sum(axis=1)
         # psi = S^(-1/2) and psi' = T_k S^(-3/2) sum_i G_i^2 / d_i^3
-        r_next = np.maximum(r + (S**1.5 - S) / (T[k] * (g2 / d**3).sum(axis=1)), 0.0)
-        done = np.abs(r_next - r) <= _NEWTON_RTOL * r_next
-        if step:  # past the first step the iterates only rise: a fall is rounding at the root
-            done |= r_next < r
+        r_next = r + (S**1.5 - S) / (T[k] * (g2 / d**3).sum(axis=1))
+        # the iterates only rise, so a fall is rounding at the root
+        done = r_next - r <= _NEWTON_RTOL * r_next
         r = np.where(settled, r, r_next)
         settled |= done
         if settled.all():
@@ -410,7 +407,7 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 # full EM
 
 
-def _mean_update_for(spec, G, T, sigma2, current_means, q_c):
+def _mean_update_for(spec, G, T, sigma2, q_c):
     """The M-step mean update for spec from the weighted sums G = tau.T @ X and masses T."""
     if spec.kind == "none" or spec.lam == 0.0:
         return G / T[:, None]
@@ -418,7 +415,7 @@ def _mean_update_for(spec, G, T, sigma2, current_means, q_c):
         return _individual_update(G, T, sigma2, spec)
     if spec.kind == "variable":
         return _variable_update(G, T, sigma2, spec)
-    return _group_update(G, T, sigma2, spec, current_means, q_c)
+    return _group_update(G, T, sigma2, spec, q_c)
 
 
 def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -> set[str]:
@@ -497,7 +494,7 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
             break
         iterations += 1
         G = tau.T @ X
-        means = _mean_update_for(spec, G, T, theta[2], theta[1], q_c)
+        means = _mean_update_for(spec, G, T, theta[2], q_c)
         raw = _variances(Xsq_colsum, G, T, means, n)
         floored = floored or np.any(raw < _VARIANCE_FLOOR)
         mapped = (T / n, means, np.maximum(raw, _VARIANCE_FLOOR))

@@ -54,8 +54,10 @@ class SearchGrid:
             raise ValueError("grids must be nonempty")
         if any(m < 1 for m in self.m_values):
             raise ValueError("cluster counts must be positive")
-        if any(g <= 0 for g in self.gamma_values):
-            raise ValueError("gamma grid must be positive (0 is the built-in pilot phase)")
+        if not all(0 < g < math.inf for g in self.gamma_values):
+            raise ValueError("gamma grid must be positive and finite (0 is the built-in pilot phase)")
+        if not all(0 <= c < math.inf for c in self.lambda_multipliers):
+            raise ValueError("lambda multipliers must be nonnegative and finite")
 
     def lambdas(self, n: int) -> tuple[float, ...]:
         scale = n ** (1.0 / 3.0)
@@ -83,21 +85,23 @@ class SelectionRow:
 
 @dataclass
 class SelectionReport:
-    """All evaluated rows plus the winning fit."""
+    """All evaluated rows plus the winning row and its fit."""
 
-    kind: str
     rows: list[SelectionRow]
-    best_fit: FitResult | None
-    chosen: tuple[int, float, float, str] | None  # (m, lam, gamma, kind)
+    best_row: SelectionRow
+    best_fit: FitResult
     reference_means: dict[int, np.ndarray] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
     @property
-    def best_row(self) -> SelectionRow | None:
-        candidates = [r for r in self.rows if r.converged]
-        if not candidates:
-            return None
-        return min(candidates, key=row_sort_key)
+    def kind(self) -> str:
+        return self.best_row.kind
+
+    @property
+    def chosen(self) -> tuple[int, float, float, str]:
+        """(m, lam, gamma, kind) of the winning row."""
+        row = self.best_row
+        return (row.m, row.lam, row.gamma, row.kind)
 
 
 def row_sort_key(row: SelectionRow):
@@ -231,20 +235,21 @@ def model_search(
         outcomes = [_search_one_m(t) for t in tasks]
     outcomes.sort(key=lambda item: item[0])
 
-    report = SelectionReport(kind=kind, rows=[], best_fit=None, chosen=None)
-    for m, rows, _, reference, failures in outcomes:
-        report.rows.extend(rows)
-        report.failures.extend(failures)
+    rows, failures, reference_means = [], [], {}
+    for m, m_rows, _, reference, m_failures in outcomes:
+        rows.extend(m_rows)
+        failures.extend(m_failures)
         if reference is not None:
-            report.reference_means[m] = reference
-    best_pair = _best_point([best for _, _, best, _, _ in outcomes if best is not None])
-    for message in report.failures:
+            reference_means[m] = reference
+    for message in failures:
         log.warning("model search: %s", message)
-    if best_pair is None:
+    best = _best_point([best for _, _, best, _, _ in outcomes if best is not None])
+    if best is None:
         raise NumericalError(
-            "no grid point produced a converged fit: " + "; ".join(report.failures or ["(no detail)"])
+            "no grid point produced a converged fit: " + "; ".join(failures or ["(no detail)"])
         )
-    row, fit = best_pair
-    report.best_fit = fit
-    report.chosen = (row.m, row.lam, row.gamma, row.kind)
-    return report
+    best_row, best_fit = best
+    return SelectionReport(
+        rows=rows, best_row=best_row, best_fit=best_fit,
+        reference_means=reference_means, failures=failures,
+    )

@@ -12,6 +12,7 @@ so every run of the benchmark sees the same population.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -291,12 +292,13 @@ class BenchmarkRow:
     n_failed: int
 
 
+_COUNT_FACTORS = ("n", "p_noise")  # scenario factors whose levels are whole numbers
+
+
 def _design_for(scenario: str, level, seed: int) -> SimulationDesign:
     spec = SCENARIOS[scenario]
     kwargs = {"n": 200, "p_noise": 16, "delta": 1.5, "seed": seed}
-    kwargs[spec["varies"]] = level
-    if spec["varies"] == "n" or spec["varies"] == "p_noise":
-        kwargs[spec["varies"]] = int(level)
+    kwargs[spec["varies"]] = int(level) if spec["varies"] in _COUNT_FACTORS else level
     return default_design(**kwargs)
 
 
@@ -321,7 +323,7 @@ def _run_replicate(args):
         except NumericalError as exc:
             failures.append((scenario, level, kind, rep, str(exc)))
             continue
-        fit = report.best_fit
+        fit, row = report.best_fit, report.best_row
         correct, false, zero_cols = removal_counts(
             fit.removed_sensors, signal, noise, count_zero_columns(fit.params.zero_mask)
         )
@@ -332,45 +334,45 @@ def _run_replicate(args):
                 kind=kind,
                 rep=rep,
                 seed=rep_seed,
-                m_hat=report.chosen[0],
+                m_hat=row.m,
                 ari=ari(data.labels, fit.hard_labels),
                 variables_removed=zero_cols,
                 removed_correctly=correct,
                 removed_falsely=false,
-                lam=report.chosen[1],
-                gamma=report.chosen[2],
-                bic=adjusted_bic_of(report),
+                lam=row.lam,
+                gamma=row.gamma,
+                bic=row.bic,
                 max_rise=max((r.max_rise for r in report.rows), default=0.0),
             )
         )
     return level_idx, rep, records, failures
 
 
-def adjusted_bic_of(report) -> float:
-    row = report.best_row
-    return row.bic if row is not None else float("nan")
-
-
-def aggregate(records: list[ReplicateRecord], scenario: str, level, kind: str) -> BenchmarkRow | None:
+def aggregate(
+    records: list[ReplicateRecord], scenario: str, level, kind: str, n_failed: int, m_true: int
+) -> BenchmarkRow:
+    """The row of one (scenario level, penalty kind) cell; without records its statistics are nan."""
     cell = [r for r in records if r.scenario == scenario and r.level == float(level) and r.kind == kind]
-    if not cell:
-        return None
-    m_true = _load_frozen_design()["m_true"]
-    aris = np.array([r.ari for r in cell])
-    q1, med, q3 = np.percentile(aris, [25, 50, 75])
+    mae = removed = correct = false = q1 = med = q3 = float("nan")
+    if cell:
+        mae = mae_m([r.m_hat for r in cell], m_true)
+        removed = float(np.mean([r.variables_removed for r in cell]))
+        correct = float(np.mean([r.removed_correctly for r in cell]))
+        false = float(np.mean([r.removed_falsely for r in cell]))
+        q1, med, q3 = (float(v) for v in np.percentile([r.ari for r in cell], [25, 50, 75]))
     return BenchmarkRow(
         scenario=scenario,
         level=float(level),
         kind=kind,
         reps=len(cell),
-        mae_m=mae_m([r.m_hat for r in cell], m_true),
-        mean_variables_removed=float(np.mean([r.variables_removed for r in cell])),
-        mean_removed_correctly=float(np.mean([r.removed_correctly for r in cell])),
-        mean_removed_falsely=float(np.mean([r.removed_falsely for r in cell])),
-        ari_median=float(med),
-        ari_q1=float(q1),
-        ari_q3=float(q3),
-        n_failed=0,
+        mae_m=mae,
+        mean_variables_removed=removed,
+        mean_removed_correctly=correct,
+        mean_removed_falsely=false,
+        ari_median=med,
+        ari_q1=q1,
+        ari_q3=q3,
+        n_failed=n_failed,
     )
 
 
@@ -399,6 +401,9 @@ def run_scenario(
     if reps < 1:
         raise ValueError("reps must be at least 1")
     levels = tuple(levels) if levels is not None else SCENARIOS[scenario]["levels"]
+    varies = SCENARIOS[scenario]["varies"]
+    if varies in _COUNT_FACTORS and not all(float(level).is_integer() for level in levels):
+        raise ValueError(f"{scenario} levels set {varies} and must be whole numbers, got {levels}")
     grid = grid or SearchGrid()
 
     tasks = [
@@ -425,21 +430,11 @@ def run_scenario(
     else:
         consume(map(_run_replicate, tasks))
 
-    rows = []
-    for level in levels:
-        for kind in kinds:
-            row = aggregate(records, scenario, level, kind)
-            n_failed = sum(1 for f in failures if f[0] == scenario and f[1] == level and f[2] == kind)
-            if row is None:
-                row = BenchmarkRow(
-                    scenario=scenario, level=float(level), kind=kind, reps=0,
-                    mae_m=float("nan"), mean_variables_removed=float("nan"),
-                    mean_removed_correctly=float("nan"), mean_removed_falsely=float("nan"),
-                    ari_median=float("nan"), ari_q1=float("nan"), ari_q3=float("nan"),
-                    n_failed=n_failed,
-                )
-            else:
-                row = BenchmarkRow(**{**row.__dict__, "n_failed": n_failed})
-            rows.append(row)
+    m_true = _load_frozen_design()["m_true"]
+    n_failed = Counter((level, kind) for _, level, kind, _, _ in failures)
+    rows = [
+        aggregate(records, scenario, level, kind, n_failed[level, kind], m_true)
+        for level in levels
+        for kind in kinds
+    ]
     return rows, records
-

@@ -111,15 +111,7 @@ def two_separated_clouds(rng, n=100, q=4, gap=8.0):
     return np.vstack([a, b]), labels
 
 
-def mean_update(X, tau, sigma2, spec, current=None, q_c=1):
-    """The EM's M-step mean update for data X under responsibilities tau.
-
-    current defaults to zeros; only the group update reads it, as Newton's start.
-    """
+def mean_update(X, tau, sigma2, spec, q_c=1):
+    """The EM's M-step mean update for data X under responsibilities tau."""
     X = np.asarray(X, dtype=float)
-    if current is None:
-        current = np.zeros((tau.shape[1], X.shape[1]))
-    return _mean_update_for(
-        spec, tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float),
-        np.asarray(current, dtype=float), q_c,
-    )
+    return _mean_update_for(spec, tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float), q_c)

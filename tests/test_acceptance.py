@@ -167,7 +167,7 @@ def test_criterion_2_mstep_optimality_oracles():
         b, tau_k, sigma2, w, lam = scalar_config()
         tau = np.column_stack([tau_k, 1 - tau_k])
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
-        got = mean_update(b[:, None], tau, np.array([sigma2]), spec, np.ones((2, 1)))[:, 0]
+        got = mean_update(b[:, None], tau, np.array([sigma2]), spec)[:, 0]
         for k, weights in enumerate((tau_k, 1 - tau_k)):
 
             def objective(x):
@@ -186,7 +186,7 @@ def test_criterion_2_mstep_optimality_oracles():
         w = rng.uniform(0.2, 2.0)
         lam = rng.uniform(0.1, 6.0)
         spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
-        mu = mean_update(Xb, tau, sigma2, spec, np.ones((2, 3)), q_c=3)
+        mu = mean_update(Xb, tau, sigma2, spec, q_c=3)
         S = tau.T @ Xb
         T = tau.sum(axis=0)
         thr = lam * w * math.sqrt(3)

@@ -325,6 +325,48 @@ def test_output_naming_an_input_exits_1(small_run, capsys, command):
     assert {p: digest(p) for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+BAD_GRIDS = [
+    ("fit", "--lambda-multipliers", "0,nan"),
+    ("fit", "--lambda-multipliers", "0,inf"),
+    ("fit", "--lambda-multipliers", "0,-1"),
+    ("fit", "--gamma-grid", "nan"),
+    ("fit", "--m-grid", "0"),
+    ("benchmark", "--lambda-multipliers", "0,nan"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_GRIDS)
+def test_bad_grid_exits_1_before_any_work(small_run, capsys, command, flag, value):
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    if command == "fit":
+        args = fit_args(tmp_path, data, ["--penalty", "group", flag, value])
+    else:
+        args = ["benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1,
+                "--output", tmp_path / "o.csv", "--replicates", tmp_path / "r.csv", flag, value]
+    assert run_cli(*args) == 1
+    assert "bad search grid" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("penalty,winner", [
+    ("variable,individual", "variable"),
+    ("individual,variable", "individual"),
+])
+def test_fit_tie_across_kinds_goes_to_first_listed(small_run, penalty, winner):
+    # at lambda = 0 every kind fits the same unpenalized model, so the BICs tie exactly
+    tmp_path, data, _ = small_run
+    code = run_cli(*fit_args(tmp_path, data, [
+        "--penalty", penalty, "--m-grid", "2,3", "--gamma-grid", "1.0", "--lambda-multipliers", "0",
+    ]))
+    assert code == 0
+    bundle = read_model(tmp_path / "report.json")
+    assert bundle.chosen[3] == winner
+    best = [r for r in bundle.selection_rows if (r.m, r.lam, r.gamma) == bundle.chosen[:3]]
+    assert {r.kind for r in best} == {"variable", "individual"}
+    assert len({r.bic for r in best}) == 1
+
+
 def test_exit_code_numerical_failure(small_run, monkeypatch):
     tmp_path, data, _ = small_run
     from mfclust import cli as cli_mod
@@ -415,6 +457,16 @@ def test_config_accepts_string_and_list_forms(tmp_path):
     assert code == 0
     bundle = read_model(tmp_path / "r.json")
     assert {r.m for r in bundle.selection_rows} == {2, 3}
+    # a config value is read as its flag's text: a bare number for a list
+    # option is a one-item list, and a value the flag would refuse exits 1
+    for m_grid, want in ((3, 0), ([2, 1.5], 1), (True, 1)):
+        cfg.write_text(json.dumps({"penalty": "none", "m_grid": m_grid, "qc": 2, "jobs": 1}))
+        code = run_cli(
+            "--config", cfg, "fit", "--input", data, "--report", tmp_path / "r.json",
+            "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        )
+        assert code == want
+    assert {r.m for r in read_model(tmp_path / "r.json").selection_rows} == {3}
 
 
 def test_fit_emits_cluster_mean_overlays(small_run):

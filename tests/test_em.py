@@ -285,7 +285,7 @@ def test_variable_lambda_zero_is_unpenalized():
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("variable", 0.0, 2, 3)
-    got = mean_update(X, tau, np.ones(3), spec, np.zeros((2, 3)))
+    got = mean_update(X, tau, np.ones(3), spec)
     npt.assert_array_equal(got, unpenalized(X, tau))
 
 
@@ -373,7 +373,7 @@ def test_group_lambda_zero_is_unpenalized():
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
     spec = PenaltySpec.unit("group", 0.0, 2, 6)
-    got = mean_update(X, tau, np.ones(6), spec, np.zeros((2, 6)), q_c=3)
+    got = mean_update(X, tau, np.ones(6), spec, q_c=3)
     npt.assert_array_equal(got, unpenalized(X, tau))
 
 
@@ -385,11 +385,11 @@ def test_group_zero_condition_exact_zero_block():
     score_norm = np.linalg.norm(X.sum(axis=0) / sigma2)
     lam = score_norm / np.sqrt(3) + 0.5
     spec = PenaltySpec.unit("group", lam, 1, 3)
-    got = mean_update(X, tau, sigma2, spec, np.ones((1, 3)), q_c=3)
+    got = mean_update(X, tau, sigma2, spec, q_c=3)
     npt.assert_array_equal(got, np.zeros((1, 3)))
     # and the zero condition is tight: slightly smaller lam keeps the block
     spec2 = PenaltySpec.unit("group", score_norm / np.sqrt(3) - 0.01, 1, 3)
-    got2 = mean_update(X, tau, sigma2, spec2, np.ones((1, 3)), q_c=3)
+    got2 = mean_update(X, tau, sigma2, spec2, q_c=3)
     assert np.linalg.norm(got2) > 0
 
 
@@ -406,8 +406,8 @@ def test_group_scalar_fixed_point_matches_numeric_minimizer(case):
     tau = np.column_stack([tau_k, 1 - tau_k])
     spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
 
-    # the update is exact, so one call from any start is its own fixed point (q_c = 1)
-    got = mean_update(X, tau, np.array([sigma2]), spec, np.ones((2, 1)), q_c=1)[0, 0]
+    # the update is exact: one call gives the minimizer (q_c = 1)
+    got = mean_update(X, tau, np.array([sigma2]), spec, q_c=1)[0, 0]
 
     def objective(x):
         return 0.5 * (tau_k * (b - x) ** 2).sum() / sigma2 + lam * w * abs(x)
@@ -426,8 +426,8 @@ def test_group_fixed_point_satisfies_stationarity_q3():
     lam, w = 2.0, 0.7
     spec = PenaltySpec(kind="group", lam=lam, weights=np.array([w, w]))
 
-    # the update is exact, so one call from any start is its own fixed point
-    mu = mean_update(X, tau, sigma2, spec, np.ones((2, 3)), q_c=3)
+    # the update is exact: one call gives the block minimizer
+    mu = mean_update(X, tau, sigma2, spec, q_c=3)
 
     S = tau.T @ X
     T = tau.sum(axis=0)

@@ -12,10 +12,11 @@ from mfclust.em import MixtureParams, PenaltySpec, penalized_nll, run_em
 from mfclust.fpca import CoefficientMatrix, fit_fpca
 from mfclust.select import (
     SearchGrid,
-    SelectionReport,
     SelectionRow,
+    _best_point,
     adjusted_bic,
     model_search,
+    row_sort_key,
 )
 from mfclust.simbench import default_design, generate_dataset
 
@@ -45,6 +46,11 @@ def test_search_grid_validation():
         SearchGrid(m_values=())
     with pytest.raises(ValueError):
         SearchGrid(gamma_values=(0.0,))
+    for bad in ({"m_values": (0, 2)}, {"gamma_values": (math.nan,)}, {"gamma_values": (math.inf,)},
+                {"lambda_multipliers": (0.0, math.nan)}, {"lambda_multipliers": (0.0, math.inf)},
+                {"lambda_multipliers": (0.0, -1.0)}):
+        with pytest.raises(ValueError):
+            SearchGrid(**bad)
 
 
 def test_adjusted_bic_effective_dimension():
@@ -182,6 +188,11 @@ def test_model_search_reports_every_grid_point():
         if row.lam == 0.0:
             (twin,) = [r for r in pilot if r.m == row.m and r.lam == 0.0]
             assert replace(row, phase="pilot") == twin
+    # the stored winner is the first converged row with the smallest sort key
+    best = report.best_row
+    assert best == min((r for r in report.rows if r.converged), key=row_sort_key)
+    assert report.chosen == (best.m, best.lam, best.gamma, "individual")
+    assert report.kind == "individual"
 
 
 def test_model_search_none_kind_fits_plain_models():
@@ -253,15 +264,16 @@ def test_best_row_tie_breaks_smaller_model():
         _row(10.0, m=2, lam=1.0, gamma=0.5),
         _row(9.0, converged=False),
     ]
-    report = SelectionReport(kind="group", rows=rows, best_fit=None, chosen=None)
-    best = report.best_row
+    best, fit = _best_point([(row, f"fit{i}") for i, row in enumerate(rows)])
     assert (best.m, best.lam, best.gamma) == (2, 1.0, 0.5)
+    assert fit == "fit3"
 
 
 def test_best_row_ignores_non_converged():
     rows = [_row(5.0, converged=False), _row(8.0)]
-    report = SelectionReport(kind="group", rows=rows, best_fit=None, chosen=None)
-    assert report.best_row.bic == 8.0
+    best, _ = _best_point([(row, None) for row in rows])
+    assert best.bic == 8.0
+    assert _best_point([(_row(5.0, converged=False), None)]) is None
 
 
 def test_default_grids_match_contract():

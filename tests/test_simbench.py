@@ -4,9 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mfclust import simbench
 from mfclust.basis import build_basis
+from mfclust.em import NumericalError
 from mfclust.fpca import fit_sensor_fpca, select_num_components
-from mfclust.select import SearchGrid
+from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import (
     SCENARIOS,
     SimulationDesign,
@@ -202,6 +204,30 @@ def test_run_scenario_parallel_matches_serial():
     rows_par, recs_par = run_scenario("signal-strength", n_jobs=2, **kwargs)
     assert rows_serial == rows_par
     assert recs_serial == recs_par
+
+
+def test_run_scenario_counts_failed_replicates_per_cell(monkeypatch):
+    def search(B, grid, kind, **kwargs):
+        if kind == "group":
+            raise NumericalError("no grid point produced a converged fit")
+        return model_search(B, grid, kind, **kwargs)
+
+    monkeypatch.setattr(simbench, "model_search", search)
+    rows, recs = run_scenario(
+        "sample-size", reps=2, kinds=("group", "none"), seed=6, levels=(50,), grid=SMALL_GRID,
+    )
+    failed, done = rows
+    assert (failed.kind, failed.reps, failed.n_failed) == ("group", 0, 2)
+    stats = [getattr(failed, f) for f in ("mae_m", "mean_variables_removed", "mean_removed_correctly",
+                                          "mean_removed_falsely", "ari_median", "ari_q1", "ari_q3")]
+    assert all(np.isnan(stats))
+    assert (done.kind, done.reps, done.n_failed) == ("none", 2, 0)
+    assert [r.kind for r in recs] == ["none", "none"]
+
+
+def test_run_scenario_rejects_fractional_count_levels():
+    with pytest.raises(ValueError, match="whole numbers"):
+        run_scenario("sample-size", reps=1, levels=(50, 50.5))
 
 
 def test_run_scenario_rejects_unknown_scenario():
