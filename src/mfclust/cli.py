@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 A JSON config file can predefine any long option (underscored keys);
 explicit flags win. A config value is read as its flag's text (a list as
-the comma form), so argparse checks it like the flag. A bad search grid is
-a usage error, raised before any input is read or output written.
+the comma form), so argparse checks it like the flag. A bad search grid,
+sweep or simulated design is a usage error, raised before any input is
+read or output written.
 MFCLUST_JOBS sets the default worker count.
 """
 
@@ -48,6 +49,7 @@ from mfclust.simbench import (
     default_design,
     generate_dataset,
     run_scenario,
+    scenario_levels,
 )
 
 
@@ -93,7 +95,7 @@ def _kind_list(text: str) -> tuple[str, ...]:
 
 
 def build_parser(config: dict | None = None) -> _Parser:
-    parser = _Parser(prog="mfclust", description=__doc__)
+    parser = _Parser(prog="mfclust", description=__doc__, allow_abbrev=False)
     parser.add_argument("--config", help="JSON file of option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = []
@@ -284,9 +286,11 @@ def cmd_fit(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_distinct_outputs(args, "output", "truth")
-    design = default_design(
-        n=args.n, p_signal=args.p_signal, p_noise=args.p_noise, delta=args.delta, seed=args.seed
-    )
+    try:
+        design = default_design(n=args.n, p_signal=args.p_signal, p_noise=args.p_noise,
+                                delta=args.delta, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"bad design: {exc}") from None
     data = generate_dataset(design)
     write_long_csv(data, args.output)
     write_truth(design, data, args.truth)
@@ -301,6 +305,10 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     _check_distinct_outputs(args, "output", "replicates")
     grid = _grid_from(args)
+    try:
+        scenario_levels(args.scenario, args.reps, args.levels)
+    except ValueError as exc:
+        raise UsageError(f"bad sweep: {exc}") from None
     jobs = args.jobs if args.jobs is not None else _default_jobs()
 
     # replicate rows are flushed as they finish, so an interrupted run
@@ -350,6 +358,8 @@ _COMMANDS = {
 
 def _peek_config(argv) -> str | None:
     for i, token in enumerate(argv):
+        if not token.startswith("-"):  # the command: argparse takes --config only before it
+            return None
         if token == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config needs a file path")

@@ -29,7 +29,6 @@ from mfclust.fpca import CoefficientMatrix
 _LOG_2PI = np.log(2.0 * np.pi)
 _VARIANCE_FLOOR = 1e-8
 _EMPTY_CLUSTER_TOL = 1e-12
-_MAX_RESTARTS = 5
 _NEWTON_MAX_STEPS = 100
 _NEWTON_RTOL = 4 * np.finfo(float).eps
 
@@ -106,17 +105,6 @@ class PenaltySpec:
             object.__setattr__(self, "weights", w)
 
     @classmethod
-    def none(cls) -> "PenaltySpec":
-        return cls(kind="none", lam=0.0)
-
-    @classmethod
-    def unit(cls, kind: str, lam: float, m: int, q: int) -> "PenaltySpec":
-        """Unit weights, i.e. the gamma = 0 member of the adaptive family."""
-        if kind == "none":
-            return cls.none()
-        return cls(kind=kind, lam=float(lam), gamma=0.0, weights=np.ones(_weight_shape(kind, m, q)))
-
-    @classmethod
     def adaptive(cls, kind: str, lam: float, gamma: float, reference_means: np.ndarray) -> "PenaltySpec":
         """Weights 1/|ref_kj|^gamma (individual), 1/max_k |ref_kj|^gamma
         (variable) or 1/||ref_k||^gamma (group)."""
@@ -132,7 +120,7 @@ class PenaltySpec:
 
     def weights_for(self, m: int, q: int) -> np.ndarray:
         """Weights in their full shape, defaulting to ones."""
-        shape = _weight_shape(self.kind, m, q)
+        shape = {"variable": (q,), "group": (m,)}.get(self.kind, (m, q))
         if self.weights is None:
             return np.ones(shape)
         if self.weights.shape != shape:
@@ -149,10 +137,6 @@ class PenaltySpec:
         if self.kind == "variable":
             return np.repeat(inf[None, :], m, axis=0)
         return inf
-
-
-def _weight_shape(kind: str, m: int, q: int) -> tuple[int, ...]:
-    return {"variable": (q,), "group": (m,)}.get(kind, (m, q))
 
 
 @dataclass
@@ -218,8 +202,7 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
 
 
 def _variances(Xsq_colsum, G, T, means, n):
-    raw = (Xsq_colsum - 2.0 * (means * G).sum(axis=0) + T @ (means**2)) / n
-    return raw
+    return (Xsq_colsum - 2.0 * (means * G).sum(axis=0) + T @ (means**2)) / n
 
 
 def _individual_update(G, T, sigma2, spec):
@@ -370,9 +353,10 @@ def _kmeans_once(X, m, rng):
 def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
     """k-means initialization: shares, centroids, pooled within-cluster variances.
 
-    Runs k-means++ with 10 restarts keeping the best inertia; re-seeds up
-    to 10 times if the best partition leaves a cluster empty. Deterministic
-    for a fixed seed.
+    Runs k-means++ 10 times from default_rng(seed) and keeps the partition
+    of least inertia, the first of equal ones. Raises NumericalError if that
+    partition leaves a cluster empty, as it must on data with fewer distinct
+    rows than m. Deterministic for a fixed seed.
     """
     X = B.scores
     n = X.shape[0]
@@ -380,27 +364,20 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
         raise ValueError("m must be at least 1")
     if n < m:
         raise ValueError(f"need at least m={m} observations, got {n}")
-    for reseed in range(10):
-        rng = np.random.default_rng(seed + 1_000_003 * reseed)
-        best = None
-        for _ in range(10):
-            labels, centers, inertia = _kmeans_once(X, m, rng)
-            if best is None or inertia < best[2]:
-                best = (labels, centers, inertia)
-        labels, centers, _ = best
-        counts = np.bincount(labels, minlength=m)
-        if counts.min() > 0:
-            break
-    else:
-        raise NumericalError(f"k-means left an empty cluster after 10 reseeds (m={m}, n={n})")
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(10):
+        labels, centers, inertia = _kmeans_once(X, m, rng)
+        if best is None or inertia < best[2]:
+            best = (labels, centers, inertia)
+    labels, centers, _ = best
+    counts = np.bincount(labels, minlength=m)
+    if counts.min() == 0:
+        raise NumericalError(f"k-means left an empty cluster (m={m}, n={n})")
 
     resid_sq = (X - centers[labels]) ** 2
     variances = np.maximum(resid_sq.sum(axis=0) / n, 1e-6)
-    return MixtureParams(
-        proportions=counts / n,
-        means=centers,
-        variances=variances,
-    )
+    return MixtureParams(proportions=counts / n, means=centers, variances=variances)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +459,13 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
     cycle = []
     trace = []
     converged = False
-    collapsed = False
     iterations = 0
     floored = False
     while iterations < max_iter:
         objective, tau, T = state
         if not cycle:
             trace.append(objective)
-        if T.min() <= _EMPTY_CLUSTER_TOL:
-            collapsed = True
+        if T.min() <= _EMPTY_CLUSTER_TOL:  # collapsed: reported as not converged
             break
         iterations += 1
         G = tau.T @ X
@@ -535,7 +510,7 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
     trace.append(plain + pen)
 
     params = MixtureParams(proportions=pi, means=means, variances=sigma2)
-    result = FitResult(
+    return FitResult(
         params=params,
         responsibilities=tau,
         hard_labels=tau.argmax(axis=1),
@@ -544,20 +519,19 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
         n_zero_means=int(params.zero_mask.sum()),
         removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, q_c),
         iterations=iterations,
-        converged=converged and not collapsed,
+        converged=converged,
         objective_trace=trace,
     )
-    return result, collapsed
 
 
 def run_em(
     B: CoefficientMatrix,
     m: int,
     spec: PenaltySpec,
-    seed: int,
+    seed: int = 0,
     tol: float = 1e-4,
     max_iter: int = 500,
-    inits: dict[int, MixtureParams] | None = None,
+    init: MixtureParams | None = None,
 ) -> FitResult:
     """Penalized EM, accelerated by SQUAREM, until a plain EM step moves the
     parameters by at most tol.
@@ -585,32 +559,13 @@ def run_em(
     observed objective at the start of every cycle and at the returned
     point; FitResult.max_objective_rise is its largest rise.
 
-    Attempt a starts from initialize(B, m, seed + 7919 * a). On an
-    empty-cluster collapse the fit restarts from the next attempt's
-    initialization, up to 5 attempts, and otherwise returns the best
-    collapsed attempt flagged as not converged. Deterministic for fixed
-    (B, m, spec, seed).
-
-    inits memoizes those initializations by seed: an attempt takes its
-    starting parameters from it when present and stores them there after
-    computing them (a failed initialization is not stored). A memo is valid
-    for one (B, m) only; model_search shares one across the grid points of
-    a cluster count, so each seed's k-means runs once however many points
-    collapse. Its entries are never modified.
+    The fit starts from init, or from initialize(B, m, seed) when init is
+    None, and runs once. If a cluster loses its mass at an EM iterate the
+    fit stops there: it comes back with converged False after fewer than
+    max_iter iterations. Deterministic for fixed (B, m, spec, seed, init).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if inits is None:
-        inits = {}
-    best = None
-    for attempt in range(_MAX_RESTARTS):
-        init_seed = seed + 7_919 * attempt
-        params0 = inits.get(init_seed)
-        if params0 is None:
-            params0 = inits[init_seed] = initialize(B, m, init_seed)
-        result, collapsed = _em_attempt(B, m, spec, params0, tol, max_iter)
-        if not collapsed:
-            return result
-        if best is None or result.penalized_nll < best.penalized_nll:
-            best = result
-    return best
+    if init is None:
+        init = initialize(B, m, seed)
+    return _em_attempt(B, m, spec, init, tol, max_iter)

@@ -8,12 +8,6 @@ grid with those weights; at lambda = 0 the weights do not matter, so it
 reuses the pilot's fit there. All rows, pilot and adaptive, compete for the
 final model under the adjusted BIC, whose effective dimension credits
 every mean component forced to zero.
-
-Every fit of one cluster count, pilot and adaptive, draws its k-means
-starts from one memo keyed by seed (see run_em): initialize is
-deterministic, so a collapse restart reuses a start that another grid
-point already computed. The memo belongs to one cluster-count task and is
-dropped with it, so pool workers never share one.
 """
 
 from __future__ import annotations
@@ -120,8 +114,8 @@ def adjusted_bic(fit: FitResult, n: int, q: int) -> float:
     return 2.0 * fit.plain_nll + math.log(n * q) * d_e
 
 
-def _evaluate_point(B, m, spec, seed, tol, max_iter, inits, phase):
-    fit = run_em(B, m, spec, seed=seed, tol=tol, max_iter=max_iter, inits=inits)
+def _evaluate_point(B, m, spec, init, tol, max_iter, phase):
+    fit = run_em(B, m, spec, tol=tol, max_iter=max_iter, init=init)
     row = SelectionRow(
         m=m,
         lam=spec.lam,
@@ -141,7 +135,7 @@ def _evaluate_point(B, m, spec, seed, tol, max_iter, inits, phase):
 
 
 def _lambda_sweep(
-    B, m, kind, lambdas, seed, tol, max_iter, inits, phase, gamma=0.0, reference=None, zero=None
+    B, m, kind, lambdas, init, tol, max_iter, phase, gamma=0.0, reference=None, zero=None
 ):
     """Fit every lambda; return the (row, fit) points and the failures.
 
@@ -154,14 +148,10 @@ def _lambda_sweep(
             row, fit = zero
             points.append((replace(row, phase=phase), fit))
             continue
-        if kind == "none" or lam == 0.0:
-            spec = PenaltySpec.none() if kind == "none" else PenaltySpec.unit(kind, 0.0, m, B.q)
-        elif reference is None:
-            spec = PenaltySpec.unit(kind, lam, m, B.q)
-        else:
-            spec = PenaltySpec.adaptive(kind, lam, gamma, reference)
+        spec = (PenaltySpec(kind, lam) if reference is None or lam == 0.0
+                else PenaltySpec.adaptive(kind, lam, gamma, reference))
         try:
-            points.append(_evaluate_point(B, m, spec, seed, tol, max_iter, inits, phase))
+            points.append(_evaluate_point(B, m, spec, init, tol, max_iter, phase))
         except NumericalError as exc:
             failures.append(f"m={m}, kind={kind}, lam={lam:.4g}, gamma={gamma:g} ({phase}): {exc}")
     return points, failures
@@ -181,17 +171,17 @@ def _search_one_m(args):
 
     Returns m, every evaluated row, the best converged (row, fit) or None,
     the reference means of the adaptive phase (None for kind 'none') and
-    the failure messages. Every fit of this m draws its k-means starts
-    from one memo (see run_em), which lives only as long as this call.
+    the failure messages. Every fit of this m starts from one k-means
+    initialization.
     """
     B, m, kind, grid, seed, tol, max_iter = args
     try:
-        inits = {seed + m: initialize(B, m, seed + m)}
+        init = initialize(B, m, seed + m)
     except NumericalError as exc:
         return m, [], None, None, [f"m={m}: initialization failed: {exc}"]
 
     lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-    points, failures = _lambda_sweep(B, m, kind, lambdas, seed + m, tol, max_iter, inits, "pilot")
+    points, failures = _lambda_sweep(B, m, kind, lambdas, init, tol, max_iter, "pilot")
     reference = None
     if kind != "none":
         pilot_best = _best_point(points)
@@ -202,7 +192,7 @@ def _search_one_m(args):
             zero = next((p for p in points if p[0].lam == 0.0), None)
             for gamma in grid.gamma_values:
                 adaptive, fails = _lambda_sweep(
-                    B, m, kind, lambdas, seed + m, tol, max_iter, inits, "adaptive",
+                    B, m, kind, lambdas, init, tol, max_iter, "adaptive",
                     gamma=gamma, reference=reference, zero=zero,
                 )
                 points.extend(adaptive)

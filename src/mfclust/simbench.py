@@ -12,6 +12,7 @@ so every run of the benchmark sees the same population.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -73,8 +74,10 @@ class SimulationDesign:
         self.signal_means = np.asarray(self.signal_means, dtype=float)
         self.signal_variances = np.asarray(self.signal_variances, dtype=float)
         self.noise_variances = np.asarray(self.noise_variances, dtype=float)
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.p_signal < 0 or self.p_noise < 0 or self.p_signal + self.p_noise == 0:
             raise ValueError("need a nonnegative sensor split with at least one sensor")
         if abs(sum(self.proportions) - 1.0) > 1e-10 or len(self.proportions) != self.m_true:
@@ -296,10 +299,26 @@ _COUNT_FACTORS = ("n", "p_noise")  # scenario factors whose levels are whole num
 
 
 def _design_for(scenario: str, level, seed: int) -> SimulationDesign:
-    spec = SCENARIOS[scenario]
-    kwargs = {"n": 200, "p_noise": 16, "delta": 1.5, "seed": seed}
-    kwargs[spec["varies"]] = int(level) if spec["varies"] in _COUNT_FACTORS else level
+    varies = SCENARIOS[scenario]["varies"]
+    if varies in _COUNT_FACTORS:
+        if not float(level).is_integer():
+            raise ValueError(f"{scenario} levels set {varies} and must be whole numbers, got {level}")
+        level = int(level)
+    kwargs = {"n": 200, "p_noise": 16, "delta": 1.5, "seed": seed, varies: level}
     return default_design(**kwargs)
+
+
+def scenario_levels(scenario: str, reps: int, levels=None) -> tuple:
+    """The levels a sweep runs (the scenario's own when levels is None),
+    after checking the scenario, reps and every level's design."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
+    levels = tuple(levels) if levels is not None else SCENARIOS[scenario]["levels"]
+    for level in levels:
+        _design_for(scenario, level, seed=0)
+    return levels
 
 
 def _replicate_seed(seed: int, level_idx: int, rep: int) -> int:
@@ -396,14 +415,7 @@ def run_scenario(
     sees each replicate record as soon as it is available. Failed
     replicates are dropped from their cell and counted in n_failed.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    levels = tuple(levels) if levels is not None else SCENARIOS[scenario]["levels"]
-    varies = SCENARIOS[scenario]["varies"]
-    if varies in _COUNT_FACTORS and not all(float(level).is_integer() for level in levels):
-        raise ValueError(f"{scenario} levels set {varies} and must be whole numbers, got {levels}")
+    levels = scenario_levels(scenario, reps, levels)
     grid = grid or SearchGrid()
 
     tasks = [

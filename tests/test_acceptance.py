@@ -73,8 +73,7 @@ def zero_lambda_fits():
             B.scores, init.proportions, init.means, init.variances, tol=1e-10
         )
         for kind in KINDS_AT_ZERO:
-            spec = PenaltySpec.none() if kind == "none" else PenaltySpec.unit(kind, 0.0, 2, B.q)
-            fit = run_em(B, 2, spec, seed=seed, tol=1e-9, max_iter=5000, inits={seed: init})
+            fit = run_em(B, 2, PenaltySpec(kind), tol=1e-9, max_iter=5000, init=init)
             perm = align_clusters(mu_ref, fit.params.means)
             diff = max(
                 np.abs(fit.params.means[perm] - mu_ref).max(),
@@ -344,14 +343,14 @@ def test_criterion_9_metric_unit_suite():
     if abs(pi.sum() - 1.0) > 1e-10:
         failures.append("proportions do not sum to 1")
 
-    fit = run_em(B, 3, PenaltySpec.none(), seed=9)
+    fit = run_em(B, 3, PenaltySpec("none"), seed=9)
     perm = [2, 0, 1]
     permuted = MixtureParams(
         proportions=fit.params.proportions[perm],
         means=fit.params.means[perm],
         variances=fit.params.variances,
     )
-    value = penalized_nll(B, permuted, PenaltySpec.none())
+    value = penalized_nll(B, permuted, PenaltySpec("none"))
     relabeled = type(fit)(
         params=permuted,
         responsibilities=fit.responsibilities[:, perm],
@@ -367,7 +366,7 @@ def test_criterion_9_metric_unit_suite():
         failures.append("BIC not relabeling invariant")
 
     # effective-dimension arithmetic
-    fit1 = run_em(B, 1, PenaltySpec.none(), seed=1)
+    fit1 = run_em(B, 1, PenaltySpec("none"), seed=1)
     d_e = 1 + 4 + 1 * 4 - 0 - 1
     if d_e != 8:
         failures.append("d_e arithmetic (m=1, q=4)")

@@ -400,6 +400,59 @@ def test_benchmark_small_sweep(tmp_path, capsys):
     assert len(recs) == 2
 
 
+BAD_SWEEPS = [
+    ("sample-size", "--reps", "0", "reps must be at least 1"),
+    ("sample-size", "--levels", "50.5", "whole numbers"),
+    ("sample-size", "--levels", "inf", "whole numbers"),
+    ("sample-size", "--levels", "0", "n must be at least 1"),
+    ("signal-strength", "--levels", "nan", "delta must be positive and finite"),
+    ("signal-strength", "--levels", "1.5,inf", "delta must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("scenario,flag,value,message", BAD_SWEEPS)
+def test_bad_sweep_exits_1_before_any_output(tmp_path, capsys, scenario, flag, value, message):
+    code = run_cli(
+        "benchmark", "--scenario", scenario, "--levels", 50, "--reps", 1, "--kinds", "none",
+        "--m-grid", 2, "--jobs", 1, flag, value,
+        "--output", tmp_path / "o.csv", "--replicates", tmp_path / "r.csv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad sweep" in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+def test_simulate_bad_delta_exits_1_before_any_output(tmp_path, capsys, delta):
+    code = run_cli("simulate", "--n", 20, "--delta", delta,
+                   "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("content", ["{not json", '{"n": 25}', None])
+def test_config_after_command_exits_1_unread(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code = run_cli("simulate", "--config", cfg, "--n", 20,
+                   "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cfg.json"])
+
+
+def test_abbreviated_config_flag_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 25}')
+    code = run_cli("--conf", cfg, "simulate", "--output", tmp_path / "d.csv",
+                   "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 25, "p_noise": 2, "seed": 8}))

@@ -329,7 +329,7 @@ def test_assignments_single_cluster(tmp_path):
     from mfclust.fpca import CoefficientMatrix
 
     B = CoefficientMatrix.from_scores(rng.standard_normal((8, 2)), 1)
-    fit = run_em(B, 1, PenaltySpec.none(), seed=0)
+    fit = run_em(B, 1, PenaltySpec("none"), seed=0)
     path = tmp_path / "assign.csv"
     write_assignments(fit, path)
     obs_ids, labels, resps = read_assignments_csv(path)
@@ -342,7 +342,7 @@ def test_assignments_round_trip_consistency(tmp_path):
     design, data = small_dataset(seed=8)
     basis = build_basis(0, 30, 12, 3)
     _, B = fit_fpca(data, basis, q_c=2)
-    fit = run_em(B, 3, PenaltySpec.none(), seed=9)
+    fit = run_em(B, 3, PenaltySpec("none"), seed=9)
     path = tmp_path / "assign.csv"
     write_assignments(fit, path, obs_ids=[f"r{i}" for i in range(B.n)])
     obs_ids, labels, resps = read_assignments_csv(path)

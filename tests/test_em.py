@@ -34,7 +34,7 @@ def variance_update(X, tau, means):
 
 
 def unpenalized(X, tau):
-    return mean_update(X, tau, np.ones(X.shape[1]), PenaltySpec.none())
+    return mean_update(X, tau, np.ones(X.shape[1]), PenaltySpec("none"))
 
 
 def make_params(pi, means, variances):
@@ -81,6 +81,12 @@ def test_initialize_deterministic():
 def test_initialize_rejects_m_above_n():
     with pytest.raises(ValueError):
         initialize(cm(np.zeros((3, 2))), 5, seed=0)
+
+
+def test_initialize_raises_on_fewer_distinct_rows_than_m():
+    X = np.repeat([[0.0, 1.0], [2.0, -1.0]], 10, axis=0)
+    with pytest.raises(em.NumericalError, match="empty cluster"):
+        initialize(cm(X), 3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def test_update_variances_one_hot_pooled():
 def test_update_variances_floors_degenerate():
     X = np.full((10, 2), 3.0)
     with pytest.warns(UserWarning, match="floored"):
-        sigma2 = run_em(cm(X), 1, PenaltySpec.none(), seed=0).params.variances
+        sigma2 = run_em(cm(X), 1, PenaltySpec("none"), seed=0).params.variances
     npt.assert_allclose(sigma2, 1e-8)
 
 
@@ -190,7 +196,7 @@ def test_individual_lambda_zero_is_unpenalized():
     X = rng.standard_normal((20, 3))
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
-    spec = PenaltySpec.unit("individual", 0.0, 2, 3)
+    spec = PenaltySpec("individual", 0.0)
     got = mean_update(X, tau, np.ones(3), spec)
     npt.assert_array_equal(got, unpenalized(X, tau))
 
@@ -199,7 +205,7 @@ def test_individual_zero_condition():
     X = np.array([[0.1], [-0.05], [0.02]])
     tau = np.ones((3, 1))
     s_abs = abs(X.sum())
-    spec = PenaltySpec.unit("individual", s_abs / 1.0 + 1.0, 1, 1)  # lam * w * sigma2 >= |sum|
+    spec = PenaltySpec("individual", s_abs / 1.0 + 1.0)  # lam * w * sigma2 >= |sum|
     got = mean_update(X, tau, np.ones(1), spec)
     assert got[0, 0] == 0.0
 
@@ -207,7 +213,7 @@ def test_individual_zero_condition():
 def test_individual_scalar_case_and_oracle():
     X = np.array([[1.0], [2.0], [3.0]])
     tau = np.ones((3, 1))
-    spec = PenaltySpec.unit("individual", 2.0, 1, 1)
+    spec = PenaltySpec("individual", 2.0)
     got = mean_update(X, tau, np.ones(1), spec)
     npt.assert_allclose(got, [[4.0 / 3.0]], atol=1e-12)
 
@@ -246,7 +252,7 @@ def test_individual_optimality_conditions():
     tau = rng.uniform(0.01, 1, size=(30, 3))
     tau /= tau.sum(axis=1, keepdims=True)
     sigma2 = rng.uniform(0.5, 1.5, size=4)
-    spec = PenaltySpec.unit("individual", 6.0, 3, 4)
+    spec = PenaltySpec("individual", 6.0)
     mu = mean_update(X, tau, sigma2, spec)
 
     S = tau.T @ X
@@ -267,7 +273,7 @@ def test_individual_shrinkage_dominated_by_unpenalized():
     X = rng.standard_normal((25, 3))
     tau = rng.uniform(0.01, 1, size=(25, 2))
     tau /= tau.sum(axis=1, keepdims=True)
-    spec = PenaltySpec.unit("individual", 2.0, 2, 3)
+    spec = PenaltySpec("individual", 2.0)
     mu = mean_update(X, tau, np.ones(3), spec)
     mu_tilde = unpenalized(X, tau)
     assert np.all(np.abs(mu) <= np.abs(mu_tilde) + 1e-12)
@@ -284,7 +290,7 @@ def test_variable_lambda_zero_is_unpenalized():
     X = rng.standard_normal((20, 3))
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
-    spec = PenaltySpec.unit("variable", 0.0, 2, 3)
+    spec = PenaltySpec("variable", 0.0)
     got = mean_update(X, tau, np.ones(3), spec)
     npt.assert_array_equal(got, unpenalized(X, tau))
 
@@ -295,7 +301,7 @@ def test_variable_thresholds_only_argmax():
     labels = np.repeat([0, 1], n // 2)
     X = np.where(labels[:, None] == 0, 5.0, 1.0) + rng.normal(0, 0.01, size=(n, 1))
     tau = np.eye(2)[labels]
-    spec = PenaltySpec.unit("variable", 4.0, 2, 1)
+    spec = PenaltySpec("variable", 4.0)
     mu_tilde = unpenalized(X, tau)
     got = mean_update(X, tau, np.ones(1), spec)
     # only cluster 0 lies above the clipping level: soft thresholded by lam*w*sigma2/T = 4/20
@@ -306,7 +312,7 @@ def test_variable_thresholds_only_argmax():
 def test_variable_tie_shrinks_every_tied_cluster():
     X = np.array([[2.0], [-2.0]])
     tau = np.eye(2)
-    spec = PenaltySpec.unit("variable", 0.5, 2, 1)
+    spec = PenaltySpec("variable", 0.5)
     got = mean_update(X, tau, np.ones(1), spec)
     # both clusters clip at the level c with (2 - c) + (2 - c) = 0.5
     npt.assert_allclose(got, [[1.75], [-1.75]], atol=1e-12)
@@ -322,7 +328,7 @@ def test_variable_zeroed_max_removes_whole_column():
     rng = np.random.default_rng(14)
     X = rng.normal(0.05, 0.01, size=(30, 1))
     tau = np.eye(2)[np.repeat([0, 1], 15)]
-    spec = PenaltySpec.unit("variable", 10.0, 2, 1)
+    spec = PenaltySpec("variable", 10.0)
     got = mean_update(X, tau, np.ones(1), spec)
     npt.assert_array_equal(got, np.zeros((2, 1)))
 
@@ -332,7 +338,7 @@ def test_variable_weights_are_per_column():
     spec = PenaltySpec.adaptive("variable", lam=2.0, gamma=1.0, reference_means=ref)
     npt.assert_allclose(spec.weights_for(2, 3), [1 / 1.5, np.inf, 1 / 2.0])
     npt.assert_array_equal(spec.pinned(2, 3), [[False, True, False], [False, True, False]])
-    npt.assert_array_equal(PenaltySpec.unit("variable", 2.0, 2, 3).weights_for(2, 3), np.ones(3))
+    npt.assert_array_equal(PenaltySpec("variable", 2.0).weights_for(2, 3), np.ones(3))
     means = np.array([[1.0, 0.0, 0.5], [-3.0, 0.0, -0.25]])
     # lam * sum_j w_j max_k |mu_kj|; the pinned zero column adds nothing
     npt.assert_allclose(em.penalty_value(means, spec, 1), 2.0 * (3.0 / 1.5 + 0.5 / 2.0))
@@ -372,7 +378,7 @@ def test_group_lambda_zero_is_unpenalized():
     X = rng.standard_normal((20, 6))
     tau = rng.uniform(0.1, 1, size=(20, 2))
     tau /= tau.sum(axis=1, keepdims=True)
-    spec = PenaltySpec.unit("group", 0.0, 2, 6)
+    spec = PenaltySpec("group", 0.0)
     got = mean_update(X, tau, np.ones(6), spec, q_c=3)
     npt.assert_array_equal(got, unpenalized(X, tau))
 
@@ -384,11 +390,11 @@ def test_group_zero_condition_exact_zero_block():
     sigma2 = np.ones(3)
     score_norm = np.linalg.norm(X.sum(axis=0) / sigma2)
     lam = score_norm / np.sqrt(3) + 0.5
-    spec = PenaltySpec.unit("group", lam, 1, 3)
+    spec = PenaltySpec("group", lam)
     got = mean_update(X, tau, sigma2, spec, q_c=3)
     npt.assert_array_equal(got, np.zeros((1, 3)))
     # and the zero condition is tight: slightly smaller lam keeps the block
-    spec2 = PenaltySpec.unit("group", score_norm / np.sqrt(3) - 0.01, 1, 3)
+    spec2 = PenaltySpec("group", score_norm / np.sqrt(3) - 0.01)
     got2 = mean_update(X, tau, sigma2, spec2, q_c=3)
     assert np.linalg.norm(got2) > 0
 
@@ -450,7 +456,7 @@ def test_penalized_nll_single_gaussian():
     X = rng.standard_normal((12, 3))
     mu = X.mean(0, keepdims=True)
     var = X.var(0)
-    value = penalized_nll(cm(X), make_params([1.0], mu, var), PenaltySpec.none())
+    value = penalized_nll(cm(X), make_params([1.0], mu, var), PenaltySpec("none"))
     expected = 0.5 * (
         12 * 3 * np.log(2 * np.pi) + 12 * np.log(var).sum() + (((X - mu) ** 2) / var).sum()
     )
@@ -463,8 +469,8 @@ def test_penalized_nll_translation_invariance_of_likelihood():
     params = initialize(cm(X), 2, seed=3)
     shift = np.array([3.0, -1.0])
     shifted = make_params(params.proportions, params.means + shift, params.variances)
-    a = penalized_nll(cm(X), params, PenaltySpec.none())
-    b = penalized_nll(cm(X + shift), shifted, PenaltySpec.none())
+    a = penalized_nll(cm(X), params, PenaltySpec("none"))
+    b = penalized_nll(cm(X + shift), shifted, PenaltySpec("none"))
     npt.assert_allclose(a, b, atol=1e-9)
 
 
@@ -474,7 +480,7 @@ def test_penalized_nll_matches_brute_force():
     pi = np.array([0.3, 0.7])
     mu = rng.standard_normal((2, 2))
     var = rng.uniform(0.5, 1.5, size=2)
-    spec = PenaltySpec.unit("individual", 1.5, 2, 2)
+    spec = PenaltySpec("individual", 1.5)
     value = penalized_nll(cm(X), make_params(pi, mu, var), spec)
 
     def density(x, mean):
@@ -495,7 +501,7 @@ def test_run_em_matches_reference_on_separated_data():
     X, _ = two_separated_clouds(rng, n=100, q=4, gap=8.0)
     B = cm(X)
     init = initialize(B, 2, seed=9)
-    fit = run_em(B, 2, PenaltySpec.none(), seed=9, tol=1e-10, max_iter=3000)
+    fit = run_em(B, 2, PenaltySpec("none"), seed=9, tol=1e-10, max_iter=3000)
     pi_ref, mu_ref, var_ref = reference_gmm_em(
         X, init.proportions, init.means, init.variances, tol=1e-10
     )
@@ -509,7 +515,7 @@ def test_run_em_matches_reference_on_separated_data():
 def test_run_em_single_cluster_is_mle():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((30, 3))
-    fit = run_em(cm(X), 1, PenaltySpec.none(), seed=0)
+    fit = run_em(cm(X), 1, PenaltySpec("none"), seed=0)
     npt.assert_allclose(fit.params.means[0], X.mean(0), atol=1e-10)
     npt.assert_allclose(fit.params.variances, X.var(0), atol=1e-10)
     assert fit.converged and fit.iterations <= 2
@@ -522,7 +528,7 @@ def test_run_em_group_penalty_removes_noise_sensors():
     signal = np.where(labels[:, None] == 0, -2.0, 2.0) + rng.normal(0, 0.7, size=(n, 2))
     noise = rng.normal(0, 1.0, size=(n, 4))
     B = CoefficientMatrix.from_scores(np.hstack([signal, noise]), q_c=2)
-    spec = PenaltySpec.unit("group", 2.0 * n ** (1 / 3), 2, 6)
+    spec = PenaltySpec("group", 2.0 * n ** (1 / 3))
     fit = run_em(B, 2, spec, seed=4)
     assert fit.converged
     assert fit.removed_sensors == {"s01", "s02"}
@@ -534,8 +540,8 @@ def test_run_em_lambda_zero_same_for_all_penalties(kind):
     rng = np.random.default_rng(24)
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=6.0)
     B = cm(X, q_c=2)
-    base = run_em(B, 2, PenaltySpec.none(), seed=2)
-    spec = PenaltySpec.unit(kind, 0.0, 2, 4)
+    base = run_em(B, 2, PenaltySpec("none"), seed=2)
+    spec = PenaltySpec(kind, 0.0)
     fit = run_em(B, 2, spec, seed=2)
     npt.assert_allclose(fit.params.means, base.params.means, atol=1e-12)
     npt.assert_allclose(fit.params.variances, base.params.variances, atol=1e-12)
@@ -548,7 +554,7 @@ def test_run_em_objective_monotone(kind, lam):
     rng = np.random.default_rng(25)
     X, _ = two_separated_clouds(rng, n=80, q=4, gap=3.0)
     B = cm(X, q_c=2)
-    spec = PenaltySpec.unit(kind, lam, 2, 4)
+    spec = PenaltySpec(kind, lam)
     fit = run_em(B, 2, spec, seed=6)
     rises = np.diff(fit.objective_trace)
     assert rises.max(initial=0.0) <= 1e-8
@@ -565,46 +571,33 @@ def collapsing_start():
     return cm(X), far
 
 
-def test_run_em_restarts_collapsed_attempt_from_reseed():
+def test_run_em_reports_collapse_without_restarting(monkeypatch):
     B, far = collapsing_start()
-    spec = PenaltySpec.none()
-    fit = run_em(B, 3, spec, seed=0, inits={0: far})
-    reseeded = run_em(B, 3, spec, seed=0 + 7919)
-    npt.assert_array_equal(fit.params.means, reseeded.params.means)
-    npt.assert_array_equal(fit.params.variances, reseeded.params.variances)
-    npt.assert_array_equal(fit.params.proportions, reseeded.params.proportions)
-    assert fit.iterations == reseeded.iterations
-    assert fit.converged
-    assert fit.responsibilities.sum(axis=0).min() > 1e-12
-
-
-def test_run_em_reuses_given_inits(monkeypatch):
-    B, far = collapsing_start()
-    spec = PenaltySpec.none()
-    inits = {0: far}
-    # attempt 0 collapses, so attempt 1 computes its start and stores it
-    first = run_em(B, 3, spec, seed=0, inits=inits)
-    assert sorted(inits) == [0, 7919]
 
     def no_initialize(*args):
-        raise AssertionError("initialize called although the memo holds the seed")
+        raise AssertionError("initialize called although a start was given")
 
     monkeypatch.setattr(em, "initialize", no_initialize)
-    second = run_em(B, 3, spec, seed=0, inits=inits)
-    assert sorted(inits) == [0, 7919]
-    npt.assert_array_equal(second.params.means, first.params.means)
-    npt.assert_array_equal(second.params.variances, first.params.variances)
-    npt.assert_array_equal(second.params.proportions, first.params.proportions)
-    npt.assert_array_equal(second.responsibilities, first.responsibilities)
-    assert second.objective_trace == first.objective_trace
-    assert (second.iterations, second.converged) == (first.iterations, first.converged)
+    fit = run_em(B, 3, PenaltySpec("none"), seed=0, init=far, max_iter=500)
+    assert not fit.converged
+    assert fit.iterations < 500
+    assert fit.responsibilities.sum(axis=0).min() <= 1e-12
+
+
+def test_run_em_default_start_is_initialize():
+    B, _ = collapsing_start()
+    spec = PenaltySpec("none")
+    a = run_em(B, 3, spec, seed=4)
+    b = run_em(B, 3, spec, init=initialize(B, 3, seed=4))
+    npt.assert_array_equal(a.params.means, b.params.means)
+    assert a.objective_trace == b.objective_trace
 
 
 def test_run_em_deterministic():
     rng = np.random.default_rng(26)
     X = rng.standard_normal((50, 4))
     B = cm(X, q_c=2)
-    spec = PenaltySpec.unit("group", 3.0, 2, 4)
+    spec = PenaltySpec("group", 3.0)
     a = run_em(B, 2, spec, seed=13)
     b = run_em(B, 2, spec, seed=13)
     npt.assert_array_equal(a.params.means, b.params.means)
@@ -615,7 +608,7 @@ def test_relabeling_leaves_objective_and_bookkeeping_unchanged():
     rng = np.random.default_rng(27)
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=5.0)
     B = cm(X, q_c=2)
-    spec = PenaltySpec.unit("group", 4.0, 2, 4)
+    spec = PenaltySpec("group", 4.0)
     fit = run_em(B, 2, spec, seed=1)
     perm = [1, 0]
     permuted = MixtureParams(
@@ -634,7 +627,7 @@ def test_relabeling_leaves_objective_and_bookkeeping_unchanged():
 def test_hard_labels_are_argmax_with_low_index_ties():
     rng = np.random.default_rng(28)
     X, _ = two_separated_clouds(rng, n=40, q=3, gap=7.0)
-    fit = run_em(cm(X), 2, PenaltySpec.none(), seed=3)
+    fit = run_em(cm(X), 2, PenaltySpec("none"), seed=3)
     npt.assert_array_equal(fit.hard_labels, fit.responsibilities.argmax(axis=1))
 
 

@@ -7,9 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from mfclust import em, select
-from mfclust.basis import build_basis
 from mfclust.em import MixtureParams, PenaltySpec, penalized_nll, run_em
-from mfclust.fpca import CoefficientMatrix, fit_fpca
+from mfclust.fpca import CoefficientMatrix
 from mfclust.select import (
     SearchGrid,
     SelectionRow,
@@ -18,7 +17,6 @@ from mfclust.select import (
     model_search,
     row_sort_key,
 )
-from mfclust.simbench import default_design, generate_dataset
 
 
 def three_cluster_data(seed=0, n=150, noise_cols=4, sep=4.0):
@@ -55,7 +53,7 @@ def test_search_grid_validation():
 
 def test_adjusted_bic_effective_dimension():
     B, _ = three_cluster_data(noise_cols=2)
-    fit = run_em(B, 1, PenaltySpec.none(), seed=0)
+    fit = run_em(B, 1, PenaltySpec("none"), seed=0)
     assert B.q == 4 and fit.n_zero_means == 0
     d_e = 1 + 4 + 4 - 0 - 1
     assert d_e == 8
@@ -65,7 +63,7 @@ def test_adjusted_bic_effective_dimension():
 
 def test_adjusted_bic_drops_per_zeroed_mean():
     B, _ = three_cluster_data(noise_cols=2)
-    fit = run_em(B, 2, PenaltySpec.none(), seed=0)
+    fit = run_em(B, 2, PenaltySpec("none"), seed=0)
     bic0 = adjusted_bic(fit, B.n, B.q)
     zeroed = fit
     means = fit.params.means.copy()
@@ -86,14 +84,14 @@ def test_adjusted_bic_drops_per_zeroed_mean():
 
 def test_adjusted_bic_relabeling_invariant():
     B, _ = three_cluster_data()
-    fit = run_em(B, 3, PenaltySpec.none(), seed=1)
+    fit = run_em(B, 3, PenaltySpec("none"), seed=1)
     perm = [2, 0, 1]
     params = MixtureParams(
         proportions=fit.params.proportions[perm],
         means=fit.params.means[perm],
         variances=fit.params.variances,
     )
-    value = penalized_nll(B, params, PenaltySpec.none())
+    value = penalized_nll(B, params, PenaltySpec("none"))
     permuted = type(fit)(
         params=params,
         responsibilities=fit.responsibilities[:, perm],
@@ -114,7 +112,7 @@ def test_two_phase_lambda_zero_grid_reduces_to_unpenalized():
     B, _ = three_cluster_data()
     grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0,))
     report = model_search(B, grid, "group", seed=5)
-    plain = run_em(B, 3, PenaltySpec.none(), seed=5 + 3)
+    plain = run_em(B, 3, PenaltySpec("none"), seed=5 + 3)
     npt.assert_allclose(report.best_fit.params.means, plain.params.means, atol=1e-12)
     npt.assert_allclose(report.reference_means[3], plain.params.means, atol=1e-12)
 
@@ -147,12 +145,12 @@ def test_two_phase_deterministic():
 def test_adaptive_weights_at_gamma_zero_equal_unit_weights():
     ref = np.array([[0.5, 2.0], [1.5, 0.1]])
     adaptive = PenaltySpec.adaptive("individual", 3.0, 0.0, ref)
-    unit = PenaltySpec.unit("individual", 3.0, 2, 2)
+    unit = PenaltySpec("individual", 3.0)
     npt.assert_array_equal(adaptive.weights_for(2, 2), unit.weights_for(2, 2))
     adaptive_g = PenaltySpec.adaptive("group", 3.0, 0.0, ref)
     npt.assert_array_equal(adaptive_g.weights_for(2, 2), np.ones(2))
     adaptive_v = PenaltySpec.adaptive("variable", 3.0, 0.0, ref)
-    unit_v = PenaltySpec.unit("variable", 3.0, 2, 2)
+    unit_v = PenaltySpec("variable", 3.0)
     npt.assert_array_equal(adaptive_v.weights_for(2, 2), unit_v.weights_for(2, 2))
 
 
@@ -222,31 +220,28 @@ def test_model_search_parallel_matches_serial():
     assert [r.bic for r in serial.rows] == [r.bic for r in parallel.rows]
 
 
-def test_model_search_initializes_each_seed_once(monkeypatch):
-    # every attempt-0 start (seed + m) has a component far from the data, so
-    # every grid point collapses once and restarts from a reseeded start
-    design = default_design(n=200, seed=1)
-    basis = build_basis(*design.domain, design.n_basis, design.order)
-    _, B = fit_fpca(generate_dataset(design), basis, q_c=3)
-    seed = 12
+def test_model_search_initializes_once_per_m(monkeypatch):
+    # every start puts its last component far from the data, so every fit
+    # with m > 1 collapses; none is restarted from another start
+    B, _ = three_cluster_data(seed=5)
     calls = Counter()
     real = em.initialize
 
-    def counting(B, m, init_seed):
-        calls[m, init_seed] += 1
-        start = real(B, m, init_seed)
-        if init_seed != seed + m:
-            return start
+    def far_start(B, m, seed):
+        calls[m] += 1
+        start = real(B, m, seed)
         means = start.means.copy()
         means[-1] += 1e3
         return MixtureParams(start.proportions, means, start.variances)
 
-    monkeypatch.setattr(em, "initialize", counting)
-    monkeypatch.setattr(select, "initialize", counting)
-    grid = SearchGrid(m_values=(4, 5), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
-    model_search(B, grid, "group", seed=seed)
-    assert len(calls) > len(grid.m_values)  # some fits restarted
-    assert max(calls.values()) == 1
+    monkeypatch.setattr(em, "initialize", far_start)
+    monkeypatch.setattr(select, "initialize", far_start)
+    grid = SearchGrid(m_values=(1, 2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0, 5.0))
+    report = model_search(B, grid, "group", seed=3)
+    assert calls == {1: 1, 2: 1, 3: 1}
+    assert report.chosen[0] == 1
+    collapsed = [r for r in report.rows if r.m > 1]
+    assert collapsed and not any(r.converged or r.iterations >= 500 for r in collapsed)
 
 
 def _row(bic, m=2, lam=1.0, gamma=1.0, converged=True):
