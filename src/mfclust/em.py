@@ -12,13 +12,22 @@ sets a mean, column or block exactly to zero on its zero condition.
 Entries whose adaptive weight is infinite (reference mean exactly zero)
 are pinned to zero for the whole fit.
 
+The E-step works in reduced form. Of log pi_k + log f_k(x_i), only
+x_i . (mu_k / sigma2) + log pi_k - 1/2 sum_j mu_kj^2 / sigma2_j depends on
+k; the rest, -1/2 sum_j x_ij^2 / sigma2_j minus the normalizing constant,
+cancels in the responsibilities and enters the likelihood once, summed
+over the rows. One kernel (_log_joint) computes both.
+
 The EM map is accelerated by SQUAREM (Varadhan & Roland, 2008), kept
 monotone by falling back to the plain EM iterate whenever an extrapolated
-point does not lower the observed objective.
+point does not lower the observed objective. A fit holds proportions,
+means and variances as views of one flat parameter vector, so SQUAREM's
+differences, norms and extrapolation are single vector operations.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,6 +65,9 @@ class MixtureParams:
             raise ValueError("proportions must have one entry per cluster")
         if self.variances.shape != (q,):
             raise ValueError("variances must have one entry per column")
+        for name in ("proportions", "means", "variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if abs(self.proportions.sum() - 1.0) > 1e-10 or np.any(self.proportions < 0):
             raise ValueError("proportions must be nonnegative and sum to 1")
         if np.any(self.variances <= 0):
@@ -171,18 +183,32 @@ class FitResult:
 # densities and E-step
 
 
-def _log_joint(X, Xsq, proportions, means, variances):
-    """log pi_k + log f_k(x_i) as an (n, m) matrix, plus its row logsumexp."""
+def _log_joint(X, Xsq_colsum, proportions, means, variances):
+    """Responsibilities and the observed negative log-likelihood at one point.
+
+    The reduced log joint lj[i, k] = x_i . (mu_k / sigma2) + log pi_k -
+    1/2 sum_j mu_kj^2 / sigma2_j differs from log pi_k + log f_k(x_i) by a
+    term of row i alone, which cancels in tau = e / sum_k e with e =
+    exp(lj - max_k lj). Summed over the rows, that term is -1/2
+    Xsq_colsum . (1 / sigma2) - n/2 (q log 2 pi + sum_j log sigma2_j), where
+    Xsq_colsum holds the column sums of X^2. Raises NumericalError when the
+    peak of some row of lj, or that sum, is not finite.
+    """
+    n, q = X.shape
     inv = 1.0 / variances
-    quad = (Xsq @ inv)[:, None] - 2.0 * (X @ (means * inv).T) + ((means**2) * inv).sum(axis=1)[None, :]
-    logf = -0.5 * (X.shape[1] * _LOG_2PI + np.log(variances).sum() + quad)
-    with np.errstate(divide="ignore"):
-        lj = logf + np.log(proportions)
-    peak = lj.max(axis=1)
-    if not np.all(np.isfinite(peak)):
-        raise NumericalError("all cluster densities underflowed for some observation")
-    lse = peak + np.log(np.exp(lj - peak[:, None]).sum(axis=1))
-    return lj, lse
+    scaled = means * inv
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lj = X @ scaled.T + (np.log(proportions) - 0.5 * (scaled * means).sum(axis=1))
+        peak = lj.max(axis=1)
+        peak_sum = peak.sum()
+        if not math.isfinite(peak_sum):
+            raise NumericalError("all cluster densities underflowed for some observation")
+        common = 0.5 * (Xsq_colsum @ inv + n * (q * _LOG_2PI + np.log(variances).sum()))
+        if not math.isfinite(common):
+            raise NumericalError("the scaled squared scores overflow")
+        e = np.exp(lj - peak[:, None])
+    total = e.sum(axis=1)
+    return e / total[:, None], float(common - peak_sum - np.log(total).sum())
 
 
 def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
@@ -192,34 +218,72 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
     domain; the new proportions are the responsibility column means.
     """
     X = B.scores
-    lj, lse = _log_joint(X, X**2, params.proportions, params.means, params.variances)
-    tau = np.exp(lj - lse[:, None])
+    tau, _ = _log_joint(X, (X**2).sum(axis=0), params.proportions, params.means, params.variances)
     return tau, tau.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
-# M-step pieces
+# penalty and M-step pieces
+
+
+class _Penalty:
+    """A PenaltySpec made concrete for m clusters and q = p q_c columns.
+
+    A fit builds it once. kind is "none" whenever lam is 0. thr is lam
+    times the weights in their full shape, (m, q) individual, (q,) variable
+    and (m,) group, the last times sqrt(q_c). pinned is the (m, q) mask of
+    means held at zero by infinite weights, or None when there is none.
+    """
+
+    def __init__(self, spec: PenaltySpec, m: int, q: int, q_c: int):
+        self.kind = "none" if spec.lam == 0.0 else spec.kind
+        self.q_c = q_c
+        self.pinned = None
+        if self.kind == "none":
+            return
+        thr = spec.lam * spec.weights_for(m, q)
+        self.thr = thr * np.sqrt(q_c) if self.kind == "group" else thr
+        pinned = spec.pinned(m, q)
+        if pinned.any():
+            self.pinned = pinned
+
+    def value(self, means: np.ndarray) -> float:
+        """The penalty term at means; see penalty_value."""
+        if self.kind == "none":
+            return 0.0
+        thr = self.thr
+        if self.kind == "individual":
+            size = np.abs(means)
+        elif self.kind == "variable":
+            size = np.abs(means).max(axis=0)
+        else:
+            m, q = means.shape
+            size = np.sqrt((means.reshape(m, q // self.q_c, self.q_c) ** 2).sum(axis=2))
+            thr = thr[:, None]
+        if self.pinned is None:
+            return float((thr * size).sum())
+        # exact zeros contribute nothing even under infinite weights
+        with np.errstate(invalid="ignore"):
+            terms = thr * size
+        return float(terms[size != 0.0].sum())
 
 
 def _variances(Xsq_colsum, G, T, means, n):
     return (Xsq_colsum - 2.0 * (means * G).sum(axis=0) + T @ (means**2)) / n
 
 
-def _individual_update(G, T, sigma2, spec):
+def _individual_update(G, T, sigma2, pen):
     """Entrywise soft-thresholded means: the exact minimizer for the individual penalty."""
-    m, q = G.shape
-    mu_tilde = G / T[:, None]
-    W = spec.weights_for(m, q)
-    pinned = spec.pinned(m, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = 1.0 - spec.lam * W * sigma2[None, :] / np.abs(G)
-    shrink = np.where(np.isfinite(shrink), shrink, -np.inf)
-    out = mu_tilde * np.maximum(shrink, 0.0)
-    out[pinned] = 0.0
+        shrink = 1.0 - pen.thr * sigma2 / np.abs(G)
+    # fmax sends the nan of 0 / 0 (a zero score under a zero weight) to 0, as it does -inf
+    out = G / T[:, None] * np.fmax(shrink, 0.0)
+    if pen.pinned is not None:
+        out[pen.pinned] = 0.0
     return out
 
 
-def _variable_update(G, T, sigma2, spec):
+def _variable_update(G, T, sigma2, pen):
     """Exact minimizer for the variable penalty: one L-infinity prox per column.
 
     Column j minimizes sum_k T_k (mu_k - a_k)^2 / (2 sigma2_j) plus
@@ -230,12 +294,11 @@ def _variable_update(G, T, sigma2, spec):
     decreasing, c_j is the largest of (S_i - lam w_j sigma2_j) / W_i over
     the prefix sums S_i of |G| and W_i of T, and at least 0.
     """
-    m, q = G.shape
     abs_G = np.abs(G)
     A = abs_G / T[:, None]
     order = np.argsort(-A, axis=0, kind="stable")
-    budget = spec.lam * spec.weights_for(m, q) * sigma2
-    prefix_G = np.cumsum(np.take_along_axis(abs_G, order, axis=0), axis=0)
+    budget = pen.thr * sigma2
+    prefix_G = np.cumsum(abs_G[order, np.arange(G.shape[1])], axis=0)
     levels = (prefix_G - budget) / np.cumsum(T[order], axis=0)
     c = np.maximum(levels.max(axis=0), 0.0)
     out = np.sign(G) * np.minimum(A, c)
@@ -243,7 +306,7 @@ def _variable_update(G, T, sigma2, spec):
     return out
 
 
-def _group_update(G, T, sigma2, spec, q_c):
+def _group_update(G, T, sigma2, pen):
     """Exact block minimizer for the group penalty.
 
     Block (k, l) minimizes sum_i T_k (mu_i - a_i)^2 / (2 sigma2_i) plus
@@ -260,11 +323,13 @@ def _group_update(G, T, sigma2, spec, q_c):
     monotonically to it. It runs on the nonzero blocks only, all at once.
     """
     m, q = G.shape
+    q_c = pen.q_c
     p = q // q_c
-    thr = spec.lam * spec.weights_for(m, q) * np.sqrt(q_c)  # (m,)
+    thr = pen.thr  # (m,)
     G3 = G.reshape(m, p, q_c)
     sig3 = sigma2.reshape(p, q_c)
-    live = np.linalg.norm(G3 / sig3[None, :, :], axis=2) > thr[:, None]  # (m, p)
+    scaled = G3 / sig3[None, :, :]
+    live = np.sqrt((scaled * scaled).sum(axis=2)) > thr[:, None]  # (m, p)
     out = np.zeros((m, p, q_c))
     k, block = np.nonzero(live)
     g2 = G3[live] ** 2  # (L, q_c)
@@ -294,37 +359,29 @@ def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
     |mu_kj|; group: lam sqrt(q_c) sum_k w_k sum_l ||mu_kl||, over the
     (cluster, sensor) blocks mu_kl.
     """
-    if spec.kind == "none" or spec.lam == 0.0:
-        return 0.0
     means = np.asarray(means, dtype=float)
-    m, q = means.shape
-    w = spec.weights_for(m, q)
-    # exact zeros contribute nothing even under infinite weights
-    if spec.kind == "individual":
-        nz = means != 0.0
-        return float(spec.lam * (w[nz] * np.abs(means[nz])).sum())
-    if spec.kind == "variable":
-        mx = np.abs(means).max(axis=0)
-        nz = mx != 0.0
-        return float(spec.lam * (w[nz] * mx[nz]).sum())
-    norms = np.linalg.norm(means.reshape(m, q // q_c, q_c), axis=2)
-    nz = norms != 0.0
-    w_full = np.broadcast_to(w[:, None], norms.shape)
-    return float(spec.lam * np.sqrt(q_c) * (w_full[nz] * norms[nz]).sum())
+    return _Penalty(spec, *means.shape, q_c).value(means)
 
 
 def penalized_nll(B: CoefficientMatrix, params: MixtureParams, spec: PenaltySpec) -> float:
     """Observed-data penalized objective: -sum_i log g(x_i) plus the penalty."""
     X = B.scores
-    _, lse = _log_joint(X, X**2, params.proportions, params.means, params.variances)
-    return float(-lse.sum() + penalty_value(params.means, spec, B.q_c))
+    _, nll = _log_joint(X, (X**2).sum(axis=0), params.proportions, params.means, params.variances)
+    return nll + penalty_value(params.means, spec, B.q_c)
 
 
 # ---------------------------------------------------------------------------
 # initialization
 
 
-def _kmeans_once(X, m, rng):
+def _kmeans_once(X, sq_norms, m, rng):
+    """One k-means++ run on the rows of X, whose squared norms are sq_norms.
+
+    The seeding draws from rng. Each Lloyd step takes the squared
+    distances as |x|^2 - 2 x.c + |c|^2 and the centers from one one-hot
+    product; a center left without members stays where it was. Returns
+    the labels, the centers and the inertia.
+    """
     n = X.shape[0]
     centers = np.empty((m, X.shape[1]))
     centers[0] = X[rng.integers(n)]
@@ -335,17 +392,21 @@ def _kmeans_once(X, m, rng):
         centers[k] = X[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, ((X - centers[k]) ** 2).sum(axis=1))
 
+    one_hot = np.eye(m)
     labels = np.full(n, -1)
     for _ in range(100):
-        dist = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dist = sq_norms[:, None] - 2.0 * (X @ centers.T) + (centers**2).sum(axis=1)
         new_labels = dist.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for k in range(m):
-            mask = labels == k
-            if mask.any():
-                centers[k] = X[mask].mean(axis=0)
+        counts = np.bincount(labels, minlength=m)
+        sums = one_hot[labels].T @ X
+        if counts.all():
+            centers = sums / counts[:, None]
+        else:
+            filled = counts > 0
+            centers[filled] = sums[filled] / counts[filled, None]
     inertia = dist[np.arange(n), labels].sum()
     return labels, centers, inertia
 
@@ -354,20 +415,22 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
     """k-means initialization: shares, centroids, pooled within-cluster variances.
 
     Runs k-means++ 10 times from default_rng(seed) and keeps the partition
-    of least inertia, the first of equal ones. Raises NumericalError if that
-    partition leaves a cluster empty, as it must on data with fewer distinct
-    rows than m. Deterministic for a fixed seed.
+    of least inertia, the first of equal ones. Raises NumericalError if
+    that partition leaves a cluster empty, as it must on data with fewer
+    distinct rows than m, and, before any run, if there are fewer rows than
+    m. Deterministic for a fixed seed.
     """
     X = B.scores
     n = X.shape[0]
     if m < 1:
         raise ValueError("m must be at least 1")
     if n < m:
-        raise ValueError(f"need at least m={m} observations, got {n}")
+        raise NumericalError(f"need at least m={m} observations, got {n}")
+    sq_norms = (X**2).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(10):
-        labels, centers, inertia = _kmeans_once(X, m, rng)
+        labels, centers, inertia = _kmeans_once(X, sq_norms, m, rng)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, _ = best
@@ -384,15 +447,16 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 # full EM
 
 
-def _mean_update_for(spec, G, T, sigma2, q_c):
-    """The M-step mean update for spec from the weighted sums G = tau.T @ X and masses T."""
-    if spec.kind == "none" or spec.lam == 0.0:
+def _mean_update_for(pen, G, T, sigma2):
+    """The M-step mean update under the _Penalty pen from the weighted sums
+    G = tau.T @ X and masses T."""
+    if pen.kind == "none":
         return G / T[:, None]
-    if spec.kind == "individual":
-        return _individual_update(G, T, sigma2, spec)
-    if spec.kind == "variable":
-        return _variable_update(G, T, sigma2, spec)
-    return _group_update(G, T, sigma2, spec, q_c)
+    if pen.kind == "individual":
+        return _individual_update(G, T, sigma2, pen)
+    if pen.kind == "variable":
+        return _variable_update(G, T, sigma2, pen)
+    return _group_update(G, T, sigma2, pen)
 
 
 def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -> set[str]:
@@ -401,61 +465,73 @@ def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -
     return {name for name, g in zip(sensor_names, gone) if g}
 
 
-def _expect(X, Xsq, theta, spec, q_c):
-    """E-step at theta = (proportions, means, variances): the observed
-    objective there, the responsibilities and the cluster masses."""
-    lj, lse = _log_joint(X, Xsq, *theta)
-    tau = np.exp(lj - lse[:, None])
-    return float(-lse.sum()) + penalty_value(theta[1], spec, q_c), tau, tau.sum(axis=0)
+class _Fit:
+    """What one fit computes once: the scores X, the column sums of X^2,
+    the penalty, and the layout of the flat parameter vector theta =
+    (proportions, means row by row, variances)."""
+
+    def __init__(self, B: CoefficientMatrix, m: int, spec: PenaltySpec):
+        self.X = B.scores
+        self.n, self.q = self.X.shape
+        self.m = m
+        self.Xsq_colsum = (self.X**2).sum(axis=0)
+        self.pen = _Penalty(spec, m, self.q, B.q_c)
+        self.var_start = m + m * self.q
+
+    def split(self, theta):
+        """Views of theta: proportions, (m, q) means, variances."""
+        m, v = self.m, self.var_start
+        return theta[:m], theta[m:v].reshape(m, self.q), theta[v:]
 
 
-def _screened(X, Xsq, theta, spec, q_c):
+def _expect(fit, theta):
+    """E-step at theta: the observed objective there, the responsibilities
+    and the cluster masses."""
+    pi, means, sigma2 = fit.split(theta)
+    tau, nll = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
+    return nll + fit.pen.value(means), tau, tau.sum(axis=0)
+
+
+def _screened(fit, theta):
     """_expect at a point reached by extrapolation, or None where that point
     underflows or leaves a cluster without mass."""
     try:
-        state = _expect(X, Xsq, theta, spec, q_c)
+        state = _expect(fit, theta)
     except NumericalError:
         return None
     return state if state[2].min() > _EMPTY_CLUSTER_TOL else None
 
 
-def _norm(parts):
-    return float(np.sqrt(sum((x**2).sum() for x in parts)))
-
-
-def _extrapolate(theta0, theta1, theta2):
+def _extrapolate(fit, theta0, theta1, theta2):
     """The SQUAREM point theta0 - 2 alpha r + alpha^2 v, or None when it has
     a proportion or variance that is not positive.
 
     r = theta1 - theta0 and v = theta2 - theta1 - r; alpha = -||r|| / ||v||,
     capped at -1, where alpha = -1 gives theta2 itself.
     """
-    r = [b - a for a, b in zip(theta0, theta1)]
-    v = [c - b - d for b, c, d in zip(theta1, theta2, r)]
-    norm_v = _norm(v)
-    if norm_v == 0.0:
+    r = theta1 - theta0
+    v = theta2 - theta1 - r
+    vv = v @ v
+    if vv == 0.0:
         return None
-    alpha = min(-_norm(r) / norm_v, -1.0)
-    point = tuple(a - 2.0 * alpha * d + alpha**2 * e for a, d, e in zip(theta0, r, v))
-    if point[0].min() <= 0.0 or point[2].min() <= 0.0:
+    alpha = min(-math.sqrt(r @ r) / math.sqrt(vv), -1.0)
+    point = theta0 - 2.0 * alpha * r + alpha**2 * v
+    if point[: fit.m].min() <= 0.0 or point[fit.var_start :].min() <= 0.0:
         return None
     return point
 
 
 def _em_attempt(B, m, spec, params0, tol, max_iter):
-    X = B.scores
-    Xsq = X**2
-    Xsq_colsum = Xsq.sum(axis=0)
-    n, q = X.shape
-    q_c = B.q_c
+    fit = _Fit(B, m, spec)
+    X, n, pen = fit.X, fit.n, fit.pen
+    means0 = params0.means if pen.pinned is None else np.where(pen.pinned, 0.0, params0.means)
 
     # theta is the next input of the EM map and state its E-step. cycle holds
     # the SQUAREM cycle so far: [theta0] and [theta0, theta1] while theta is
     # a plain EM iterate, [theta0, theta1, theta2] while theta is the
     # extrapolated point.
-    theta = (params0.proportions.copy(), np.where(spec.pinned(m, q), 0.0, params0.means),
-             params0.variances.copy())
-    state = _expect(X, Xsq, theta, spec, q_c)
+    theta = np.concatenate((params0.proportions, means0.ravel(), params0.variances))
+    state = _expect(fit, theta)
     cycle = []
     trace = []
     converged = False
@@ -469,32 +545,33 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
             break
         iterations += 1
         G = tau.T @ X
-        means = _mean_update_for(spec, G, T, theta[2], q_c)
-        raw = _variances(Xsq_colsum, G, T, means, n)
-        floored = floored or np.any(raw < _VARIANCE_FLOOR)
-        mapped = (T / n, means, np.maximum(raw, _VARIANCE_FLOOR))
+        means = _mean_update_for(pen, G, T, theta[fit.var_start :])
+        raw = _variances(fit.Xsq_colsum, G, T, means, n)
+        floored = floored or raw.min() < _VARIANCE_FLOOR
+        mapped = np.concatenate((T / n, means.ravel(), np.maximum(raw, _VARIANCE_FLOOR)))
 
         if len(cycle) < 2:  # a plain EM step, from theta0 or theta1
             cycle.append(theta)
-            if _norm([a - b for a, b in zip(mapped, theta)]) <= tol:
+            step = mapped - theta
+            if math.sqrt(step @ step) <= tol:
                 theta, converged = mapped, True
                 break
             if len(cycle) == 2:  # mapped is theta2: map the extrapolated point next
                 cycle.append(mapped)
-                point = _extrapolate(*cycle)
-                screened = None if point is None else _screened(X, Xsq, point, spec, q_c)
+                point = _extrapolate(fit, *cycle)
+                screened = None if point is None else _screened(fit, point)
                 if screened is not None:
                     theta, state = point, screened
                     continue
                 cycle = []  # no usable point: the next cycle starts at theta2
-            theta, state = mapped, _expect(X, Xsq, mapped, spec, q_c)
+            theta, state = mapped, _expect(fit, mapped)
         else:  # the stabilizing step from the extrapolated point
-            state = _screened(X, Xsq, mapped, spec, q_c)
+            state = _screened(fit, mapped)
             if state is not None and state[0] <= trace[-1]:
                 theta = mapped
             else:
                 theta = cycle[2]
-                state = _expect(X, Xsq, theta, spec, q_c)
+                state = _expect(fit, theta)
             cycle = []
     if len(cycle) == 3:  # max_iter ran out before the extrapolated point was mapped
         theta = cycle[2]
@@ -502,22 +579,20 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
     if floored:
         warnings.warn("degenerate variance floored at 1e-8 during EM")
 
-    pi, means, sigma2 = theta
-    lj, lse = _log_joint(X, Xsq, pi, means, sigma2)
-    tau = np.exp(lj - lse[:, None])
-    plain = float(-lse.sum())
-    pen = penalty_value(means, spec, q_c)
-    trace.append(plain + pen)
+    pi, means, sigma2 = fit.split(theta)
+    tau, plain = _log_joint(X, fit.Xsq_colsum, pi, means, sigma2)
+    penalized = plain + pen.value(means)
+    trace.append(penalized)
 
     params = MixtureParams(proportions=pi, means=means, variances=sigma2)
     return FitResult(
         params=params,
         responsibilities=tau,
         hard_labels=tau.argmax(axis=1),
-        penalized_nll=plain + pen,
+        penalized_nll=penalized,
         plain_nll=plain,
         n_zero_means=int(params.zero_mask.sum()),
-        removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, q_c),
+        removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, B.q_c),
         iterations=iterations,
         converged=converged,
         objective_trace=trace,
@@ -540,7 +615,10 @@ def run_em(
     first (using the input's variances inside the penalty terms) and then
     the variances from the fresh means. Both are exact minimizers for every
     penalty kind, so the map never raises the observed penalized objective.
+    Each E-step is one call of the reduced-form kernel _log_joint, which
+    gives the responsibilities and the observed objective together.
 
+    The fit holds (proportions, means, variances) as one flat vector theta.
     Each SQUAREM cycle (Varadhan & Roland, 2008) maps theta0 to theta1 and
     theta1 to theta2, extrapolates theta' = theta0 - 2 alpha r + alpha^2 v
     with r = theta1 - theta0, v = theta2 - theta1 - r and alpha =
@@ -550,9 +628,8 @@ def run_em(
     point leaves a cluster without mass, and the point's objective is at
     most theta0's; otherwise from theta2. Every cycle therefore descends,
     and a collapse at an extrapolated point only rejects it. The fit
-    converges when either plain step of a cycle moves the parameters
-    (proportions, means, variances together, in Euclidean norm) by at
-    most tol.
+    converges when either plain step of a cycle moves theta by at most tol
+    in Euclidean norm.
 
     FitResult.iterations counts EM-map evaluations, plain and stabilizing,
     and max_iter bounds that count. FitResult.objective_trace holds the

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from scipy.stats import norm
 
-from mfclust.em import _mean_update_for
+from mfclust.em import _mean_update_for, _Penalty
 
 
 def golden_section(f, lo, hi, tol=1e-12):
@@ -91,6 +91,35 @@ def reference_gmm_em(X, pi0, mu0, var0, tol=1e-9, max_iter=5000):
     return pi, mu, var
 
 
+def reference_kmeans_once(X, m, rng):
+    """One k-means++ run written with direct squared distances and
+    per-cluster means: the seeding draws the library makes, then Lloyd
+    steps until the labels repeat (at most 100). Returns the labels, the
+    centers and the inertia."""
+    n = X.shape[0]
+    centers = np.empty((m, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, m):
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers[k] = X[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((X - centers[k]) ** 2).sum(axis=1))
+
+    labels = np.full(n, -1)
+    for _ in range(100):
+        dist = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = dist.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(m):
+            mask = labels == k
+            if mask.any():
+                centers[k] = X[mask].mean(axis=0)
+    return labels, centers, dist[np.arange(n), labels].sum()
+
+
 def align_clusters(mu_ref, mu_est):
     """Permutation of estimated clusters minimizing total mean distance."""
     m = mu_ref.shape[0]
@@ -114,4 +143,5 @@ def two_separated_clouds(rng, n=100, q=4, gap=8.0):
 def mean_update(X, tau, sigma2, spec, q_c=1):
     """The EM's M-step mean update for data X under responsibilities tau."""
     X = np.asarray(X, dtype=float)
-    return _mean_update_for(spec, tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float), q_c)
+    pen = _Penalty(spec, tau.shape[1], X.shape[1], q_c)
+    return _mean_update_for(pen, tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float))

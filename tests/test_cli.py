@@ -216,6 +216,22 @@ def test_fit_rejects_non_finite_score(tmp_path, capsys):
     assert "line 7: non-finite score" in capsys.readouterr().err
 
 
+def test_fit_goes_on_past_cluster_counts_above_n(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [f"o{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(4)) for i in range(4)]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("obs_id,s1_pc1,s1_pc2,s2_pc1,s2_pc2\n" + "\n".join(rows) + "\n")
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--jobs", 1,
+    )
+    assert code == 0
+    bundle = read_model(tmp_path / "r.json")
+    assert sorted({row.m for row in bundle.selection_rows}) == [1, 2, 3, 4]
+    assert bundle.chosen[0] <= 4
+
+
 def test_fit_rejects_ragged_scores(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     scores.write_text("obs_id,s1_pc1,s1_pc2\no0,0.1,0.2\no1,0.3\no2,0.5,0.6\n")

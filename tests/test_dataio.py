@@ -315,6 +315,17 @@ def test_model_rejects_zero_mask_disagreeing_with_means(tmp_path):
         read_model(path)
 
 
+def test_model_rejects_non_finite_mixture(tmp_path):
+    mixture = MixtureParams(proportions=[0.5, 0.5], means=[[0.0, 1.0], [2.0, 0.0]], variances=[1.0, 1.0])
+    path = tmp_path / "model.json"
+    write_model(ModelBundle(mixture=mixture), path)
+    doc = json.loads(path.read_text())
+    doc["mixture"]["means"][0][1] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="means must be finite"):
+        read_model(path)
+
+
 def read_assignments_csv(path):
     """Obs ids, hard labels and responsibility matrix of an assignments CSV."""
     with open(path, newline="") as fh:

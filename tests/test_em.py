@@ -7,6 +7,7 @@ from helpers import (
     max_norm_minimizer,
     mean_update,
     reference_gmm_em,
+    reference_kmeans_once,
     two_separated_clouds,
 )
 
@@ -45,6 +46,16 @@ def make_params(pi, means, variances):
     )
 
 
+@pytest.mark.parametrize("field", ["proportions", "means", "variances"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mixture_params_reject_non_finite(field, value):
+    fields = {"proportions": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+              "variances": np.ones(2)}
+    fields[field].flat[0] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MixtureParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -79,8 +90,22 @@ def test_initialize_deterministic():
 
 
 def test_initialize_rejects_m_above_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(em.NumericalError, match="need at least m=5 observations, got 3"):
         initialize(cm(np.zeros((3, 2))), 5, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_once_matches_direct_distance_lloyd(seed):
+    rng = np.random.default_rng(400 + seed)
+    X = rng.standard_normal((80, 5)) + 2.5 * rng.integers(0, 3, size=80)[:, None]
+    # two distinct rows: the third center is a duplicate and loses its members
+    few = np.repeat([[0.0, 1.0], [2.0, -1.0]], 10, axis=0)
+    for data, m in [(X, 1), (X, 2), (X, 3), (X, 5), (few, 3)]:
+        got = em._kmeans_once(data, (data**2).sum(axis=1), m, np.random.default_rng(seed))
+        want = reference_kmeans_once(data, m, np.random.default_rng(seed))
+        npt.assert_array_equal(got[0], want[0])
+        npt.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        npt.assert_allclose(got[2], want[2], rtol=1e-9)
 
 
 def test_initialize_raises_on_fewer_distinct_rows_than_m():
@@ -110,23 +135,40 @@ def test_e_step_symmetric_midpoint():
 
 
 def test_e_step_matches_brute_force_densities():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((5, 3))
-    pi = np.array([0.2, 0.5, 0.3])
-    mu = rng.standard_normal((3, 3))
-    var = rng.uniform(0.5, 2.0, size=3)
-    tau, pi_new = e_step(cm(X), make_params(pi, mu, var))
+    # plain scores, a large common offset, then variances near the 1e-8
+    # floor; the expanded quadratic loses about (offset / scale)^2 units in
+    # the last place
+    for offset, scale, atol in [(0.0, 1.0, 1e-12), (1e3, 1.0, 1e-9), (1.0, 1e-4, 1e-7)]:
+        rng = np.random.default_rng(4)
+        X = offset + scale * rng.standard_normal((5, 3))
+        pi = np.array([0.2, 0.5, 0.3])
+        mu = offset + scale * rng.standard_normal((3, 3))
+        var = scale**2 * rng.uniform(0.5, 2.0, size=3)
+        tau, pi_new = e_step(cm(X), make_params(pi, mu, var))
 
-    def density(x, mean):
-        z = (x - mean) ** 2 / var
-        return np.exp(-0.5 * z.sum()) / np.sqrt((2 * np.pi) ** 3 * np.prod(var))
+        def density(x, mean):
+            z = (x - mean) ** 2 / var
+            return np.exp(-0.5 * z.sum()) / np.sqrt((2 * np.pi) ** 3 * np.prod(var))
 
-    expected = np.empty((5, 3))
-    for i in range(5):
-        joint = np.array([pi[k] * density(X[i], mu[k]) for k in range(3)])
-        expected[i] = joint / joint.sum()
-    npt.assert_allclose(tau, expected, atol=1e-12)
-    npt.assert_allclose(pi_new, expected.mean(axis=0), atol=1e-12)
+        expected = np.empty((5, 3))
+        for i in range(5):
+            joint = np.array([pi[k] * density(X[i], mu[k]) for k in range(3)])
+            expected[i] = joint / joint.sum()
+        npt.assert_allclose(tau, expected, rtol=0, atol=atol)
+        npt.assert_allclose(pi_new, expected.mean(axis=0), rtol=0, atol=atol)
+
+
+def test_overflowing_scaled_squares_raise_numerical_error():
+    # every x^2 is finite, but sum_j x_ij^2 / sigma2_j overflows
+    rng = np.random.default_rng(31)
+    B = cm(1e150 * rng.standard_normal((6, 3)))
+    params = make_params([0.5, 0.5], np.zeros((2, 3)), np.full(3, 1e-10))
+    with pytest.raises(em.NumericalError):
+        e_step(B, params)
+    with pytest.raises(em.NumericalError):
+        penalized_nll(B, params, PenaltySpec("none"))
+    with pytest.raises(em.NumericalError):
+        run_em(B, 2, PenaltySpec("none"), init=params)
 
 
 def test_e_step_rows_and_proportions_normalized():
