@@ -232,20 +232,17 @@ class _Penalty:
     A fit builds it once. kind is "none" whenever lam is 0. thr is lam
     times the weights in their full shape, (m, q) individual, (q,) variable
     and (m,) group, the last times sqrt(q_c). pinned is the (m, q) mask of
-    means held at zero by infinite weights, or None when there is none.
+    means held at zero by infinite weights.
     """
 
     def __init__(self, spec: PenaltySpec, m: int, q: int, q_c: int):
         self.kind = "none" if spec.lam == 0.0 else spec.kind
         self.q_c = q_c
-        self.pinned = None
+        self.pinned = spec.pinned(m, q)
         if self.kind == "none":
             return
         thr = spec.lam * spec.weights_for(m, q)
         self.thr = thr * np.sqrt(q_c) if self.kind == "group" else thr
-        pinned = spec.pinned(m, q)
-        if pinned.any():
-            self.pinned = pinned
 
     def value(self, means: np.ndarray) -> float:
         """The penalty term at means; see penalty_value."""
@@ -260,8 +257,6 @@ class _Penalty:
             m, q = means.shape
             size = np.sqrt((means.reshape(m, q // self.q_c, self.q_c) ** 2).sum(axis=2))
             thr = thr[:, None]
-        if self.pinned is None:
-            return float((thr * size).sum())
         # exact zeros contribute nothing even under infinite weights
         with np.errstate(invalid="ignore"):
             terms = thr * size
@@ -278,8 +273,7 @@ def _individual_update(G, T, sigma2, pen):
         shrink = 1.0 - pen.thr * sigma2 / np.abs(G)
     # fmax sends the nan of 0 / 0 (a zero score under a zero weight) to 0, as it does -inf
     out = G / T[:, None] * np.fmax(shrink, 0.0)
-    if pen.pinned is not None:
-        out[pen.pinned] = 0.0
+    out[pen.pinned] = 0.0
     return out
 
 
@@ -402,11 +396,8 @@ def _kmeans_once(X, sq_norms, m, rng):
         labels = new_labels
         counts = np.bincount(labels, minlength=m)
         sums = one_hot[labels].T @ X
-        if counts.all():
-            centers = sums / counts[:, None]
-        else:
-            filled = counts > 0
-            centers[filled] = sums[filled] / counts[filled, None]
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
     inertia = dist[np.arange(n), labels].sum()
     return labels, centers, inertia
 
@@ -414,7 +405,9 @@ def _kmeans_once(X, sq_norms, m, rng):
 def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
     """k-means initialization: shares, centroids, pooled within-cluster variances.
 
-    Runs k-means++ 10 times from default_rng(seed) and keeps the partition
+    Runs k-means++ 10 times from default_rng(seed) on the column-centred
+    rows, where the expanded distances of the Lloyd step keep their
+    precision whatever the scores' common offset, and keeps the partition
     of least inertia, the first of equal ones. Raises NumericalError if
     that partition leaves a cluster empty, as it must on data with fewer
     distinct rows than m, and, before any run, if there are fewer rows than
@@ -426,11 +419,13 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
         raise ValueError("m must be at least 1")
     if n < m:
         raise NumericalError(f"need at least m={m} observations, got {n}")
-    sq_norms = (X**2).sum(axis=1)
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    sq_norms = (Xc**2).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(10):
-        labels, centers, inertia = _kmeans_once(X, sq_norms, m, rng)
+        labels, centers, inertia = _kmeans_once(Xc, sq_norms, m, rng)
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia)
     labels, centers, _ = best
@@ -438,9 +433,9 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
     if counts.min() == 0:
         raise NumericalError(f"k-means left an empty cluster (m={m}, n={n})")
 
-    resid_sq = (X - centers[labels]) ** 2
+    resid_sq = (Xc - centers[labels]) ** 2
     variances = np.maximum(resid_sq.sum(axis=0) / n, 1e-6)
-    return MixtureParams(proportions=counts / n, means=centers, variances=variances)
+    return MixtureParams(proportions=counts / n, means=centers + mean, variances=variances)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +471,10 @@ class _Fit:
         self.m = m
         self.Xsq_colsum = (self.X**2).sum(axis=0)
         self.pen = _Penalty(spec, m, self.q, B.q_c)
-        self.var_start = m + m * self.q
 
     def split(self, theta):
         """Views of theta: proportions, (m, q) means, variances."""
-        m, v = self.m, self.var_start
+        m, v = self.m, self.m * (1 + self.q)
         return theta[:m], theta[m:v].reshape(m, self.q), theta[v:]
 
 
@@ -516,7 +510,8 @@ def _extrapolate(fit, theta0, theta1, theta2):
         return None
     alpha = min(-math.sqrt(r @ r) / math.sqrt(vv), -1.0)
     point = theta0 - 2.0 * alpha * r + alpha**2 * v
-    if point[: fit.m].min() <= 0.0 or point[fit.var_start :].min() <= 0.0:
+    pi, _, sigma2 = fit.split(point)
+    if pi.min() <= 0.0 or sigma2.min() <= 0.0:
         return None
     return point
 
@@ -524,7 +519,7 @@ def _extrapolate(fit, theta0, theta1, theta2):
 def _em_attempt(B, m, spec, params0, tol, max_iter):
     fit = _Fit(B, m, spec)
     X, n, pen = fit.X, fit.n, fit.pen
-    means0 = params0.means if pen.pinned is None else np.where(pen.pinned, 0.0, params0.means)
+    means0 = np.where(pen.pinned, 0.0, params0.means)
 
     # theta is the next input of the EM map and state its E-step. cycle holds
     # the SQUAREM cycle so far: [theta0] and [theta0, theta1] while theta is
@@ -545,7 +540,7 @@ def _em_attempt(B, m, spec, params0, tol, max_iter):
             break
         iterations += 1
         G = tau.T @ X
-        means = _mean_update_for(pen, G, T, theta[fit.var_start :])
+        means = _mean_update_for(pen, G, T, fit.split(theta)[2])
         raw = _variances(fit.Xsq_colsum, G, T, means, n)
         floored = floored or raw.min() < _VARIANCE_FLOOR
         mapped = np.concatenate((T / n, means.ravel(), np.maximum(raw, _VARIANCE_FLOOR)))

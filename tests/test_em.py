@@ -108,6 +108,19 @@ def test_kmeans_once_matches_direct_distance_lloyd(seed):
         npt.assert_allclose(got[2], want[2], rtol=1e-9)
 
 
+def test_initialize_ignores_a_common_offset():
+    # Lloyd distances are expanded as |x|^2 - 2 x.c + |c|^2; on uncentred rows
+    # an offset of 1e6 over a spread of 1e-2 would round them to noise
+    rng = np.random.default_rng(410)
+    X = 1e-2 * (rng.standard_normal((60, 4)) + 4.0 * rng.integers(0, 3, size=60)[:, None])
+    for m in (2, 3, 4):
+        want = initialize(cm(X), m, seed=m)
+        got = initialize(cm(X + 1e6), m, seed=m)
+        npt.assert_array_equal(got.proportions, want.proportions)
+        npt.assert_allclose(got.means - 1e6, want.means, rtol=0, atol=1e-8)
+        npt.assert_allclose(got.variances, want.variances, rtol=1e-6)
+
+
 def test_initialize_raises_on_fewer_distinct_rows_than_m():
     X = np.repeat([[0.0, 1.0], [2.0, -1.0]], 10, axis=0)
     with pytest.raises(em.NumericalError, match="empty cluster"):
