@@ -6,7 +6,17 @@ explicit flags win. A config value is read as its flag's text (a list as
 the comma form), so argparse checks it like the flag. A bad search grid,
 sweep or simulated design is a usage error, raised before any input is
 read or output written.
-MFCLUST_JOBS sets the default worker count.
+
+Options per command (besides the input and output paths):
+  transform  --n-basis --order, and --qc or the --alpha/--beta rule
+  fit        --penalty --seed --jobs, the transform options (with --input),
+             and the --m-grid --gamma-grid --lambda-multipliers search grid
+  simulate   --n --p-signal --p-noise --delta --seed
+  benchmark  --scenario --reps --kinds --levels --qc --seed --jobs and the
+             search grid
+--jobs defaults to the CPU count and does not change any result. Every EM
+fit converges when a plain EM step moves its parameters by at most 1e-4
+(Euclidean norm), and stops after at most 500 EM maps.
 """
 
 from __future__ import annotations
@@ -62,16 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("MFCLUST_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"MFCLUST_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -95,7 +95,8 @@ def _kind_list(text: str) -> tuple[str, ...]:
 
 
 def build_parser(config: dict | None = None) -> _Parser:
-    parser = _Parser(prog="mfclust", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="mfclust", description=__doc__, allow_abbrev=False,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON file of option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = []
@@ -107,9 +108,7 @@ def build_parser(config: dict | None = None) -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    common.add_argument("--tol", type=float, default=1e-4)
-    common.add_argument("--max-iter", type=int, default=500)
+    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers")
 
     basis_opts = argparse.ArgumentParser(add_help=False)
     basis_opts.add_argument("--n-basis", type=int, default=12)
@@ -128,7 +127,7 @@ def build_parser(config: dict | None = None) -> _Parser:
     grid_opts.add_argument("--lambda-multipliers", type=_float_list,
                            default=DEFAULT_LAMBDA_MULTIPLIERS)
 
-    p = add_command("transform", parents=[common, basis_opts, qc_opts],
+    p = add_command("transform", parents=[basis_opts, qc_opts],
                     help="reduce curves to per-sensor component scores")
     p.add_argument("--input", required=True)
     p.add_argument("--scores", required=True)
@@ -144,7 +143,8 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--cluster-means", help="tidy CSV of per-cluster mean curves (needs --input)")
     p.add_argument("--penalty", type=_kind_list, default=("group",))
 
-    p = add_command("simulate", parents=[common], help="write a synthetic dataset")
+    p = add_command("simulate", help="write a synthetic dataset")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--p-signal", type=int, default=2)
     p.add_argument("--p-noise", type=int, default=16)
@@ -259,17 +259,11 @@ def cmd_fit(args) -> int:
     else:
         B, obs_ids = read_scores_csv(args.scores)
 
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    reports = [
-        model_search(B, grid, kind, seed=args.seed, tol=args.tol, max_iter=args.max_iter,
-                     n_jobs=jobs)
-        for kind in args.penalty
-    ]
+    reports = [model_search(B, grid, kind, seed=args.seed, n_jobs=args.jobs) for kind in args.penalty]
     # min keeps the first of equal keys: a tie goes to the kind listed first
     best = replace(
         min(reports, key=lambda r: row_sort_key(r.best_row)),
         rows=[row for r in reports for row in r.rows],
-        failures=[f for r in reports for f in r.failures],
     )
     write_model(ModelBundle.from_report(best, fpca_models=models, q_c=B.q_c), args.report)
     write_assignments(best.best_fit, args.assignments, obs_ids=obs_ids)
@@ -309,7 +303,6 @@ def cmd_benchmark(args) -> int:
         scenario_levels(args.scenario, args.reps, args.levels)
     except ValueError as exc:
         raise UsageError(f"bad sweep: {exc}") from None
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
 
     # replicate rows are flushed as they finish, so an interrupted run
     # still leaves a valid partial CSV
@@ -331,9 +324,7 @@ def cmd_benchmark(args) -> int:
             levels=args.levels,
             q_c=args.qc,
             grid=grid,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            n_jobs=jobs,
+            n_jobs=args.jobs,
             on_record=stream,
         )
     write_benchmark_rows(rows, args.output)

@@ -19,7 +19,7 @@ import numpy as np
 
 from mfclust.basis import BasisSpec, build_basis
 from mfclust.em import FitResult, MixtureParams
-from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel
+from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, reconstruct
 from mfclust.select import SelectionReport, SelectionRow
 from mfclust.simbench import BenchmarkRow, SimulationDesign
 
@@ -324,7 +324,6 @@ def write_benchmark_rows(rows: list[BenchmarkRow], path) -> None:
         writer.writerow(fields)
         for row in rows:
             writer.writerow([getattr(row, f) for f in fields])
-            fh.flush()
 
 
 def write_cluster_means(
@@ -336,16 +335,12 @@ def write_cluster_means(
     the component functions weighted by that cluster's score means, in the
     sensor's standardized units.
     """
-    from mfclust.basis import design_matrix
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "cluster", "time", "value"])
         for s, model in enumerate(models):
-            dm = design_matrix(model.basis, model.times)
             for k in range(mixture.m):
-                block = mixture.means[k, s * q_c : (s + 1) * q_c]
-                curve = dm @ (model.mean_coeffs + model.eigen_coeffs @ block)
+                curve = reconstruct(model, mixture.means[k, s * q_c : (s + 1) * q_c])
                 for t, v in zip(model.times, curve):
                     writer.writerow([model.sensor, k, repr(float(t)), repr(float(v))])
 

@@ -80,28 +80,20 @@ def standardize(data: FunctionalDataSet) -> tuple[FunctionalDataSet, dict[str, t
     inverted exactly. A sensor whose mean or sd overflows (values near the
     float limit) or whose sd is zero raises ValueError.
     """
+    # an overflow shows as a non-finite mean or sd, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = data.values.mean(axis=(0, 2))
+        sds = data.values.std(axis=(0, 2))
     stats: dict[str, tuple[float, float]] = {}
-    out = data.values.copy()
-    for s, name in enumerate(data.sensor_names):
-        block = data.values[:, s, :]
-        # an overflow shows as a non-finite mean or sd, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(block.mean())
-            sd = float(block.std())
+    for name, mean, sd in zip(data.sensor_names, means, sds):
         if not (math.isfinite(mean) and math.isfinite(sd)):
             raise ValueError(f"sensor {name!r} has a non-finite mean or spread, cannot standardize")
         if sd <= 0.0:
             raise ValueError(f"sensor {name!r} has zero variance, cannot standardize")
-        out[:, s, :] = (block - mean) / sd
-        stats[name] = (mean, sd)
-    rescaled = FunctionalDataSet(
-        times=data.times,
-        values=out,
-        sensor_names=list(data.sensor_names),
-        obs_ids=None if data.obs_ids is None else list(data.obs_ids),
-        labels=None if data.labels is None else data.labels.copy(),
-    )
-    return rescaled, stats
+        stats[name] = (float(mean), float(sd))
+    values = data.values - means[:, None]
+    values /= sds[:, None]
+    return replace(data, values=values), stats
 
 
 @dataclass

@@ -114,8 +114,8 @@ def adjusted_bic(fit: FitResult, n: int, q: int) -> float:
     return 2.0 * fit.plain_nll + math.log(n * q) * d_e
 
 
-def _evaluate_point(B, m, spec, init, tol, max_iter, phase):
-    fit = run_em(B, m, spec, tol=tol, max_iter=max_iter, init=init)
+def _evaluate_point(B, m, spec, init, phase):
+    fit = run_em(B, m, spec, init=init)
     row = SelectionRow(
         m=m,
         lam=spec.lam,
@@ -134,9 +134,7 @@ def _evaluate_point(B, m, spec, init, tol, max_iter, phase):
     return row, fit
 
 
-def _lambda_sweep(
-    B, m, kind, lambdas, init, tol, max_iter, phase, gamma=0.0, reference=None, zero=None
-):
+def _lambda_sweep(B, m, kind, lambdas, init, phase, gamma=0.0, reference=None, zero=None):
     """Fit every lambda; return the (row, fit) points and the failures.
 
     zero is the pilot's (row, fit) at lambda = 0. That spec has unit weights
@@ -151,7 +149,7 @@ def _lambda_sweep(
         spec = (PenaltySpec(kind, lam) if reference is None or lam == 0.0
                 else PenaltySpec.adaptive(kind, lam, gamma, reference))
         try:
-            points.append(_evaluate_point(B, m, spec, init, tol, max_iter, phase))
+            points.append(_evaluate_point(B, m, spec, init, phase))
         except NumericalError as exc:
             failures.append(f"m={m}, kind={kind}, lam={lam:.4g}, gamma={gamma:g} ({phase}): {exc}")
     return points, failures
@@ -174,14 +172,14 @@ def _search_one_m(args):
     the failure messages. Every fit of this m starts from one k-means
     initialization.
     """
-    B, m, kind, grid, seed, tol, max_iter = args
+    B, m, kind, grid, seed = args
     try:
         init = initialize(B, m, seed + m)
     except NumericalError as exc:
         return m, [], None, None, [f"m={m}: initialization failed: {exc}"]
 
     lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-    points, failures = _lambda_sweep(B, m, kind, lambdas, init, tol, max_iter, "pilot")
+    points, failures = _lambda_sweep(B, m, kind, lambdas, init, "pilot")
     reference = None
     if kind != "none":
         pilot_best = _best_point(points)
@@ -192,7 +190,7 @@ def _search_one_m(args):
             zero = next((p for p in points if p[0].lam == 0.0), None)
             for gamma in grid.gamma_values:
                 adaptive, fails = _lambda_sweep(
-                    B, m, kind, lambdas, init, tol, max_iter, "adaptive",
+                    B, m, kind, lambdas, init, "adaptive",
                     gamma=gamma, reference=reference, zero=zero,
                 )
                 points.extend(adaptive)
@@ -205,8 +203,6 @@ def model_search(
     grid: SearchGrid,
     kind: str,
     seed: int = 0,
-    tol: float = 1e-4,
-    max_iter: int = 500,
     n_jobs: int = 1,
 ) -> SelectionReport:
     """Evaluate the full (m, lambda, gamma) grid for one penalty kind.
@@ -217,7 +213,7 @@ def model_search(
     the smaller (m, lambda, gamma). Cluster-count tasks are independent
     and may run in a process pool.
     """
-    tasks = [(B, m, kind, grid, seed, tol, max_iter) for m in grid.m_values]
+    tasks = [(B, m, kind, grid, seed) for m in grid.m_values]
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_search_one_m, tasks))

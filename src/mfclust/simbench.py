@@ -22,7 +22,7 @@ import numpy as np
 
 from mfclust.basis import build_basis, design_matrix
 from mfclust.em import NumericalError
-from mfclust.fpca import FunctionalDataSet, fit_fpca
+from mfclust.fpca import FunctionalDataSet, fit_fpca, standardize
 from mfclust.select import SearchGrid, model_search
 
 DEFAULT_KINDS = ("individual", "variable", "group", "none")
@@ -158,8 +158,9 @@ def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
     Per observation a cluster is drawn from the design proportions and the
     p * h coefficient vector from that cluster's diagonal Gaussian with
     variances divided by delta. Curves are the coefficients pushed through
-    the basis on the design grid, then each sensor is rescaled to pooled
-    mean 0 and variance 1. Identical seeds give identical datasets.
+    the basis on the design grid, then fpca.standardize rescales each
+    sensor to pooled mean 0 and variance 1. Identical seeds give identical
+    datasets.
     """
     rng = np.random.default_rng(design.seed)
     m, h = design.m_true, design.n_basis
@@ -179,19 +180,8 @@ def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
     basis = build_basis(design.domain[0], design.domain[1], h, design.order)
     grid = np.linspace(design.domain[0], design.domain[1], design.n_times)
     curves = coeffs @ design_matrix(basis, grid).T  # (n, p, n_times)
-
-    pooled_mean = curves.mean(axis=(0, 2), keepdims=True)
-    pooled_sd = curves.std(axis=(0, 2), keepdims=True)
-    if np.any(pooled_sd <= 0):
-        raise ValueError("a simulated sensor has zero variance; check the design")
-    curves = (curves - pooled_mean) / pooled_sd
-
-    return FunctionalDataSet(
-        times=grid,
-        values=curves,
-        sensor_names=design.sensor_names,
-        labels=labels,
-    )
+    raw = FunctionalDataSet(times=grid, values=curves, sensor_names=design.sensor_names, labels=labels)
+    return standardize(raw)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,7 @@ def _replicate_seed(seed: int, level_idx: int, rep: int) -> int:
 
 
 def _run_replicate(args):
-    scenario, level, level_idx, rep, kinds, seed, q_c, grid, tol, max_iter = args
+    scenario, level, level_idx, rep, kinds, seed, q_c, grid = args
     rep_seed = _replicate_seed(seed, level_idx, rep)
     design = _design_for(scenario, level, rep_seed)
     data = generate_dataset(design)
@@ -338,7 +328,7 @@ def _run_replicate(args):
     records, failures = [], []
     for kind in kinds:
         try:
-            report = model_search(B, grid, kind, seed=rep_seed + 1, tol=tol, max_iter=max_iter)
+            report = model_search(B, grid, kind, seed=rep_seed + 1)
         except NumericalError as exc:
             failures.append((scenario, level, kind, rep, str(exc)))
             continue
@@ -403,8 +393,6 @@ def run_scenario(
     levels: tuple | None = None,
     q_c: int = 3,
     grid: SearchGrid | None = None,
-    tol: float = 1e-4,
-    max_iter: int = 500,
     n_jobs: int = 1,
     on_record=None,
 ) -> tuple[list[BenchmarkRow], list[ReplicateRecord]]:
@@ -419,7 +407,7 @@ def run_scenario(
     grid = grid or SearchGrid()
 
     tasks = [
-        (scenario, level, level_idx, rep, tuple(kinds), seed, q_c, grid, tol, max_iter)
+        (scenario, level, level_idx, rep, tuple(kinds), seed, q_c, grid)
         for level_idx, level in enumerate(levels)
         for rep in range(reps)
     ]

@@ -221,11 +221,12 @@ def test_fit_goes_on_past_cluster_counts_above_n(tmp_path):
     rows = [f"o{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(4)) for i in range(4)]
     scores = tmp_path / "scores.csv"
     scores.write_text("obs_id,s1_pc1,s1_pc2,s2_pc1,s2_pc2\n" + "\n".join(rows) + "\n")
-    code = run_cli(
-        "fit", "--scores", scores, "--report", tmp_path / "r.json",
-        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
-        "--penalty", "none", "--jobs", 1,
-    )
+    with pytest.warns(UserWarning, match="floored"):
+        code = run_cli(
+            "fit", "--scores", scores, "--report", tmp_path / "r.json",
+            "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+            "--penalty", "none", "--jobs", 1,
+        )
     assert code == 0
     bundle = read_model(tmp_path / "r.json")
     assert sorted({row.m for row in bundle.selection_rows}) == [1, 2, 3, 4]
@@ -300,15 +301,16 @@ def test_transform_rejects_bad_sensor(tmp_path, capsys, new_name, scale, message
 REPEATED_OUTPUTS = {
     "transform": lambda d, o: ["transform", "--input", d, "--scores", o / "x", "--model", o / "x"],
     "fit": lambda d, o: ["fit", "--input", d, "--report", o / "x", "--assignments", o / "x",
-                         "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2, "--qc", 2],
+                         "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2, "--qc", 2,
+                         "--jobs", 1],
     "fit-cluster-means": lambda d, o: ["fit", "--input", d, "--report", o / "r.json",
                                        "--assignments", o / "a.csv", "--removed", o / "x",
                                        "--cluster-means", o / "a" / ".." / "x", "--penalty", "none",
-                                       "--m-grid", 2, "--qc", 2],
+                                       "--m-grid", 2, "--qc", 2, "--jobs", 1],
     "simulate": lambda d, o: ["simulate", "--n", 20, "--output", o / "x", "--truth", o / "x"],
     "benchmark": lambda d, o: ["benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1,
                                "--kinds", "none", "--m-grid", 2, "--output", o / "x",
-                               "--replicates", o / "x"],
+                               "--replicates", o / "x", "--jobs", 1],
 }
 
 
@@ -316,7 +318,7 @@ REPEATED_OUTPUTS = {
 def test_repeated_output_path_exits_1(small_run, capsys, command):
     tmp_path, data, _ = small_run
     before = sorted(tmp_path.rglob("*"))
-    assert run_cli(*REPEATED_OUTPUTS[command](data, tmp_path), "--jobs", 1) == 1
+    assert run_cli(*REPEATED_OUTPUTS[command](data, tmp_path)) == 1
     assert "name the same file" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -324,7 +326,7 @@ def test_repeated_output_path_exits_1(small_run, capsys, command):
 INPUT_AS_OUTPUT = {
     "transform": lambda d, s, o: ["transform", "--input", d, "--scores", d, "--model", o / "m.json"],
     "fit": lambda d, s, o: ["fit", "--scores", s, "--report", s, "--assignments", o / "a.csv",
-                            "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2],
+                            "--removed", o / "r.txt", "--penalty", "none", "--m-grid", 2, "--jobs", 1],
 }
 
 
@@ -336,9 +338,38 @@ def test_output_naming_an_input_exits_1(small_run, capsys, command):
                    "--qc", 2) == 0
     capsys.readouterr()
     before = {p: digest(p) for p in tmp_path.rglob("*") if p.is_file()}
-    assert run_cli(*INPUT_AS_OUTPUT[command](data, scores, tmp_path), "--jobs", 1) == 1
+    assert run_cli(*INPUT_AS_OUTPUT[command](data, scores, tmp_path)) == 1
     assert "name the same file" in capsys.readouterr().err
     assert {p: digest(p) for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+VALID_CALLS = {
+    "transform": lambda d, o: ["transform", "--input", d, "--scores", o / "s.csv",
+                               "--model", o / "m.json", "--qc", 2],
+    "fit": lambda d, o: fit_args(o, d, ["--penalty", "none", "--m-grid", 2]),
+    "simulate": lambda d, o: ["simulate", "--n", 20, "--output", o / "d.csv", "--truth", o / "t.json"],
+    "benchmark": lambda d, o: ["benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1,
+                               "--kinds", "none", "--m-grid", 2, "--jobs", 1,
+                               "--output", o / "o.csv", "--replicates", o / "r.csv"],
+}
+
+# the EM tolerance and iteration cap are constants, and transform and
+# simulate take no option they would not read
+REMOVED_OPTIONS = [
+    ("transform", "--seed", 3), ("transform", "--jobs", 2), ("transform", "--tol", "1e-3"),
+    ("transform", "--max-iter", 10), ("simulate", "--jobs", 2), ("simulate", "--tol", "1e-3"),
+    ("simulate", "--max-iter", 10), ("fit", "--tol", "1e-3"), ("fit", "--max-iter", 10),
+    ("benchmark", "--tol", "1e-3"), ("benchmark", "--max-iter", 10),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_OPTIONS)
+def test_removed_option_exits_1(small_run, capsys, command, flag, value):
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*VALID_CALLS[command](data, tmp_path), flag, value) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 BAD_GRIDS = [
@@ -485,18 +516,6 @@ def test_config_file_provides_defaults(tmp_path):
                    "--truth", tmp_path / "tc.json") == 0
     assert json.loads((tmp_path / "tc.json").read_text())["design"]["n"] == 30
     assert json.loads((tmp_path / "tc.json").read_text())["design"]["seed"] == 8
-
-
-def test_jobs_env_default(small_run, monkeypatch):
-    tmp_path, data, _ = small_run
-    monkeypatch.setenv("MFCLUST_JOBS", "1")
-    code = run_cli(
-        "fit", "--input", data, "--report", tmp_path / "r.json",
-        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
-        "--penalty", "group", "--m-grid", "2", "--gamma-grid", "1.0",
-        "--lambda-multipliers", "0,1", "--qc", 2, "--seed", 3,
-    )
-    assert code == 0
 
 
 def test_simulate_defaults_match_contract(tmp_path):

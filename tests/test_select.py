@@ -206,7 +206,8 @@ def test_model_search_reports_m_above_n_and_goes_on():
     rng = np.random.default_rng(33)
     B = CoefficientMatrix.from_scores(rng.standard_normal((4, 2)), q_c=1)
     grid = SearchGrid(m_values=(1, 2, 3, 4, 5))
-    report = model_search(B, grid, "none", seed=1)
+    with pytest.warns(UserWarning, match="floored"):
+        report = model_search(B, grid, "none", seed=1)
     assert report.failures == ["m=5: initialization failed: need at least m=5 observations, got 4"]
     assert sorted({r.m for r in report.rows}) == [1, 2, 3, 4]
     assert report.best_row.m in (1, 2, 3, 4)
