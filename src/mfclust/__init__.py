@@ -25,9 +25,7 @@ from mfclust.fpca import (
     CoefficientMatrix,
     FunctionalDataSet,
     SensorFpcaModel,
-    assemble_coefficients,
     fit_fpca,
-    fit_sensor_fpca,
     select_num_components,
     standardize,
     transform,
@@ -59,13 +57,11 @@ __all__ = [
     "SimulationDesign",
     "adjusted_bic",
     "ari",
-    "assemble_coefficients",
     "build_basis",
     "default_design",
     "e_step",
     "fit_coefficients",
     "fit_fpca",
-    "fit_sensor_fpca",
     "generate_dataset",
     "gram_matrix",
     "initialize",

@@ -113,42 +113,40 @@ def fit_coefficients(basis: BasisSpec, times: np.ndarray, values: np.ndarray) ->
 
     `values` may be a vector or a (n_curves, len(times)) matrix; the
     returned coefficients have matching shape (n_basis,) or
-    (n_curves, n_basis). Raises on a rank-deficient design.
+    (n_curves, n_basis). Every curve goes through one projector built from
+    a single SVD of the design. Raises on a rank-deficient design.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    single = values.ndim == 1
-    y = values[None, :] if single else values
-    if times.shape[0] != y.shape[1]:
+    if times.shape[0] != values.shape[-1]:
         raise ValueError("times and values length mismatch")
     if times.shape[0] < basis.n_basis:
         raise ValueError(
             f"rank-deficient fit: {times.shape[0]} samples for {basis.n_basis} basis functions"
         )
     dm = design_matrix(basis, times)
-    coef, _, rank, _ = np.linalg.lstsq(dm, y.T, rcond=None)
+    u, s, vt = np.linalg.svd(dm, full_matrices=False)
+    # the rank rule of np.linalg.lstsq with its default rcond
+    rank = int(np.sum(s > np.finfo(float).eps * max(dm.shape) * s[0]))
     if rank < basis.n_basis:
         raise ValueError(
             f"rank-deficient fit: design rank {rank} < {basis.n_basis} basis functions"
         )
-    return coef[:, 0] if single else coef.T
+    return values @ ((u / s) @ vt)
 
 
 def gram_matrix(basis: BasisSpec) -> np.ndarray:
     """Matrix of pairwise basis inner products over the domain.
 
     Integrates with an `order`-point Gauss-Legendre rule on each knot span,
-    exact for the degree 2*(order-1) products of basis functions.
+    exact for the degree 2*(order-1) products of basis functions; the nodes
+    of every nonempty span go through one design matrix.
     """
     nodes, weights = np.polynomial.legendre.leggauss(basis.order)
-    gram = np.zeros((basis.n_basis, basis.n_basis))
-    knots = basis.knots
-    for i in range(basis.degree, basis.n_basis):
-        a, b = knots[i], knots[i + 1]
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        ts = 0.5 * (a + b) + half * nodes
-        dm = design_matrix(basis, ts)
-        gram += (dm * (half * weights)[:, None]).T @ dm
-    return gram
+    knots = basis.knots[basis.degree:basis.n_basis + 1]
+    a, b = knots[:-1], knots[1:]
+    a, b = a[b > a], b[b > a]
+    half = 0.5 * (b - a)[:, None]
+    ts = 0.5 * (a + b)[:, None] + half * nodes
+    dm = design_matrix(basis, ts.ravel())
+    return (dm * (half * weights).ravel()[:, None]).T @ dm

@@ -1,9 +1,11 @@
 """Command line pipeline: transform, fit, simulate, and benchmark.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-A JSON config file can predefine any long option (underscored keys);
-explicit flags win. A config value is read as its flag's text (a list as
-the comma form), so argparse checks it like the flag. A bad search grid,
+A JSON config file, given before the command, can set any long option of
+that command (underscored keys), required paths included; explicit flags
+win. Each key is read as its flag with the value's text (a list in comma
+form), so argparse checks it like the flag: a key that names no option of
+the command, a value the flag refuses, or a null value exits 1. A bad search grid,
 sweep or simulated design is a usage error, raised before any input is
 read or output written.
 
@@ -94,17 +96,11 @@ def _kind_list(text: str) -> tuple[str, ...]:
     return kinds
 
 
-def build_parser(config: dict | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="mfclust", description=__doc__, allow_abbrev=False,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON file of option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = []
-
-    def add_command(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        subparsers.append(p)
-        return p
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -127,14 +123,14 @@ def build_parser(config: dict | None = None) -> _Parser:
     grid_opts.add_argument("--lambda-multipliers", type=_float_list,
                            default=DEFAULT_LAMBDA_MULTIPLIERS)
 
-    p = add_command("transform", parents=[basis_opts, qc_opts],
-                    help="reduce curves to per-sensor component scores")
+    p = sub.add_parser("transform", parents=[basis_opts, qc_opts],
+                       help="reduce curves to per-sensor component scores")
     p.add_argument("--input", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--model", required=True)
 
-    p = add_command("fit", parents=[common, basis_opts, qc_opts, grid_opts],
-                    help="cluster scores with penalized mixtures")
+    p = sub.add_parser("fit", parents=[common, basis_opts, qc_opts, grid_opts],
+                       help="cluster scores with penalized mixtures")
     p.add_argument("--input", help="raw long CSV (transformed on the fly)")
     p.add_argument("--scores", help="score CSV from the transform step")
     p.add_argument("--report", required=True, help="output model JSON")
@@ -143,7 +139,7 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--cluster-means", help="tidy CSV of per-cluster mean curves (needs --input)")
     p.add_argument("--penalty", type=_kind_list, default=("group",))
 
-    p = add_command("simulate", help="write a synthetic dataset")
+    p = sub.add_parser("simulate", help="write a synthetic dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--p-signal", type=int, default=2)
@@ -152,7 +148,7 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--output", required=True)
     p.add_argument("--truth", required=True)
 
-    p = add_command("benchmark", parents=[common, grid_opts], help="run a factor sweep")
+    p = sub.add_parser("benchmark", parents=[common, grid_opts], help="run a factor sweep")
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--kinds", type=_kind_list, default=DEFAULT_KINDS)
@@ -160,22 +156,12 @@ def build_parser(config: dict | None = None) -> _Parser:
     p.add_argument("--qc", type=int, default=3)
     p.add_argument("--output", required=True, help="aggregate rows CSV")
     p.add_argument("--replicates", required=True, help="per-replicate CSV")
-
-    if config:
-        # argparse applies an option's type to a string default, so a
-        # config value given as its flag's text is checked like the flag
-        config = {key: _flag_text(value) for key, value in config.items()}
-        # subcommands parse into a fresh namespace, so defaults must be
-        # planted on every subparser, not just the root
-        parser.set_defaults(**config)
-        for sp in subparsers:
-            sp.set_defaults(**config)
     return parser
 
 
-def _flag_text(value):
+def _flag_text(value) -> str:
     """A JSON config value as its flag's text: a list in comma form."""
-    if value is None or isinstance(value, str):
+    if isinstance(value, str):
         return value
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
@@ -347,30 +333,39 @@ _COMMANDS = {
 }
 
 
-def _peek_config(argv) -> str | None:
-    for i, token in enumerate(argv):
-        if not token.startswith("-"):  # the command: argparse takes --config only before it
-            return None
-        if token == "--config":
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the --config file's keys spliced in as flags right after
+    the command, so argparse checks their names and values like typed
+    flags, and flags typed after the command still win."""
+    path, i = None, 0
+    while i < len(argv) and argv[i].startswith("-"):  # argparse takes --config only before the command
+        if argv[i] == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config needs a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+            path = argv[i + 1]
+            i += 1
+        elif argv[i].startswith("--config="):
+            path = argv[i].split("=", 1)[1]
+        i += 1
+    if path is None or i == len(argv):
+        return argv
+    # config values use natural JSON types (lists, numbers, strings)
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    flags = []
+    for key, value in config.items():
+        if value is None:
+            raise UsageError(f"config key {key!r} is null; leave it out to keep the default")
+        flags.append(f"--{key.replace('_', '-')}={_flag_text(value)}")
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        config_path = _peek_config(argv)
-        config = None
-        if config_path:
-            # config values use natural JSON types (lists, numbers, strings)
-            with open(config_path) as fh:
-                config = json.load(fh)
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

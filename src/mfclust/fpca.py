@@ -1,18 +1,20 @@
 """Per-sensor functional principal components on a shared spline basis.
 
-Each sensor's curves are fitted to the common B-spline basis by least
-squares. The sample covariance of the fitted coefficients, whitened by the
-basis Gram matrix, yields eigenfunctions that are orthonormal under the L2
-inner product and scores that are the L2 projections of centered curves
-onto them. Sensors are reduced independently; their per-sensor score
-blocks are then assembled side by side into one coefficient matrix.
+`fit_fpca` is the one fitting path. It fits all curves of all sensors to
+the common B-spline basis with one least-squares projector, whitens each
+sensor's coefficient covariance by the basis Gram matrix (one Cholesky
+factor for every sensor) and solves the sensors' eigenproblems as one
+batch. The eigenfunctions are orthonormal under the L2 inner product and
+the scores are the L2 projections of the centred curves onto them; the
+per-sensor score blocks sit side by side in one coefficient matrix.
+`transform` scores new curves with a fitted sensor model.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,12 +67,6 @@ class FunctionalDataSet:
     def n_times(self) -> int:
         return self.values.shape[2]
 
-    def sensor_index(self, sensor: str) -> int:
-        try:
-            return self.sensor_names.index(sensor)
-        except ValueError:
-            raise KeyError(f"unknown sensor {sensor!r}") from None
-
 
 def standardize(data: FunctionalDataSet) -> tuple[FunctionalDataSet, dict[str, tuple[float, float]]]:
     """Rescale each sensor to pooled mean 0 and variance 1.
@@ -114,11 +110,6 @@ class SensorFpcaModel:
     eigenvalues: np.ndarray
     variance_explained: np.ndarray
     standardization: tuple[float, float] = (0.0, 1.0)
-    gram: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.gram is None:
-            self.gram = gram_matrix(self.basis)
 
     @property
     def q_c(self) -> int:
@@ -132,86 +123,16 @@ def _check_q_c(q_c: int, n: int, basis: BasisSpec) -> None:
         )
 
 
-def _sensor_model(sensor, basis, times, coeffs, gram, q_c, standardization) -> SensorFpcaModel:
-    """The principal component model of one sensor from its (n, n_basis)
-    spline coefficients and the basis Gram matrix."""
-    n = coeffs.shape[0]
-    mean_coeffs = coeffs.mean(axis=0)
-    centered = coeffs - mean_coeffs
-    cov = centered.T @ centered / n
-
-    chol = np.linalg.cholesky(gram)
-    whitened = chol.T @ cov @ chol
-    whitened = 0.5 * (whitened + whitened.T)
-    evals, evecs = np.linalg.eigh(whitened)
-    order = np.argsort(evals)[::-1]
-    evals = np.maximum(evals[order], 0.0)
-    evecs = evecs[:, order]
-
-    total = evals.sum()
-    if total > 0:
-        cumfrac = np.cumsum(evals) / total
-    else:
-        cumfrac = np.ones_like(evals)
-
-    eigen_coeffs = np.linalg.solve(chol.T, evecs[:, :q_c])
-    for l in range(q_c):
-        col = eigen_coeffs[:, l]
-        if col[np.argmax(np.abs(col))] < 0:
-            eigen_coeffs[:, l] = -col
-
-    return SensorFpcaModel(
-        sensor=sensor,
-        basis=basis,
-        times=times.copy(),
-        mean_coeffs=mean_coeffs,
-        eigen_coeffs=eigen_coeffs,
-        eigenvalues=evals[:q_c],
-        variance_explained=cumfrac[:q_c],
-        standardization=standardization,
-        gram=gram,
-    )
-
-
-def fit_sensor_fpca(
-    data: FunctionalDataSet,
-    sensor: str,
-    basis: BasisSpec,
-    q_c: int,
-    standardization: tuple[float, float] = (0.0, 1.0),
-) -> SensorFpcaModel:
-    """Fit the principal component model for one sensor.
-
-    The eigenproblem is solved on the Gram-whitened coefficient covariance
-    (divisor n), so eigenvalues equal the empirical score variances and
-    eigenfunctions are Gram-orthonormal. Eigenvector signs are fixed so the
-    largest-magnitude spline coefficient is positive.
-    """
-    _check_q_c(q_c, data.n, basis)
-    curves = data.values[:, data.sensor_index(sensor), :]
-    coeffs = fit_coefficients(basis, data.times, curves)
-    return _sensor_model(sensor, basis, data.times, coeffs, gram_matrix(basis), q_c, standardization)
-
-
-def _project(model: SensorFpcaModel, coeffs: np.ndarray) -> np.ndarray:
-    """Scores of curves given by their spline coefficients."""
-    return (coeffs - model.mean_coeffs) @ model.gram @ model.eigen_coeffs
-
-
-def transform(model: SensorFpcaModel, curve: np.ndarray) -> np.ndarray:
-    """Scores of one curve sampled on the model's time grid."""
-    curve = np.asarray(curve, dtype=float)
-    if curve.shape != model.times.shape:
+def transform(model: SensorFpcaModel, curves: np.ndarray) -> np.ndarray:
+    """Scores of one curve, shape (q_c,), or of an (n, len(times)) matrix of
+    curves, shape (n, q_c), sampled on the model's time grid."""
+    curves = np.asarray(curves, dtype=float)
+    if curves.shape[-1:] != model.times.shape:
         raise ValueError(
-            f"curve has {curve.shape[0]} samples, model grid has {model.times.shape[0]}"
+            f"curve has {curves.shape[-1]} samples, model grid has {model.times.shape[0]}"
         )
-    return _project(model, fit_coefficients(model.basis, model.times, curve))
-
-
-def score_matrix(model: SensorFpcaModel, data: FunctionalDataSet) -> np.ndarray:
-    """Scores for every observation of the model's sensor, shape (n, q_c)."""
-    curves = data.values[:, data.sensor_index(model.sensor), :]
-    return _project(model, fit_coefficients(model.basis, data.times, curves))
+    coeffs = fit_coefficients(model.basis, model.times, curves)
+    return (coeffs - model.mean_coeffs) @ gram_matrix(model.basis) @ model.eigen_coeffs
 
 
 def reconstruct(model: SensorFpcaModel, scores: np.ndarray) -> np.ndarray:
@@ -220,19 +141,19 @@ def reconstruct(model: SensorFpcaModel, scores: np.ndarray) -> np.ndarray:
     return design_matrix(model.basis, model.times) @ coeffs
 
 
-def select_num_components(models: list[SensorFpcaModel], alpha: float, beta: float) -> int:
+def select_num_components(fractions: np.ndarray, alpha: float, beta: float) -> int:
     """Smallest component count explaining enough variance on enough sensors.
 
-    Returns the smallest q such that at least a fraction alpha of the
-    sensors have cumulative variance explained above beta at q components.
-    Falls back to the full basis size with a warning when no q satisfies
-    the rule. The supplied models must be fitted at the maximum q_c to be
-    considered.
+    fractions is the (p, q_max) matrix of cumulative variance fractions,
+    one row per sensor. Returns the smallest q such that at least a
+    fraction alpha of the sensors have cumulative variance explained above
+    beta at q components. Falls back to q_max with a warning when no q
+    satisfies the rule.
     """
     if not 0 < alpha <= 1 or not 0 < beta < 1:
         raise ValueError("need 0 < alpha <= 1 and 0 < beta < 1")
-    max_q = min(m.q_c for m in models)
-    fractions = np.stack([m.variance_explained[:max_q] for m in models])
+    fractions = np.asarray(fractions, dtype=float)
+    max_q = fractions.shape[1]
     for q in range(1, max_q + 1):
         if np.mean(fractions[:, q - 1] > beta) >= alpha:
             return q
@@ -284,21 +205,6 @@ class CoefficientMatrix:
         return cls(scores=scores, q_c=q_c, sensor_names=list(names))
 
 
-def assemble_coefficients(blocks: list[tuple[str, np.ndarray]]) -> CoefficientMatrix:
-    """Stack (sensor, n x q_c scores) blocks into one coefficient matrix."""
-    if not blocks:
-        raise ValueError("no score blocks given")
-    q_c = blocks[0][1].shape[1]
-    n = blocks[0][1].shape[0]
-    for name, block in blocks:
-        if block.shape != (n, q_c):
-            raise ValueError(
-                f"block for sensor {name!r} has shape {block.shape}, expected {(n, q_c)}"
-            )
-    scores = np.concatenate([block for _, block in blocks], axis=1)
-    return CoefficientMatrix(scores=scores, q_c=q_c, sensor_names=[name for name, _ in blocks])
-
-
 def fit_fpca(
     data: FunctionalDataSet,
     basis: BasisSpec,
@@ -307,32 +213,58 @@ def fit_fpca(
     beta: float = 0.8,
     standardization: dict[str, tuple[float, float]] | None = None,
 ) -> tuple[list[SensorFpcaModel], CoefficientMatrix]:
-    """Fit every sensor and assemble the coefficient matrix.
+    """Fit every sensor's principal component model and score its curves.
 
-    With q_c=None the component count is chosen by the (alpha, beta) rule
-    from models fitted at the maximum usable q_c.
+    All n * p curves are fitted to the basis in one least-squares
+    projection. Per sensor, the eigenproblem is solved on the Gram-whitened
+    coefficient covariance (divisor n), so eigenvalues equal the empirical
+    score variances and eigenfunctions are Gram-orthonormal; eigenvector
+    signs are fixed so the largest-magnitude spline coefficient is
+    positive. The sensors share one Gram matrix and one Cholesky factor and
+    are solved as one batch. With q_c=None the component count is chosen
+    by the (alpha, beta) rule from the cumulative fractions up to
+    min(n - 1, n_basis). The scores are the L2 projections of the centred
+    curves, stacked sensor-major.
     """
     stats = standardization or {}
-    fit_q = min(data.n - 1, basis.n_basis) if q_c is None else q_c
-    _check_q_c(fit_q, data.n, basis)
-    # one Gram matrix for the shared basis and one coefficient fit per
-    # sensor, reused for both the eigenproblem and the scores
+    n, p = data.n, data.p
+    max_q = min(n - 1, basis.n_basis)
+    _check_q_c(max_q if q_c is None else q_c, n, basis)
+    coeffs = fit_coefficients(basis, data.times, data.values.reshape(n * p, -1)).reshape(n, p, -1)
+    mean_coeffs = coeffs.mean(axis=0)
+    coeffs -= mean_coeffs
+    by_sensor = coeffs.transpose(1, 0, 2)  # (p, n, n_basis) view of the centred coefficients
+    cov = by_sensor.transpose(0, 2, 1) @ by_sensor / n
+
     gram = gram_matrix(basis)
-    coeffs = [fit_coefficients(basis, data.times, data.values[:, s, :]) for s in range(data.p)]
-    models = [
-        _sensor_model(name, basis, data.times, c, gram, fit_q, stats.get(name, (0.0, 1.0)))
-        for name, c in zip(data.sensor_names, coeffs)
-    ]
+    chol = np.linalg.cholesky(gram)
+    whitened = chol.T @ cov @ chol
+    whitened = 0.5 * (whitened + whitened.transpose(0, 2, 1))
+    evals, evecs = np.linalg.eigh(whitened)
+    evals = np.maximum(evals[:, ::-1], 0.0)
+    evecs = evecs[:, :, ::-1]
+    total = evals.sum(axis=1, keepdims=True)
+    cumfrac = np.where(total > 0, np.cumsum(evals, axis=1) / np.where(total > 0, total, 1.0), 1.0)
+
     if q_c is None:
-        q_c = select_num_components(models, alpha, beta)
-        models = [
-            replace(
-                m,
-                eigen_coeffs=m.eigen_coeffs[:, :q_c],
-                eigenvalues=m.eigenvalues[:q_c],
-                variance_explained=m.variance_explained[:q_c],
-            )
-            for m in models
-        ]
-    blocks = [(m.sensor, _project(m, c)) for m, c in zip(models, coeffs)]
-    return models, assemble_coefficients(blocks)
+        q_c = select_num_components(cumfrac[:, :max_q], alpha, beta)
+    eigen_coeffs = np.linalg.solve(chol.T, evecs[:, :, :q_c])
+    peaks = np.take_along_axis(eigen_coeffs, np.abs(eigen_coeffs).argmax(axis=1)[:, None, :], axis=1)
+    eigen_coeffs *= np.where(peaks < 0, -1.0, 1.0)
+    scores = by_sensor @ (gram @ eigen_coeffs)  # (p, n, q_c)
+
+    models = [
+        SensorFpcaModel(
+            sensor=name,
+            basis=basis,
+            times=data.times.copy(),
+            mean_coeffs=mean_coeffs[s],
+            eigen_coeffs=eigen_coeffs[s],
+            eigenvalues=evals[s, :q_c],
+            variance_explained=cumfrac[s, :q_c],
+            standardization=stats.get(name, (0.0, 1.0)),
+        )
+        for s, name in enumerate(data.sensor_names)
+    ]
+    B = CoefficientMatrix(scores.transpose(1, 0, 2).reshape(n, p * q_c), q_c, list(data.sensor_names))
+    return models, B

@@ -36,14 +36,12 @@ def _load_frozen_design() -> dict:
     return frozen
 
 
-def _scenario_table() -> dict:
-    return {
-        name: {"levels": tuple(spec["levels"]), "varies": spec["varies"]}
-        for name, spec in _load_frozen_design()["scenarios"].items()
-    }
-
-
-SCENARIOS = _scenario_table()
+# parsed once: every design, sweep and aggregate reads this one copy
+_FROZEN = _load_frozen_design()
+SCENARIOS = {
+    name: {"levels": tuple(spec["levels"]), "varies": spec["varies"]}
+    for name, spec in _FROZEN["scenarios"].items()
+}
 
 
 @dataclass
@@ -118,22 +116,21 @@ def default_design(
     additional signal sensors, if requested, are drawn reproducibly from
     the recorded master seed at the same scale.
     """
-    frozen = _load_frozen_design()
-    h = frozen["n_basis"]
-    m_true = frozen["m_true"]
-    means = np.asarray(frozen["signal_means"], dtype=float)  # (p_frozen, m, h)
+    h = _FROZEN["n_basis"]
+    m_true = _FROZEN["m_true"]
+    means = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
     if p_signal <= means.shape[0]:
         signal_means = means[:p_signal].transpose(1, 0, 2)
     else:
         extra = []
         for s in range(means.shape[0], p_signal):
-            rng = np.random.default_rng(np.random.SeedSequence([frozen["master_seed"], s]))
-            extra.append(rng.normal(0.0, frozen["mean_scale"], size=(m_true, h)))
+            rng = np.random.default_rng(np.random.SeedSequence([_FROZEN["master_seed"], s]))
+            extra.append(rng.normal(0.0, _FROZEN["mean_scale"], size=(m_true, h)))
         signal_means = np.concatenate(
             [means.transpose(1, 0, 2), np.stack(extra, axis=1)], axis=1
         )
-    signal_variances = np.full((m_true, p_signal, h), frozen["coef_variance"])
-    noise_variances = np.full((p_noise, h), frozen["noise_variance"])
+    signal_variances = np.full((m_true, p_signal, h), _FROZEN["coef_variance"])
+    noise_variances = np.full((p_noise, h), _FROZEN["noise_variance"])
     return SimulationDesign(
         n=n,
         p_signal=p_signal,
@@ -144,11 +141,11 @@ def default_design(
         noise_variances=noise_variances,
         seed=seed,
         m_true=m_true,
-        proportions=tuple(frozen["proportions"]),
+        proportions=tuple(_FROZEN["proportions"]),
         n_basis=h,
-        order=frozen["order"],
-        domain=tuple(frozen["domain"]),
-        n_times=frozen["n_times"],
+        order=_FROZEN["order"],
+        domain=tuple(_FROZEN["domain"]),
+        n_times=_FROZEN["n_times"],
     )
 
 
@@ -430,7 +427,7 @@ def run_scenario(
     else:
         consume(map(_run_replicate, tasks))
 
-    m_true = _load_frozen_design()["m_true"]
+    m_true = _FROZEN["m_true"]
     n_failed = Counter((level, kind) for _, level, kind, _, _ in failures)
     rows = [
         aggregate(records, scenario, level, kind, n_failed[level, kind], m_true)

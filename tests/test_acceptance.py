@@ -30,9 +30,9 @@ from mfclust.em import (
 from mfclust.fpca import (
     CoefficientMatrix,
     FunctionalDataSet,
-    fit_sensor_fpca,
+    fit_fpca,
     reconstruct,
-    score_matrix,
+    transform,
 )
 from mfclust.select import SearchGrid, adjusted_bic
 from mfclust.simbench import ari, run_scenario
@@ -300,14 +300,14 @@ def test_criterion_8_fpca_recovery():
     curves += rng.normal(0, 0.02, size=curves.shape)  # mild measurement noise
     data = FunctionalDataSet(times=grid, values=curves[:, None, :], sensor_names=["s00"])
 
-    model = fit_sensor_fpca(data, "s00", basis, 1)
+    (model,), _ = fit_fpca(data, basis, q_c=1)
     fine = np.linspace(0, 30, 400)
     dm = design_matrix(basis, fine)
     est_fun = dm @ model.eigen_coeffs[:, 0]
     true_fun = dm @ u
     cosine = abs(est_fun @ true_fun) / (np.linalg.norm(est_fun) * np.linalg.norm(true_fun))
 
-    scores = score_matrix(model, data)[:, 0]
+    scores = transform(model, curves)[:, 0]
     corr = abs(np.corrcoef(scores, c)[0, 1])
 
     recon = np.vstack([reconstruct(model, s) for s in scores[:, None]])

@@ -500,6 +500,29 @@ def test_abbreviated_config_flag_exits_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_config_key_of_no_option_exits_1_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-3, "max_iter": 10, "jobs": 2}))
+    code = run_cli("--config", cfg, "simulate", "--n", 20,
+                   "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert "unrecognized arguments: --tol=0.001 --max-iter=10 --jobs=2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_config_null_value_exits_1_and_paths_may_come_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": None}))
+    code = run_cli("--config", cfg, "simulate", "--output", tmp_path / "d.csv",
+                   "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert "config key 'n' is null" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"n": 20, "output": str(tmp_path / "d.csv"),
+                               "truth": str(tmp_path / "t.json")}))
+    assert run_cli("--config", cfg, "simulate") == 0
+    assert json.loads((tmp_path / "t.json").read_text())["design"]["n"] == 20
+
+
 def test_config_file_provides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 25, "p_noise": 2, "seed": 8}))

@@ -21,7 +21,7 @@ from mfclust.dataio import (
     write_truth,
 )
 from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
-from mfclust.fpca import assemble_coefficients, fit_fpca, score_matrix
+from mfclust.fpca import CoefficientMatrix, fit_fpca, transform
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import default_design, generate_dataset, run_scenario
 
@@ -237,7 +237,8 @@ def test_long_csv_round_trip(tmp_path):
 
 def test_scores_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    B = assemble_coefficients([("alpha", rng.standard_normal((6, 2))), ("beta", rng.standard_normal((6, 2)))])
+    blocks = [rng.standard_normal((6, 2)), rng.standard_normal((6, 2))]
+    B = CoefficientMatrix(np.concatenate(blocks, axis=1), q_c=2, sensor_names=["alpha", "beta"])
     path = tmp_path / "scores.csv"
     write_scores_csv(B, path, obs_ids=[f"o{i}" for i in range(6)])
     back, obs_ids = read_scores_csv(path)
@@ -284,8 +285,8 @@ def test_model_round_trip_preserves_hard_labels(tmp_path):
     write_model(ModelBundle.from_report(report, fpca_models=models, q_c=2), path)
     back = read_model(path)
 
-    blocks = [(m.sensor, score_matrix(m, data)) for m in back.fpca_models]
-    B2 = assemble_coefficients(blocks)
+    scores = [transform(m, data.values[:, s, :]) for s, m in enumerate(back.fpca_models)]
+    B2 = CoefficientMatrix(np.concatenate(scores, axis=1), q_c=2, sensor_names=data.sensor_names)
     tau, _ = e_step(B2, back.mixture)
     npt.assert_array_equal(tau.argmax(axis=1), labels_before)
 

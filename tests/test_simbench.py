@@ -7,7 +7,7 @@ import pytest
 from mfclust import simbench
 from mfclust.basis import build_basis
 from mfclust.em import NumericalError
-from mfclust.fpca import fit_sensor_fpca, select_num_components
+from mfclust.fpca import fit_fpca, select_num_components
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import (
     SCENARIOS,
@@ -297,9 +297,9 @@ def test_analog_component_rule_selects_three():
     data = generate_dataset(analog_design())
     assert (data.n, data.p) == (419, 42)
     basis = build_basis(0, 30, 12, 3)
-    models = [fit_sensor_fpca(data, name, basis, 12) for name in data.sensor_names]
-    assert select_num_components(models, alpha=0.8, beta=0.8) == 3
+    models, _ = fit_fpca(data, basis, q_c=12)
     frac = np.stack([m.variance_explained for m in models])
+    assert select_num_components(frac, alpha=0.8, beta=0.8) == 3
     share = (frac[:, 2] > 0.8).mean()
     assert 0.8 <= share <= 0.95
 
