@@ -28,10 +28,7 @@ class BasisSpec:
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
-        if self.order < 1 or self.n_basis < self.order:
-            raise ValueError(
-                f"need n_basis >= order >= 1, got n_basis={self.n_basis}, order={self.order}"
-            )
+        check_size(self.n_basis, self.order)
         if not self.domain_lo < self.domain_hi:
             raise ValueError("domain_lo must be strictly below domain_hi")
         if knots.shape != (self.n_basis + self.order,):
@@ -47,14 +44,19 @@ class BasisSpec:
         return self.order - 1
 
 
+def check_size(n_basis: int, order: int) -> None:
+    """Raise ValueError unless n_basis >= order >= 1."""
+    if order < 1 or n_basis < order:
+        raise ValueError(f"need n_basis >= order >= 1, got n_basis={n_basis}, order={order}")
+
+
 def build_basis(domain_lo: float, domain_hi: float, n_basis: int, order: int = 3) -> BasisSpec:
     """Build a clamped basis with equally spaced interior knots.
 
     The knot sequence repeats each endpoint `order` times and places the
     remaining n_basis - order knots uniformly inside the domain.
     """
-    if order < 1 or n_basis < order:
-        raise ValueError(f"need n_basis >= order >= 1, got n_basis={n_basis}, order={order}")
+    check_size(n_basis, order)
     if not domain_lo < domain_hi:
         raise ValueError("domain_lo must be strictly below domain_hi")
     n_interior = n_basis - order

@@ -6,8 +6,9 @@ that command (underscored keys), required paths included; explicit flags
 win. Each key is read as its flag with the value's text (a list in comma
 form), so argparse checks it like the flag: a key that names no option of
 the command, a value the flag refuses, or a null value exits 1. A bad search grid,
-sweep or simulated design is a usage error, raised before any input is
-read or output written.
+basis size, sweep (its --qc included) or simulated design is a usage error,
+raised before any input is read or output written; so are --jobs below 1
+and fit --scores with --qc, --alpha or --beta.
 
 Options per command (besides the input and output paths):
   transform  --n-basis --order, and --qc or the --alpha/--beta rule
@@ -30,7 +31,7 @@ import os
 import sys
 from dataclasses import replace
 
-from mfclust.basis import build_basis
+from mfclust.basis import build_basis, check_size
 from mfclust.dataio import (
     DataFormatError,
     ModelBundle,
@@ -88,6 +89,12 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _kind_list(text: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in text.split(","))
     for k in kinds:
@@ -104,7 +111,8 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel workers")
+    common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                        help="parallel workers")
 
     basis_opts = argparse.ArgumentParser(add_help=False)
     basis_opts.add_argument("--n-basis", type=int, default=12)
@@ -173,12 +181,6 @@ def _grid_from(args) -> SearchGrid:
         raise UsageError(f"bad search grid: {exc}") from None
 
 
-def _qc_rule(args):
-    if args.qc is not None and (args.alpha is not None or args.beta is not None):
-        raise UsageError("give either --qc or the --alpha/--beta rule, not both")
-    return args.qc
-
-
 def _check_distinct_outputs(args, *dests, inputs=()) -> None:
     """Refuse an output option naming an input file or another output's
     file, before anything is read or written."""
@@ -195,13 +197,19 @@ def _check_distinct_outputs(args, *dests, inputs=()) -> None:
 
 
 def _transform_pipeline(args):
+    if args.qc is not None and (args.alpha is not None or args.beta is not None):
+        raise UsageError("give either --qc or the --alpha/--beta rule, not both")
+    try:
+        check_size(args.n_basis, args.order)
+    except ValueError as exc:
+        raise UsageError(f"bad basis: {exc}") from None
     raw = read_long_csv(args.input)
     data, stats = standardize(raw)
     basis = build_basis(float(data.times[0]), float(data.times[-1]), args.n_basis, args.order)
     models, B = fit_fpca(
         data,
         basis,
-        q_c=_qc_rule(args),
+        q_c=args.qc,
         alpha=0.8 if args.alpha is None else args.alpha,
         beta=0.8 if args.beta is None else args.beta,
         standardization=stats,
@@ -233,12 +241,13 @@ def cmd_fit(args) -> int:
         raise UsageError("give exactly one of --input or --scores")
     if args.cluster_means and not args.input:
         raise UsageError("--cluster-means needs raw curves (--input)")
+    if args.scores and (args.qc, args.alpha, args.beta) != (None, None, None):
+        raise UsageError("--qc, --alpha and --beta need raw curves (--input)")
     _check_distinct_outputs(
         args, "report", "assignments", "removed", "cluster_means", inputs=("input", "scores")
     )
     grid = _grid_from(args)
     models = None
-    obs_ids = None
     if args.input:
         raw, _, models, B = _transform_pipeline(args)
         obs_ids = raw.obs_ids
@@ -286,7 +295,7 @@ def cmd_benchmark(args) -> int:
     _check_distinct_outputs(args, "output", "replicates")
     grid = _grid_from(args)
     try:
-        scenario_levels(args.scenario, args.reps, args.levels)
+        scenario_levels(args.scenario, args.reps, args.levels, args.qc)
     except ValueError as exc:
         raise UsageError(f"bad sweep: {exc}") from None
 

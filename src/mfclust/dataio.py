@@ -21,7 +21,7 @@ from mfclust.basis import BasisSpec, build_basis
 from mfclust.em import FitResult, MixtureParams
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, reconstruct
 from mfclust.select import SelectionReport, SelectionRow
-from mfclust.simbench import BenchmarkRow, SimulationDesign
+from mfclust.simbench import BASIS, GRID, M_TRUE, PROPORTIONS, BenchmarkRow, SimulationDesign
 
 SCHEMA_VERSION = 1
 
@@ -346,7 +346,8 @@ def write_cluster_means(
 
 
 def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None:
-    """Companion file for simulated datasets: labels and the sensor split."""
+    """Companion file for simulated datasets: labels, the sensor split, and
+    the design with the frozen population's fixed settings."""
     doc = {
         "labels": data.labels.tolist(),
         "obs_ids": data.obs_ids or [str(i) for i in range(data.n)],
@@ -357,12 +358,12 @@ def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None
             "p_signal": design.p_signal,
             "p_noise": design.p_noise,
             "delta": design.delta,
-            "m_true": design.m_true,
-            "proportions": list(design.proportions),
-            "n_basis": design.n_basis,
-            "order": design.order,
-            "domain": list(design.domain),
-            "n_times": design.n_times,
+            "m_true": M_TRUE,
+            "proportions": list(PROPORTIONS),
+            "n_basis": BASIS.n_basis,
+            "order": BASIS.order,
+            "domain": [BASIS.domain_lo, BASIS.domain_hi],
+            "n_times": GRID.size,
             "seed": design.seed,
         },
     }

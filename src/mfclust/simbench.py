@@ -5,15 +5,17 @@ sensors carry cluster-specific mean coefficient vectors, noise sensors have
 zero means in every cluster, and a common divisor scales all coefficient
 variances so larger values give tighter, easier clusters. Curves are
 evaluated on a fixed grid through the shared basis and standardized per
-sensor. The frozen cluster mean vectors live in data/benchmark_design.json
-so every run of the benchmark sees the same population.
+sensor. The frozen population lives in data/benchmark_design.json, parsed
+once at import: its fixed settings are the constants M_TRUE, PROPORTIONS,
+BASIS and GRID, and a SimulationDesign holds only what varies (n, delta,
+seed, and the coefficient means and variances).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -22,7 +24,7 @@ import numpy as np
 
 from mfclust.basis import build_basis, design_matrix
 from mfclust.em import NumericalError
-from mfclust.fpca import FunctionalDataSet, fit_fpca, standardize
+from mfclust.fpca import FunctionalDataSet, _check_q_c, fit_fpca, standardize
 from mfclust.select import SearchGrid, model_search
 
 DEFAULT_KINDS = ("individual", "variable", "group", "none")
@@ -36,8 +38,15 @@ def _load_frozen_design() -> dict:
     return frozen
 
 
-# parsed once: every design, sweep and aggregate reads this one copy
+# parsed once: every design, dataset, sweep and aggregate reads these
 _FROZEN = _load_frozen_design()
+M_TRUE: int = _FROZEN["m_true"]
+PROPORTIONS: tuple[float, ...] = tuple(_FROZEN["proportions"])
+BASIS = build_basis(*_FROZEN["domain"], _FROZEN["n_basis"], _FROZEN["order"])
+GRID = np.linspace(*_FROZEN["domain"], _FROZEN["n_times"])
+_GRID_DESIGN = design_matrix(BASIS, GRID)  # (n_times, n_basis): coefficients -> curve values
+for _shared in (GRID, _GRID_DESIGN):
+    _shared.setflags(write=False)  # every generated dataset shares these arrays
 SCENARIOS = {
     name: {"levels": tuple(spec["levels"]), "varies": spec["varies"]}
     for name, spec in _FROZEN["scenarios"].items()
@@ -46,27 +55,20 @@ SCENARIOS = {
 
 @dataclass
 class SimulationDesign:
-    """Population for one synthetic dataset.
+    """What varies between synthetic datasets of the frozen population.
 
-    signal_means has shape (m_true, p_signal, h); signal_variances the same
-    shape; noise_variances is (p_noise, h). All coefficient variances are
-    divided by delta when sampling.
+    signal_means has shape (M_TRUE, p_signal, BASIS.n_basis) and
+    signal_variances the same shape; noise_variances is (p_noise,
+    BASIS.n_basis). The sensor counts are read off these shapes. All
+    coefficient variances are divided by delta when sampling.
     """
 
     n: int
-    p_signal: int
-    p_noise: int
     delta: float
     signal_means: np.ndarray
     signal_variances: np.ndarray
     noise_variances: np.ndarray
     seed: int
-    m_true: int = 3
-    proportions: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
-    n_basis: int = 12
-    order: int = 3
-    domain: tuple[float, float] = (0.0, 30.0)
-    n_times: int = 31
 
     def __post_init__(self):
         self.signal_means = np.asarray(self.signal_means, dtype=float)
@@ -76,15 +78,23 @@ class SimulationDesign:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.p_signal < 0 or self.p_noise < 0 or self.p_signal + self.p_noise == 0:
-            raise ValueError("need a nonnegative sensor split with at least one sensor")
-        if abs(sum(self.proportions) - 1.0) > 1e-10 or len(self.proportions) != self.m_true:
-            raise ValueError("proportions must have m_true entries summing to 1")
-        want = (self.m_true, self.p_signal, self.n_basis)
-        if self.signal_means.shape != want or self.signal_variances.shape != want:
-            raise ValueError(f"signal means/variances must have shape {want}")
-        if self.noise_variances.shape != (self.p_noise, self.n_basis):
-            raise ValueError(f"noise variances must have shape {(self.p_noise, self.n_basis)}")
+        h = BASIS.n_basis
+        if self.signal_means.ndim != 3 or self.signal_means.shape[::2] != (M_TRUE, h):
+            raise ValueError(f"signal means must have shape ({M_TRUE}, p_signal, {h})")
+        if self.signal_variances.shape != self.signal_means.shape:
+            raise ValueError("signal variances must have the shape of the signal means")
+        if self.noise_variances.ndim != 2 or self.noise_variances.shape[1] != h:
+            raise ValueError(f"noise variances must have shape (p_noise, {h})")
+        if self.p == 0:
+            raise ValueError("need at least one sensor")
+
+    @property
+    def p_signal(self) -> int:
+        return self.signal_means.shape[1]
+
+    @property
+    def p_noise(self) -> int:
+        return self.noise_variances.shape[0]
 
     @property
     def p(self) -> int:
@@ -116,52 +126,36 @@ def default_design(
     additional signal sensors, if requested, are drawn reproducibly from
     the recorded master seed at the same scale.
     """
-    h = _FROZEN["n_basis"]
-    m_true = _FROZEN["m_true"]
-    means = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
-    if p_signal <= means.shape[0]:
-        signal_means = means[:p_signal].transpose(1, 0, 2)
-    else:
-        extra = []
-        for s in range(means.shape[0], p_signal):
-            rng = np.random.default_rng(np.random.SeedSequence([_FROZEN["master_seed"], s]))
-            extra.append(rng.normal(0.0, _FROZEN["mean_scale"], size=(m_true, h)))
-        signal_means = np.concatenate(
-            [means.transpose(1, 0, 2), np.stack(extra, axis=1)], axis=1
-        )
-    signal_variances = np.full((m_true, p_signal, h), _FROZEN["coef_variance"])
-    noise_variances = np.full((p_noise, h), _FROZEN["noise_variance"])
+    h = BASIS.n_basis
+    frozen = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
+    extra = [
+        np.random.default_rng(np.random.SeedSequence([_FROZEN["master_seed"], s]))
+        .normal(0.0, _FROZEN["mean_scale"], size=(M_TRUE, h))
+        for s in range(frozen.shape[0], p_signal)
+    ]
+    means = np.concatenate([frozen[:p_signal], np.reshape(extra, (-1, M_TRUE, h))])
     return SimulationDesign(
         n=n,
-        p_signal=p_signal,
-        p_noise=p_noise,
         delta=delta,
-        signal_means=signal_means,
-        signal_variances=signal_variances,
-        noise_variances=noise_variances,
+        signal_means=means.transpose(1, 0, 2),
+        signal_variances=np.full((M_TRUE, p_signal, h), _FROZEN["coef_variance"]),
+        noise_variances=np.full((p_noise, h), _FROZEN["noise_variance"]),
         seed=seed,
-        m_true=m_true,
-        proportions=tuple(_FROZEN["proportions"]),
-        n_basis=h,
-        order=_FROZEN["order"],
-        domain=tuple(_FROZEN["domain"]),
-        n_times=_FROZEN["n_times"],
     )
 
 
 def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
     """Draw one dataset: labels, spline coefficients, curves, standardization.
 
-    Per observation a cluster is drawn from the design proportions and the
-    p * h coefficient vector from that cluster's diagonal Gaussian with
-    variances divided by delta. Curves are the coefficients pushed through
-    the basis on the design grid, then fpca.standardize rescales each
-    sensor to pooled mean 0 and variance 1. Identical seeds give identical
-    datasets.
+    Per observation a cluster is drawn from PROPORTIONS and the p * h
+    coefficient vector from that cluster's diagonal Gaussian with variances
+    divided by delta. Curves are the coefficients pushed through BASIS on
+    GRID, then fpca.standardize rescales each sensor to pooled mean 0 and
+    variance 1. Identical seeds give identical datasets.
     """
     rng = np.random.default_rng(design.seed)
-    m, h = design.m_true, design.n_basis
-    labels = rng.choice(m, size=design.n, p=np.asarray(design.proportions))
+    m, h = M_TRUE, BASIS.n_basis
+    labels = rng.choice(m, size=design.n, p=np.asarray(PROPORTIONS))
 
     mean_blocks = np.concatenate(
         [design.signal_means, np.zeros((m, design.p_noise, h))], axis=1
@@ -174,10 +168,8 @@ def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
         var_blocks[labels]
     )
 
-    basis = build_basis(design.domain[0], design.domain[1], h, design.order)
-    grid = np.linspace(design.domain[0], design.domain[1], design.n_times)
-    curves = coeffs @ design_matrix(basis, grid).T  # (n, p, n_times)
-    raw = FunctionalDataSet(times=grid, values=curves, sensor_names=design.sensor_names, labels=labels)
+    curves = coeffs @ _GRID_DESIGN.T  # (n, p, n_times)
+    raw = FunctionalDataSet(times=GRID, values=curves, sensor_names=design.sensor_names, labels=labels)
     return standardize(raw)[0]
 
 
@@ -220,19 +212,13 @@ def mae_m(estimates, m_true: int) -> float:
     return float(np.abs(est - m_true).mean())
 
 
-def removal_counts(
-    removed: set[str], signal: set[str], noise: set[str], zero_columns: int
-) -> tuple[int, int, int]:
-    """(correctly removed, falsely removed, zeroed columns) for one fit.
-
-    zero_columns is the count of score columns whose means are zero in
-    every cluster; it is carried through unchanged so callers can aggregate
-    it alongside the sensor counts.
-    """
+def removal_counts(removed: set[str], signal: set[str], noise: set[str]) -> tuple[int, int]:
+    """(correctly removed, falsely removed) sensors of one fit: removed
+    noise sensors count as correct, removed signal sensors as false."""
     unknown = removed - (signal | noise)
     if unknown:
         raise ValueError(f"unknown sensors in removed set: {sorted(unknown)}")
-    return len(removed & noise), len(removed & signal), int(zero_columns)
+    return len(removed & noise), len(removed & signal)
 
 
 def count_zero_columns(zero_mask: np.ndarray) -> int:
@@ -291,20 +277,22 @@ def _design_for(scenario: str, level, seed: int) -> SimulationDesign:
         if not float(level).is_integer():
             raise ValueError(f"{scenario} levels set {varies} and must be whole numbers, got {level}")
         level = int(level)
-    kwargs = {"n": 200, "p_noise": 16, "delta": 1.5, "seed": seed, varies: level}
-    return default_design(**kwargs)
+    return default_design(seed=seed, **{varies: level})
 
 
-def scenario_levels(scenario: str, reps: int, levels=None) -> tuple:
+def scenario_levels(scenario: str, reps: int, levels, q_c: int) -> tuple:
     """The levels a sweep runs (the scenario's own when levels is None),
-    after checking the scenario, reps and every level's design."""
+    after checking the scenario, reps, that no level repeats, and every
+    level's design and its component count q_c."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     levels = tuple(levels) if levels is not None else SCENARIOS[scenario]["levels"]
+    if len(set(map(float, levels))) < len(levels):
+        raise ValueError(f"levels must not repeat, got {', '.join(f'{v:g}' for v in levels)}")
     for level in levels:
-        _design_for(scenario, level, seed=0)
+        _check_q_c(q_c, _design_for(scenario, level, seed=0).n, BASIS)
     return levels
 
 
@@ -313,26 +301,25 @@ def _replicate_seed(seed: int, level_idx: int, rep: int) -> int:
 
 
 def _run_replicate(args):
+    """One replicate of a sweep: its records, one per penalty kind that
+    fitted, and the (level, kind) cell of each kind that failed."""
     scenario, level, level_idx, rep, kinds, seed, q_c, grid = args
     rep_seed = _replicate_seed(seed, level_idx, rep)
     design = _design_for(scenario, level, rep_seed)
     data = generate_dataset(design)
-    basis = build_basis(design.domain[0], design.domain[1], design.n_basis, design.order)
-    _, B = fit_fpca(data, basis, q_c=q_c)
+    _, B = fit_fpca(data, BASIS, q_c=q_c)
     signal = set(design.signal_sensor_names)
     noise = set(design.noise_sensor_names)
 
-    records, failures = [], []
+    records, failed = [], []
     for kind in kinds:
         try:
             report = model_search(B, grid, kind, seed=rep_seed + 1)
-        except NumericalError as exc:
-            failures.append((scenario, level, kind, rep, str(exc)))
+        except NumericalError:
+            failed.append((level, kind))
             continue
         fit, row = report.best_fit, report.best_row
-        correct, false, zero_cols = removal_counts(
-            fit.removed_sensors, signal, noise, count_zero_columns(fit.params.zero_mask)
-        )
+        correct, false = removal_counts(fit.removed_sensors, signal, noise)
         records.append(
             ReplicateRecord(
                 scenario=scenario,
@@ -342,7 +329,7 @@ def _run_replicate(args):
                 seed=rep_seed,
                 m_hat=row.m,
                 ari=ari(data.labels, fit.hard_labels),
-                variables_removed=zero_cols,
+                variables_removed=count_zero_columns(fit.params.zero_mask),
                 removed_correctly=correct,
                 removed_falsely=false,
                 lam=row.lam,
@@ -351,34 +338,27 @@ def _run_replicate(args):
                 max_rise=max((r.max_rise for r in report.rows), default=0.0),
             )
         )
-    return level_idx, rep, records, failures
+    return records, failed
 
 
-def aggregate(
-    records: list[ReplicateRecord], scenario: str, level, kind: str, n_failed: int, m_true: int
-) -> BenchmarkRow:
-    """The row of one (scenario level, penalty kind) cell; without records its statistics are nan."""
-    cell = [r for r in records if r.scenario == scenario and r.level == float(level) and r.kind == kind]
-    mae = removed = correct = false = q1 = med = q3 = float("nan")
-    if cell:
-        mae = mae_m([r.m_hat for r in cell], m_true)
-        removed = float(np.mean([r.variables_removed for r in cell]))
-        correct = float(np.mean([r.removed_correctly for r in cell]))
-        false = float(np.mean([r.removed_falsely for r in cell]))
-        q1, med, q3 = (float(v) for v in np.percentile([r.ari for r in cell], [25, 50, 75]))
-    return BenchmarkRow(
-        scenario=scenario,
-        level=float(level),
-        kind=kind,
-        reps=len(cell),
-        mae_m=mae,
-        mean_variables_removed=removed,
-        mean_removed_correctly=correct,
-        mean_removed_falsely=false,
+# the BenchmarkRow fields that aggregate computes from a cell's records
+_CELL_STATS = tuple(BenchmarkRow.__dataclass_fields__)[4:-1]
+
+
+def aggregate(cell: list[ReplicateRecord]) -> dict[str, float]:
+    """The statistics of one (level, penalty kind) cell's records, keyed by
+    their BenchmarkRow field; without records they are nan."""
+    if not cell:
+        return dict.fromkeys(_CELL_STATS, float("nan"))
+    q1, med, q3 = (float(v) for v in np.percentile([r.ari for r in cell], [25, 50, 75]))
+    return dict(
+        mae_m=mae_m([r.m_hat for r in cell], M_TRUE),
+        mean_variables_removed=float(np.mean([r.variables_removed for r in cell])),
+        mean_removed_correctly=float(np.mean([r.removed_correctly for r in cell])),
+        mean_removed_falsely=float(np.mean([r.removed_falsely for r in cell])),
         ari_median=med,
         ari_q1=q1,
         ari_q3=q3,
-        n_failed=n_failed,
     )
 
 
@@ -397,10 +377,11 @@ def run_scenario(
 
     Replicates get derived seeds and are independent jobs; results arrive
     in a fixed order regardless of scheduling, and on_record (if given)
-    sees each replicate record as soon as it is available. Failed
+    sees each replicate record as soon as it is available. Records are
+    grouped once into one row per (level, penalty kind) cell; failed
     replicates are dropped from their cell and counted in n_failed.
     """
-    levels = scenario_levels(scenario, reps, levels)
+    levels = scenario_levels(scenario, reps, levels, q_c)
     grid = grid or SearchGrid()
 
     tasks = [
@@ -409,17 +390,19 @@ def run_scenario(
         for rep in range(reps)
     ]
     records: list[ReplicateRecord] = []
-    failures = []
+    cells: defaultdict[tuple, list[ReplicateRecord]] = defaultdict(list)
+    n_failed: Counter = Counter()
 
     def consume(outcome_iter):
         # pool.map yields in task order, so records stream deterministically
         # and callers can persist them row by row as replicates finish
-        for _, _, recs, fails in outcome_iter:
+        for recs, failed in outcome_iter:
             for rec in recs:
                 records.append(rec)
+                cells[rec.level, rec.kind].append(rec)
                 if on_record is not None:
                     on_record(rec)
-            failures.extend(fails)
+            n_failed.update(failed)
 
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -427,10 +410,10 @@ def run_scenario(
     else:
         consume(map(_run_replicate, tasks))
 
-    m_true = _FROZEN["m_true"]
-    n_failed = Counter((level, kind) for _, level, kind, _, _ in failures)
+    # a level keys its cell as given and as the float its records carry: both hash alike
     rows = [
-        aggregate(records, scenario, level, kind, n_failed[level, kind], m_true)
+        BenchmarkRow(scenario=scenario, level=float(level), kind=kind, reps=len(cells[level, kind]),
+                     n_failed=n_failed[level, kind], **aggregate(cells[level, kind]))
         for level in levels
         for kind in kinds
     ]

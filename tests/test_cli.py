@@ -372,6 +372,41 @@ def test_removed_option_exits_1(small_run, capsys, command, flag, value):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,value", [("fit", 0), ("fit", -2), ("benchmark", -1)])
+def test_jobs_below_one_exits_1_before_any_work(small_run, capsys, command, value):
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*VALID_CALLS[command](data, tmp_path), "--jobs", value) == 1
+    assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["transform", "fit"])
+@pytest.mark.parametrize("flag,value", [("--order", 0), ("--n-basis", 2)])
+def test_bad_basis_size_exits_1_before_the_input_is_read(tmp_path, capsys, command, flag, value):
+    # the input does not exist: reading it would exit 2
+    assert run_cli(*VALID_CALLS[command](tmp_path / "missing.csv", tmp_path), flag, value) == 1
+    assert "bad basis: need n_basis >= order >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value", [("--qc", 7), ("--alpha", 0.3), ("--beta", 0.9)])
+def test_fit_from_scores_refuses_transform_options(small_run, capsys, flag, value):
+    tmp_path, data, _ = small_run
+    scores = tmp_path / "scores.csv"
+    assert run_cli("transform", "--input", data, "--scores", scores,
+                   "--model", tmp_path / "m.json", "--qc", 2) == 0
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", 2, "--jobs", 1, flag, value,
+    )
+    assert code == 1
+    assert "--qc, --alpha and --beta need raw curves (--input)" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 BAD_GRIDS = [
     ("fit", "--lambda-multipliers", "0,nan"),
     ("fit", "--lambda-multipliers", "0,inf"),
@@ -454,6 +489,9 @@ BAD_SWEEPS = [
     ("sample-size", "--levels", "0", "n must be at least 1"),
     ("signal-strength", "--levels", "nan", "delta must be positive and finite"),
     ("signal-strength", "--levels", "1.5,inf", "delta must be positive and finite"),
+    ("sample-size", "--levels", "50,50.0", "levels must not repeat"),
+    ("sample-size", "--qc", "0", "q_c must be in"),
+    ("sample-size", "--qc", "13", "q_c must be in"),
 ]
 
 

@@ -5,11 +5,13 @@ import numpy.testing as npt
 import pytest
 
 from mfclust import simbench
-from mfclust.basis import build_basis
 from mfclust.em import NumericalError
 from mfclust.fpca import fit_fpca, select_num_components
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import (
+    BASIS,
+    M_TRUE,
+    PROPORTIONS,
     SCENARIOS,
     SimulationDesign,
     _load_frozen_design,
@@ -20,6 +22,7 @@ from mfclust.simbench import (
     mae_m,
     removal_counts,
     run_scenario,
+    scenario_levels,
 )
 
 SMALL_GRID = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 2.0, 5.0))
@@ -30,7 +33,47 @@ def test_default_design_shapes():
     assert d.p == 18 and d.p_signal == 2 and d.p_noise == 16
     assert d.signal_means.shape == (3, 2, 12)
     assert d.sensor_names[0] == "sig01" and d.sensor_names[-1] == "noi16"
-    assert sum(d.proportions) == pytest.approx(1.0)
+    assert len(PROPORTIONS) == M_TRUE and sum(PROPORTIONS) == pytest.approx(1.0)
+
+
+def test_frozen_constants_match_the_design_file():
+    frozen = _load_frozen_design()
+    assert M_TRUE == frozen["m_true"] and PROPORTIONS == tuple(frozen["proportions"])
+    assert (BASIS.domain_lo, BASIS.domain_hi) == tuple(frozen["domain"])
+    assert (BASIS.n_basis, BASIS.order) == (frozen["n_basis"], frozen["order"])
+    assert simbench.GRID.shape == (frozen["n_times"],)
+    data = generate_dataset(default_design(n=5, p_noise=1, seed=1))
+    npt.assert_array_equal(data.times, simbench.GRID)
+
+
+def design_arrays(p_signal=2, p_noise=3, m=M_TRUE, h=BASIS.n_basis):
+    return dict(
+        signal_means=np.zeros((m, p_signal, h)),
+        signal_variances=np.ones((m, p_signal, h)),
+        noise_variances=np.ones((p_noise, h)),
+    )
+
+
+def test_design_reads_sensor_counts_off_its_arrays():
+    d = SimulationDesign(n=10, delta=1.0, seed=0, **design_arrays(p_signal=1, p_noise=4))
+    assert (d.p_signal, d.p_noise, d.p) == (1, 4, 5)
+    assert d.sensor_names == ["sig01", "noi01", "noi02", "noi03", "noi04"]
+
+
+@pytest.mark.parametrize("arrays,message", [
+    (design_arrays(m=M_TRUE + 1), "signal means must have shape"),
+    (design_arrays(h=BASIS.n_basis - 1), "signal means must have shape"),
+    ({**design_arrays(), "signal_means": np.zeros((M_TRUE, 2 * BASIS.n_basis))},
+     "signal means must have shape"),
+    ({**design_arrays(), "signal_variances": np.ones((M_TRUE, 3, BASIS.n_basis))},
+     "signal variances must have the shape of the signal means"),
+    ({**design_arrays(), "noise_variances": np.ones((3, BASIS.n_basis + 1))},
+     "noise variances must have shape"),
+    (design_arrays(p_signal=0, p_noise=0), "need at least one sensor"),
+])
+def test_design_rejects_arrays_of_the_wrong_shape(arrays, message):
+    with pytest.raises(ValueError, match=message):
+        SimulationDesign(n=10, delta=1.0, seed=0, **arrays)
 
 
 def test_default_design_extra_signal_sensors_deterministic():
@@ -154,12 +197,12 @@ def test_mae_m_cases():
 def test_removal_counts_cases():
     signal = {"sig01", "sig02"}
     noise = {f"noi{i:02d}" for i in range(1, 17)}
-    assert removal_counts(noise, signal, noise, 48) == (16, 0, 48)
-    assert removal_counts(set(), signal, noise, 0) == (0, 0, 0)
+    assert removal_counts(noise, signal, noise) == (16, 0)
+    assert removal_counts(set(), signal, noise) == (0, 0)
     mixed = {"sig01", "noi01", "noi02"}
-    assert removal_counts(mixed, signal, noise, 9) == (2, 1, 9)
+    assert removal_counts(mixed, signal, noise) == (2, 1)
     with pytest.raises(ValueError, match="unknown"):
-        removal_counts({"mystery"}, signal, noise, 0)
+        removal_counts({"mystery"}, signal, noise)
 
 
 def test_count_zero_columns():
@@ -230,6 +273,18 @@ def test_run_scenario_rejects_fractional_count_levels():
         run_scenario("sample-size", reps=1, levels=(50, 50.5))
 
 
+@pytest.mark.parametrize("levels", [(50, 50), (50, 80, 50.0)])
+def test_scenario_levels_rejects_a_repeated_level(levels):
+    with pytest.raises(ValueError, match="levels must not repeat"):
+        scenario_levels("sample-size", 1, levels, 3)
+
+
+@pytest.mark.parametrize("q_c,levels", [(0, (50,)), (13, (50,)), (12, (200, 12))])
+def test_scenario_levels_checks_q_c_against_every_level(q_c, levels):
+    with pytest.raises(ValueError, match="q_c must be in"):
+        scenario_levels("sample-size", 1, levels, q_c)
+
+
 def test_run_scenario_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="scenario"):
         run_scenario("nonsense", reps=1)
@@ -255,16 +310,15 @@ def analog_design(n: int = 419, seed: int = 424242) -> SimulationDesign:
     mean separation, the rest are noise.
     """
     frozen = _load_frozen_design()
-    h = frozen["n_basis"]
-    m_true = frozen["m_true"]
+    h = BASIS.n_basis
     p_signal, p_noise = 6, 36
     rng = np.random.default_rng(np.random.SeedSequence([frozen["master_seed"], 777]))
 
     def decay_profile(rate, scale=1.0):
         return scale * rate ** np.arange(h)
 
-    signal_means = rng.normal(0.0, frozen["mean_scale"], size=(m_true, p_signal, h))
-    signal_variances = np.empty((m_true, p_signal, h))
+    signal_means = rng.normal(0.0, frozen["mean_scale"], size=(M_TRUE, p_signal, h))
+    signal_variances = np.empty((M_TRUE, p_signal, h))
     for s in range(p_signal):
         rate = rng.uniform(0.35, 0.6)
         signal_variances[:, s, :] = decay_profile(rate)
@@ -277,27 +331,18 @@ def analog_design(n: int = 419, seed: int = 424242) -> SimulationDesign:
 
     return SimulationDesign(
         n=n,
-        p_signal=p_signal,
-        p_noise=p_noise,
         delta=1.5,
         signal_means=signal_means,
         signal_variances=signal_variances,
         noise_variances=noise_variances,
         seed=seed,
-        m_true=m_true,
-        proportions=tuple(frozen["proportions"]),
-        n_basis=h,
-        order=frozen["order"],
-        domain=tuple(frozen["domain"]),
-        n_times=frozen["n_times"],
     )
 
 
 def test_analog_component_rule_selects_three():
     data = generate_dataset(analog_design())
     assert (data.n, data.p) == (419, 42)
-    basis = build_basis(0, 30, 12, 3)
-    models, _ = fit_fpca(data, basis, q_c=12)
+    models, _ = fit_fpca(data, BASIS, q_c=12)
     frac = np.stack([m.variance_explained for m in models])
     assert select_num_components(frac, alpha=0.8, beta=0.8) == 3
     share = (frac[:, 2] > 0.8).mean()
