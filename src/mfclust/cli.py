@@ -100,6 +100,8 @@ def _kind_list(text: str) -> tuple[str, ...]:
     for k in kinds:
         if k not in PENALTY_KINDS:
             raise UsageError(f"unknown penalty kind {k!r}; choose from {PENALTY_KINDS}")
+    if len(set(kinds)) < len(kinds):
+        raise UsageError(f"penalty kinds must not repeat, got {text!r}")
     return kinds
 
 

@@ -20,15 +20,27 @@ over the rows. One kernel (_log_joint) computes both.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland, 2008), kept
 monotone by falling back to the plain EM iterate whenever an extrapolated
-point does not lower the observed objective. A fit holds proportions,
-means and variances as views of one flat parameter vector, so SQUAREM's
-differences, norms and extrapolation are single vector operations.
+point does not lower the observed objective.
+
+One fit runs a stack of L lanes: penalty specs of one kind that share the
+data, m and the start, such as the lambda points of a grid search. The
+parameters are an (L, dim) array whose rows hold (proportions, means row by
+row, variances), so SQUAREM's differences, norms and extrapolation are
+single array operations. Every EM map makes one M-step and one E-step
+kernel call for all live lanes (a second call serves the lanes whose
+extrapolated or stabilized point was rejected), and SQUAREM decides
+everything per lane, with masks: each lane takes the same steps, and stops
+at the same iteration for the same reason, as it would fitted alone. A
+single spec is the one-lane case. Stacked products are one GEMM per lane
+and every reduction runs within a lane, so a lane's numbers do not depend
+on the other lanes.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,16 +130,8 @@ class PenaltySpec:
 
     @classmethod
     def adaptive(cls, kind: str, lam: float, gamma: float, reference_means: np.ndarray) -> "PenaltySpec":
-        """Weights 1/|ref_kj|^gamma (individual), 1/max_k |ref_kj|^gamma
-        (variable) or 1/||ref_k||^gamma (group)."""
-        ref = np.asarray(reference_means, dtype=float)
-        with np.errstate(divide="ignore"):
-            if kind == "group":
-                w = np.linalg.norm(ref, axis=1) ** (-float(gamma))
-            elif kind == "variable":
-                w = np.abs(ref).max(axis=0) ** (-float(gamma))
-            else:
-                w = np.abs(ref) ** (-float(gamma))
+        """The spec with adaptive_weights(kind, gamma, reference_means)."""
+        w = adaptive_weights(kind, gamma, reference_means)
         return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w)
 
     def weights_for(self, m: int, q: int) -> np.ndarray:
@@ -151,9 +155,27 @@ class PenaltySpec:
         return inf
 
 
+def adaptive_weights(kind: str, gamma: float, reference_means: np.ndarray) -> np.ndarray:
+    """Weights 1/|ref_kj|^gamma (individual), 1/max_k |ref_kj|^gamma
+    (variable) or 1/||ref_k||^gamma (group); infinite where the reference
+    is exactly zero."""
+    ref = np.asarray(reference_means, dtype=float)
+    with np.errstate(divide="ignore"):
+        if kind == "group":
+            return np.linalg.norm(ref, axis=1) ** (-float(gamma))
+        if kind == "variable":
+            return np.abs(ref).max(axis=0) ** (-float(gamma))
+        return np.abs(ref) ** (-float(gamma))
+
+
 @dataclass
 class FitResult:
-    """Converged mixture fit plus bookkeeping for model selection."""
+    """A mixture fit plus bookkeeping for model selection.
+
+    stop_reason says why the fit ended: "converged" (a plain EM step moved
+    the parameters by at most tol), "max_iter" (the iteration cap ran out)
+    or "collapsed" (a cluster lost its mass at an EM iterate).
+    """
 
     params: MixtureParams
     responsibilities: np.ndarray
@@ -163,8 +185,12 @@ class FitResult:
     n_zero_means: int
     removed_sensors: set[str]
     iterations: int
-    converged: bool
+    stop_reason: str
     objective_trace: list[float] = field(default_factory=list, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def m(self) -> int:
@@ -182,33 +208,63 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # densities and E-step
 
+# why _log_joint failed a lane, by its failure code minus one
+_KERNEL_FAILURES = (
+    "all cluster densities underflowed for some observation",
+    "the scaled squared scores overflow",
+)
+
+
+def _dots(a, b):
+    """Lane-wise dot products a_l . b_l of (L, d) stacks; b may be one (d,)
+    vector. Each is the BLAS dot of its lane alone."""
+    return (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+
 
 def _log_joint(X, Xsq_colsum, proportions, means, variances):
-    """Responsibilities and the observed negative log-likelihood at one point.
+    """Responsibilities and the observed negative log-likelihood at a stack of points.
 
-    The reduced log joint lj[i, k] = x_i . (mu_k / sigma2) + log pi_k -
-    1/2 sum_j mu_kj^2 / sigma2_j differs from log pi_k + log f_k(x_i) by a
-    term of row i alone, which cancels in tau = e / sum_k e with e =
-    exp(lj - max_k lj). Summed over the rows, that term is -1/2
-    Xsq_colsum . (1 / sigma2) - n/2 (q log 2 pi + sum_j log sigma2_j), where
-    Xsq_colsum holds the column sums of X^2. Raises NumericalError when the
-    peak of some row of lj, or that sum, is not finite.
+    The L points (lanes) have (L, m) proportions, (L, m, q) means and (L, q)
+    variances. The reduced log joint lj[l, i, k] = x_i . (mu_lk / sigma2_l) +
+    log pi_lk - 1/2 sum_j mu_lkj^2 / sigma2_lj differs from log pi_lk +
+    log f_lk(x_i) by a term of row i alone, which cancels in tau = e /
+    sum_k e with e = exp(lj - max_k lj). Summed over the rows, that term is
+    -1/2 Xsq_colsum . (1 / sigma2_l) - n/2 (q log 2 pi + sum_j log
+    sigma2_lj), where Xsq_colsum holds the column sums of X^2.
+
+    Returns tau (L, n, m), the (L,) NLLs and (L,) failure codes: 0 where the
+    lane was computed, 1 where the peak of some row of lj is not finite and
+    2 where the row-term sum is not; _KERNEL_FAILURES says which. A failed
+    lane's tau and NLL are meaningless.
     """
     n, q = X.shape
     inv = 1.0 / variances
-    scaled = means * inv
+    scaled = means * inv[:, None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lj = X @ scaled.T + (np.log(proportions) - 0.5 * (scaled * means).sum(axis=1))
-        peak = lj.max(axis=1)
-        peak_sum = peak.sum()
-        if not math.isfinite(peak_sum):
-            raise NumericalError("all cluster densities underflowed for some observation")
-        common = 0.5 * (Xsq_colsum @ inv + n * (q * _LOG_2PI + np.log(variances).sum()))
-        if not math.isfinite(common):
-            raise NumericalError("the scaled squared scores overflow")
-        e = np.exp(lj - peak[:, None])
-    total = e.sum(axis=1)
-    return e / total[:, None], float(common - peak_sum - np.log(total).sum())
+        offset = np.log(proportions) - 0.5 * (scaled * means).sum(axis=2)
+        lj = X @ scaled.transpose(0, 2, 1)
+        lj += offset[:, None, :]
+        peak = lj.max(axis=2)
+        peak_sum = peak.sum(axis=1)
+        common = 0.5 * (_dots(inv, Xsq_colsum) + n * (q * _LOG_2PI + np.log(variances).sum(axis=1)))
+        failed = np.where(np.isfinite(peak_sum), np.where(np.isfinite(common), 0, 2), 1)
+        lj -= peak[:, :, None]
+        tau = np.exp(lj, out=lj)
+        total = tau.sum(axis=2)
+        tau /= total[:, :, None]
+        nll = common - peak_sum - np.log(total).sum(axis=1)
+    return tau, nll, failed
+
+
+def _one_point(X, params):
+    """tau and the observed NLL at params, one lane of _log_joint; raises
+    NumericalError where the kernel fails."""
+    tau, nll, failed = _log_joint(
+        X, (X**2).sum(axis=0), params.proportions[None], params.means[None], params.variances[None]
+    )
+    if failed[0]:
+        raise NumericalError(_KERNEL_FAILURES[failed[0] - 1])
+    return tau[0], float(nll[0])
 
 
 def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +273,7 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
     tau[i, k] is proportional to pi_k f_k(x_i), normalized in the log
     domain; the new proportions are the responsibility column means.
     """
-    X = B.scores
-    tau, _ = _log_joint(X, (X**2).sum(axis=0), params.proportions, params.means, params.variances)
+    tau, _ = _one_point(B.scores, params)
     return tau, tau.mean(axis=0)
 
 
@@ -227,52 +282,68 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
 
 
 class _Penalty:
-    """A PenaltySpec made concrete for m clusters and q = p q_c columns.
+    """A stack of PenaltySpecs, one per lane, made concrete for m clusters
+    and q = p q_c columns.
 
-    A fit builds it once. kind is "none" whenever lam is 0. thr is lam
-    times the weights in their full shape, (m, q) individual, (q,) variable
-    and (m,) group, the last times sqrt(q_c). pinned is the (m, q) mask of
-    means held at zero by infinite weights.
+    A fit builds it once. The specs share one kind, which is "none"
+    whenever lam is 0. thr stacks lam times each lane's weights in their
+    full shape: (L, m, q) individual, (L, q) variable and (L, m) group, the
+    last times sqrt(q_c). pinned is the (L, m, q) mask of means held at zero
+    by infinite weights.
     """
 
-    def __init__(self, spec: PenaltySpec, m: int, q: int, q_c: int):
-        self.kind = "none" if spec.lam == 0.0 else spec.kind
+    def __init__(self, specs, m: int, q: int, q_c: int):
+        kinds = {"none" if spec.lam == 0.0 else spec.kind for spec in specs}
+        if len(kinds) != 1:
+            raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
+        (self.kind,) = kinds
         self.q_c = q_c
-        self.pinned = spec.pinned(m, q)
+        self.pinned = np.stack([spec.pinned(m, q) for spec in specs])
         if self.kind == "none":
             return
-        thr = spec.lam * spec.weights_for(m, q)
+        thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
         self.thr = thr * np.sqrt(q_c) if self.kind == "group" else thr
 
-    def value(self, means: np.ndarray) -> float:
-        """The penalty term at means; see penalty_value."""
+    def take(self, lanes) -> "_Penalty":
+        """The penalty of the given lanes only."""
+        out = copy.copy(self)
+        out.pinned = self.pinned[lanes]
+        if self.kind != "none":
+            out.thr = self.thr[lanes]
+        return out
+
+    def value(self, means: np.ndarray) -> np.ndarray:
+        """The (L,) penalty terms at the (L, m, q) means; see penalty_value."""
+        L, m, q = means.shape
         if self.kind == "none":
-            return 0.0
+            return np.zeros(L)
         thr = self.thr
-        if self.kind == "individual":
-            size = np.abs(means)
-        elif self.kind == "variable":
-            size = np.abs(means).max(axis=0)
-        else:
-            m, q = means.shape
-            size = np.sqrt((means.reshape(m, q // self.q_c, self.q_c) ** 2).sum(axis=2))
-            thr = thr[:, None]
+        # a lane whose E-step failed may hold means whose squares overflow;
         # exact zeros contribute nothing even under infinite weights
-        with np.errstate(invalid="ignore"):
-            terms = thr * size
-        return float(terms[size != 0.0].sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "individual":
+                size = np.abs(means)
+            elif self.kind == "variable":
+                size = np.abs(means).max(axis=1)
+            else:
+                size = np.sqrt((means.reshape(L, m, q // self.q_c, self.q_c) ** 2).sum(axis=3))
+                thr = thr[:, :, None]
+            terms = np.where(size != 0.0, thr * size, 0.0)
+        return terms.reshape(L, -1).sum(axis=1)
 
 
 def _variances(Xsq_colsum, G, T, means, n):
-    return (Xsq_colsum - 2.0 * (means * G).sum(axis=0) + T @ (means**2)) / n
+    """Raw M-step variances (sum x^2 - 2 sum_k mu_k G_k + sum_k T_k mu_k^2) / n,
+    for one fit or, with a leading lane axis on G, T and means, a stack."""
+    return (Xsq_colsum - 2.0 * (means * G).sum(axis=-2) + (T[..., None, :] @ means**2)[..., 0, :]) / n
 
 
 def _individual_update(G, T, sigma2, pen):
     """Entrywise soft-thresholded means: the exact minimizer for the individual penalty."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = 1.0 - pen.thr * sigma2 / np.abs(G)
+        shrink = 1.0 - pen.thr * sigma2[:, None, :] / np.abs(G)
     # fmax sends the nan of 0 / 0 (a zero score under a zero weight) to 0, as it does -inf
-    out = G / T[:, None] * np.fmax(shrink, 0.0)
+    out = G / T[:, :, None] * np.fmax(shrink, 0.0)
     out[pen.pinned] = 0.0
     return out
 
@@ -286,18 +357,17 @@ def _variable_update(G, T, sigma2, pen):
     sigma2_j and keeps the signs; the column is exactly zero iff
     sum_k |G_kj| <= lam w_j sigma2_j. With the clusters sorted by |a_k|,
     decreasing, c_j is the largest of (S_i - lam w_j sigma2_j) / W_i over
-    the prefix sums S_i of |G| and W_i of T, and at least 0.
+    the prefix sums S_i of |G| and W_i of T, and at least 0. Each lane's
+    columns are sorted along the cluster axis.
     """
     abs_G = np.abs(G)
-    A = abs_G / T[:, None]
-    order = np.argsort(-A, axis=0, kind="stable")
-    budget = pen.thr * sigma2
-    prefix_G = np.cumsum(abs_G[order, np.arange(G.shape[1])], axis=0)
-    levels = (prefix_G - budget) / np.cumsum(T[order], axis=0)
-    c = np.maximum(levels.max(axis=0), 0.0)
-    out = np.sign(G) * np.minimum(A, c)
-    out[:, c == 0.0] = 0.0
-    return out
+    A = abs_G / T[:, :, None]
+    order = np.argsort(-A, axis=1, kind="stable")
+    budget = (pen.thr * sigma2)[:, None, :]
+    levels = np.cumsum(np.take_along_axis(abs_G, order, axis=1), axis=1) - budget
+    levels /= np.cumsum(np.take_along_axis(np.broadcast_to(T[:, :, None], A.shape), order, axis=1), axis=1)
+    c = np.maximum(levels.max(axis=1), 0.0)[:, None, :]
+    return np.where(c == 0.0, 0.0, np.sign(G) * np.minimum(A, c))
 
 
 def _group_update(G, T, sigma2, pen):
@@ -314,28 +384,30 @@ def _group_update(G, T, sigma2, pen):
     Since T_k r + thr_k sigma2_i <= T_k r + thr_k max_i sigma2_i, the root is
     at least max((||G|| - thr_k max_i sigma2_i) / T_k, 0); started there,
     below the root of a concave increasing psi, the iterates rise
-    monotonically to it. It runs on the nonzero blocks only, all at once.
+    monotonically to it. It runs on the nonzero blocks of every lane, all at
+    once, and each block stops on its own.
     """
-    m, q = G.shape
+    L, m, q = G.shape
     q_c = pen.q_c
     p = q // q_c
-    thr = pen.thr  # (m,)
-    G3 = G.reshape(m, p, q_c)
-    sig3 = sigma2.reshape(p, q_c)
-    scaled = G3 / sig3[None, :, :]
-    live = np.sqrt((scaled * scaled).sum(axis=2)) > thr[:, None]  # (m, p)
-    out = np.zeros((m, p, q_c))
-    k, block = np.nonzero(live)
-    g2 = G3[live] ** 2  # (L, q_c)
-    t = T[k][:, None]
-    c = thr[k][:, None] * sig3[block]
-    r = np.maximum((np.sqrt(g2.sum(axis=1)) - c.max(axis=1)) / T[k], 0.0)
+    thr = pen.thr  # (L, m)
+    G3 = G.reshape(L, m, p, q_c)
+    sig3 = sigma2.reshape(L, p, q_c)
+    scaled = G3 / sig3[:, None]
+    live = np.sqrt((scaled * scaled).sum(axis=3)) > thr[:, :, None]  # (L, m, p)
+    out = np.zeros((L, m, p, q_c))
+    lane, k, block = np.nonzero(live)
+    g2 = G3[live] ** 2  # (blocks, q_c)
+    T_k = T[lane, k]
+    t = T_k[:, None]
+    c = thr[lane, k][:, None] * sig3[lane, block]
+    r = np.maximum((np.sqrt(g2.sum(axis=1)) - c.max(axis=1)) / T_k, 0.0)
     settled = np.zeros(r.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
         d = t * r[:, None] + c
         S = (g2 / d**2).sum(axis=1)
         # psi = S^(-1/2) and psi' = T_k S^(-3/2) sum_i G_i^2 / d_i^3
-        r_next = r + (S**1.5 - S) / (T[k] * (g2 / d**3).sum(axis=1))
+        r_next = r + (S**1.5 - S) / (T_k * (g2 / d**3).sum(axis=1))
         # the iterates only rise, so a fall is rounding at the root
         done = r_next - r <= _NEWTON_RTOL * r_next
         r = np.where(settled, r, r_next)
@@ -343,7 +415,7 @@ def _group_update(G, T, sigma2, pen):
         if settled.all():
             break
     out[live] = G3[live] * r[:, None] / (t * r[:, None] + c)
-    return out.reshape(m, q)
+    return out.reshape(L, m, q)
 
 
 def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
@@ -354,13 +426,12 @@ def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
     (cluster, sensor) blocks mu_kl.
     """
     means = np.asarray(means, dtype=float)
-    return _Penalty(spec, *means.shape, q_c).value(means)
+    return float(_Penalty([spec], *means.shape, q_c).value(means[None])[0])
 
 
 def penalized_nll(B: CoefficientMatrix, params: MixtureParams, spec: PenaltySpec) -> float:
     """Observed-data penalized objective: -sum_i log g(x_i) plus the penalty."""
-    X = B.scores
-    _, nll = _log_joint(X, (X**2).sum(axis=0), params.proportions, params.means, params.variances)
+    _, nll = _one_point(B.scores, params)
     return nll + penalty_value(params.means, spec, B.q_c)
 
 
@@ -443,10 +514,11 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 
 
 def _mean_update_for(pen, G, T, sigma2):
-    """The M-step mean update under the _Penalty pen from the weighted sums
-    G = tau.T @ X and masses T."""
+    """The M-step mean updates of a stack under the _Penalty pen, from the
+    weighted sums G = tau.T @ X (L, m, q), the masses T (L, m) and the
+    variances sigma2 (L, q)."""
     if pen.kind == "none":
-        return G / T[:, None]
+        return G / T[:, :, None]
     if pen.kind == "individual":
         return _individual_update(G, T, sigma2, pen)
     if pen.kind == "variable":
@@ -462,182 +534,271 @@ def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -
 
 class _Fit:
     """What one fit computes once: the scores X, the column sums of X^2,
-    the penalty, and the layout of the flat parameter vector theta =
+    the penalty of every lane, and the layout of a parameter row theta =
     (proportions, means row by row, variances)."""
 
-    def __init__(self, B: CoefficientMatrix, m: int, spec: PenaltySpec):
+    def __init__(self, B: CoefficientMatrix, m: int, specs):
         self.X = B.scores
         self.n, self.q = self.X.shape
         self.m = m
         self.Xsq_colsum = (self.X**2).sum(axis=0)
-        self.pen = _Penalty(spec, m, self.q, B.q_c)
+        self.pen = _Penalty(specs, m, self.q, B.q_c)
 
     def split(self, theta):
-        """Views of theta: proportions, (m, q) means, variances."""
+        """Views of a stack of rows theta: (L, m) proportions, (L, m, q)
+        means and (L, q) variances."""
         m, v = self.m, self.m * (1 + self.q)
-        return theta[:m], theta[m:v].reshape(m, self.q), theta[v:]
+        return theta[:, :m], theta[:, m:v].reshape(-1, m, self.q), theta[:, v:]
 
 
-def _expect(fit, theta):
-    """E-step at theta: the observed objective there, the responsibilities
-    and the cluster masses."""
+def _expect(fit, pen, theta):
+    """E-step at a stack theta under pen: the observed objectives there, the
+    responsibilities, the cluster masses and the kernel's failure codes."""
     pi, means, sigma2 = fit.split(theta)
-    tau, nll = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
-    return nll + fit.pen.value(means), tau, tau.sum(axis=0)
-
-
-def _screened(fit, theta):
-    """_expect at a point reached by extrapolation, or None where that point
-    underflows or leaves a cluster without mass."""
-    try:
-        state = _expect(fit, theta)
-    except NumericalError:
-        return None
-    return state if state[2].min() > _EMPTY_CLUSTER_TOL else None
+    tau, nll, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
+    return nll + pen.value(means), tau, tau.sum(axis=1), failed
 
 
 def _extrapolate(fit, theta0, theta1, theta2):
-    """The SQUAREM point theta0 - 2 alpha r + alpha^2 v, or None when it has
-    a proportion or variance that is not positive.
+    """The SQUAREM points theta0 - 2 alpha r + alpha^2 v of a stack, and the
+    mask of the lanes whose point is usable: v is not 0 and the point's
+    proportions and variances are positive.
 
     r = theta1 - theta0 and v = theta2 - theta1 - r; alpha = -||r|| / ||v||,
     capped at -1, where alpha = -1 gives theta2 itself.
     """
     r = theta1 - theta0
     v = theta2 - theta1 - r
-    vv = v @ v
-    if vv == 0.0:
-        return None
-    alpha = min(-math.sqrt(r @ r) / math.sqrt(vv), -1.0)
-    point = theta0 - 2.0 * alpha * r + alpha**2 * v
+    vv = _dots(v, v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = np.minimum(-np.sqrt(_dots(r, r)) / np.sqrt(vv), -1.0)[:, None]
+        point = theta0 - 2.0 * alpha * r + alpha**2 * v
     pi, _, sigma2 = fit.split(point)
-    if pi.min() <= 0.0 or sigma2.min() <= 0.0:
-        return None
-    return point
+    return point, (vv != 0.0) & (pi.min(axis=1) > 0.0) & (sigma2.min(axis=1) > 0.0)
 
 
-def _em_attempt(B, m, spec, params0, tol, max_iter):
-    fit = _Fit(B, m, spec)
-    X, n, pen = fit.X, fit.n, fit.pen
-    means0 = np.where(pen.pinned, 0.0, params0.means)
+class _Lanes:
+    """The live lanes of a fit, stacked on axis 0 of every array.
 
-    # theta is the next input of the EM map and state its E-step. cycle holds
-    # the SQUAREM cycle so far: [theta0] and [theta0, theta1] while theta is
-    # a plain EM iterate, [theta0, theta1, theta2] while theta is the
-    # extrapolated point.
-    theta = np.concatenate((params0.proportions, means0.ravel(), params0.variances))
-    state = _expect(fit, theta)
-    cycle = []
-    trace = []
-    converged = False
-    iterations = 0
-    floored = False
-    while iterations < max_iter:
-        objective, tau, T = state
-        if not cycle:
-            trace.append(objective)
-        if T.min() <= _EMPTY_CLUSTER_TOL:  # collapsed: reported as not converged
+    index holds each lane's position among the fit's specs and pen their
+    penalty. theta is the next input of the EM map and (objective, tau, T)
+    its E-step. phase is the lane's place in its SQUAREM cycle: 0 while
+    theta is the cycle's theta0, 1 while it is theta1 and 2 while it is the
+    extrapolated point. theta0 and theta2 hold the cycle's points so far,
+    and start the objective at theta0.
+    """
+
+    ARRAYS = ("index", "theta", "objective", "tau", "T", "phase", "theta0", "theta2", "start")
+
+    def __init__(self, pen, theta, objective, tau, T):
+        self.pen = pen
+        self.index = np.arange(len(theta))
+        self.theta = self.theta0 = self.theta2 = theta
+        self.objective, self.tau, self.T = objective, tau, T
+        self.phase = np.zeros(len(theta), dtype=int)
+        self.start = objective
+
+    def drop(self, mask, *arrays):
+        """Drop the lanes in mask, here and from arrays stacked like them;
+        returns those arrays."""
+        if not mask.any():
+            return arrays
+        keep = ~mask
+        for name in self.ARRAYS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.pen = self.pen.take(keep)
+        return tuple(a[keep] for a in arrays)
+
+    def advance(self, fit, mapped):
+        """Move every lane to its next input, given mapped, the EM map of its
+        theta. Returns the failure codes of the plain E-steps, 0 where the
+        lane goes on.
+
+        phase 0: theta1 = mapped is mapped next. phase 1: mapped is theta2;
+        the lane extrapolates and, if the point is usable and keeps every
+        cluster's mass, maps it next, else restarts from theta2. phase 2: the
+        lane keeps the stabilized point mapped if it keeps every cluster's
+        mass and does not raise the objective at theta0, else restarts from
+        theta2. Only the screened E-steps, at the extrapolated and the
+        stabilized points, may fail without failing the lane.
+        """
+        phase = self.phase
+        theta2 = np.where((phase == 1)[:, None], mapped, self.theta2)
+        point, usable = _extrapolate(fit, self.theta0, self.theta, theta2)
+        usable &= phase == 1
+        theta = np.where(usable[:, None], point, mapped)
+        objective, tau, T, failed = _expect(fit, self.pen, theta)
+        kept = (failed == 0) & (T.min(axis=1) > _EMPTY_CLUSTER_TOL) & ((phase < 2) | (objective <= self.start))
+        back = (usable | (phase == 2)) & ~kept
+        if back.any():
+            theta[back] = theta2[back]
+            objective[back], tau[back], T[back], failed[back] = _expect(fit, self.pen.take(back), theta2[back])
+        self.theta0 = np.where((phase == 0)[:, None], self.theta, self.theta0)
+        self.theta, self.theta2 = theta, theta2
+        self.objective, self.tau, self.T = objective, tau, T
+        self.phase = np.where(phase == 0, 1, np.where(usable & kept, 2, 0))
+        return failed
+
+
+def _em_attempt(B, m, specs, params0, tol, max_iter):
+    """The EM loop of run_em: per spec, its FitResult or the NumericalError
+    that ended its lane."""
+    fit = _Fit(B, m, specs)
+    X, n, L = fit.X, fit.n, len(specs)
+    theta = np.concatenate((
+        np.tile(params0.proportions, (L, 1)),
+        np.where(fit.pen.pinned, 0.0, params0.means).reshape(L, -1),
+        np.tile(params0.variances, (L, 1)),
+    ), axis=1)
+    out = [None] * L
+    final = theta.copy()  # the point each lane returns
+    iterations = np.zeros(L, dtype=int)
+    reasons = ["max_iter"] * L
+    traces = [[] for _ in range(L)]
+    floored = np.zeros(L, dtype=bool)
+
+    def stop(mask, points, reason, *arrays):
+        """End the lanes in mask at their points, for reason."""
+        if mask.any():
+            lanes = live.index[mask]
+            final[lanes] = points[mask]
+            for lane in lanes:
+                reasons[lane] = reason
+        return live.drop(mask, *arrays)
+
+    def fail(failed):
+        """End the lanes whose plain E-step failed."""
+        for lane, code in zip(live.index, failed):
+            if code:
+                out[lane] = NumericalError(_KERNEL_FAILURES[code - 1])
+        live.drop(failed != 0)
+
+    objective, tau, T, failed = _expect(fit, fit.pen, theta)
+    live = _Lanes(fit.pen, theta, objective, tau, T)
+    # the peak memory grows with the lanes: no name outlives the stack it holds
+    del theta, objective, tau, T
+    fail(failed)
+    for step in range(1, max_iter + 1):
+        at_start = live.phase == 0
+        for lane, value in zip(live.index[at_start], live.objective[at_start].tolist()):
+            traces[lane].append(value)
+        live.start = np.where(at_start, live.objective, live.start)
+        # collapsed, reported as not converged (an extrapolated point is
+        # accepted only with every cluster's mass, so this theta is plain)
+        stop(live.T.min(axis=1) <= _EMPTY_CLUSTER_TOL, live.theta, "collapsed")
+        if not live.index.size:
             break
-        iterations += 1
-        G = tau.T @ X
-        means = _mean_update_for(pen, G, T, fit.split(theta)[2])
-        raw = _variances(fit.Xsq_colsum, G, T, means, n)
-        floored = floored or raw.min() < _VARIANCE_FLOOR
-        mapped = np.concatenate((T / n, means.ravel(), np.maximum(raw, _VARIANCE_FLOOR)))
+        iterations[live.index] = step
+        G = live.tau.transpose(0, 2, 1) @ X
+        means = _mean_update_for(live.pen, G, live.T, fit.split(live.theta)[2])
+        raw = _variances(fit.Xsq_colsum, G, live.T, means, n)
+        floored[live.index] |= raw.min(axis=1) < _VARIANCE_FLOOR
+        mapped = np.concatenate((live.T / n, means.reshape(len(means), -1), np.maximum(raw, _VARIANCE_FLOOR)), axis=1)
+        # either plain step of a cycle, from theta0 or theta1, may converge
+        moved = mapped - live.theta
+        converged = (live.phase < 2) & (np.sqrt(_dots(moved, moved)) <= tol)
+        del G, means, moved
+        (mapped,) = stop(converged, mapped, "converged", mapped)
+        if live.index.size:
+            fail(live.advance(fit, mapped))
+    # where max_iter ran out before the extrapolated point was mapped: theta2
+    stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.theta2, live.theta), "max_iter")
 
-        if len(cycle) < 2:  # a plain EM step, from theta0 or theta1
-            cycle.append(theta)
-            step = mapped - theta
-            if math.sqrt(step @ step) <= tol:
-                theta, converged = mapped, True
-                break
-            if len(cycle) == 2:  # mapped is theta2: map the extrapolated point next
-                cycle.append(mapped)
-                point = _extrapolate(fit, *cycle)
-                screened = None if point is None else _screened(fit, point)
-                if screened is not None:
-                    theta, state = point, screened
-                    continue
-                cycle = []  # no usable point: the next cycle starts at theta2
-            theta, state = mapped, _expect(fit, mapped)
-        else:  # the stabilizing step from the extrapolated point
-            state = _screened(fit, mapped)
-            if state is not None and state[0] <= trace[-1]:
-                theta = mapped
-            else:
-                theta = cycle[2]
-                state = _expect(fit, theta)
-            cycle = []
-    if len(cycle) == 3:  # max_iter ran out before the extrapolated point was mapped
-        theta = cycle[2]
-
-    if floored:
+    ok = [lane for lane in range(L) if out[lane] is None]
+    if floored[ok].any():
         warnings.warn("degenerate variance floored at 1e-8 during EM")
-
-    pi, means, sigma2 = fit.split(theta)
-    tau, plain = _log_joint(X, fit.Xsq_colsum, pi, means, sigma2)
-    penalized = plain + pen.value(means)
-    trace.append(penalized)
-
-    params = MixtureParams(proportions=pi, means=means, variances=sigma2)
-    return FitResult(
-        params=params,
-        responsibilities=tau,
-        hard_labels=tau.argmax(axis=1),
-        penalized_nll=penalized,
-        plain_nll=plain,
-        n_zero_means=int(params.zero_mask.sum()),
-        removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, B.q_c),
-        iterations=iterations,
-        converged=converged,
-        objective_trace=trace,
-    )
+    if not ok:
+        return out
+    pi, means, sigma2 = fit.split(final[ok])
+    tau, plain, failed = _log_joint(X, fit.Xsq_colsum, pi, means, sigma2)
+    penalized = plain + fit.pen.take(ok).value(means)
+    for j, lane in enumerate(ok):
+        if failed[j]:
+            out[lane] = NumericalError(_KERNEL_FAILURES[failed[j] - 1])
+            continue
+        traces[lane].append(float(penalized[j]))
+        # copies, so that a fit kept does not keep every lane's arrays alive
+        params = MixtureParams(proportions=pi[j].copy(), means=means[j].copy(), variances=sigma2[j].copy())
+        out[lane] = FitResult(
+            params=params,
+            responsibilities=tau[j].copy(),
+            hard_labels=tau[j].argmax(axis=1),
+            penalized_nll=float(penalized[j]),
+            plain_nll=float(plain[j]),
+            n_zero_means=int(params.zero_mask.sum()),
+            removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, B.q_c),
+            iterations=int(iterations[lane]),
+            stop_reason=reasons[lane],
+            objective_trace=traces[lane],
+        )
+    return out
 
 
 def run_em(
     B: CoefficientMatrix,
     m: int,
-    spec: PenaltySpec,
+    spec: PenaltySpec | Sequence[PenaltySpec],
     seed: int = 0,
     tol: float = 1e-4,
     max_iter: int = 500,
     init: MixtureParams | None = None,
-) -> FitResult:
+) -> FitResult | list[FitResult | NumericalError]:
     """Penalized EM, accelerated by SQUAREM, until a plain EM step moves the
     parameters by at most tol.
+
+    spec is one PenaltySpec or a sequence of them, the lanes of one fit.
+    The lanes share B, m, the start and one penalty kind, where a spec with
+    lam 0 counts as kind "none" (a mix raises ValueError). Each lane is
+    fitted exactly as it would be alone; the lanes only share the array
+    operations.
 
     One EM map is an E-step followed by the M-step, which updates the means
     first (using the input's variances inside the penalty terms) and then
     the variances from the fresh means. Both are exact minimizers for every
     penalty kind, so the map never raises the observed penalized objective.
     Each E-step is one call of the reduced-form kernel _log_joint, which
-    gives the responsibilities and the observed objective together.
+    gives the responsibilities and the observed objective together for
+    every live lane.
 
-    The fit holds (proportions, means, variances) as one flat vector theta.
-    Each SQUAREM cycle (Varadhan & Roland, 2008) maps theta0 to theta1 and
-    theta1 to theta2, extrapolates theta' = theta0 - 2 alpha r + alpha^2 v
-    with r = theta1 - theta0, v = theta2 - theta1 - r and alpha =
-    min(-||r|| / ||v||, -1), and maps theta' once more, which restores the
-    exact zeros of the M-step. The next cycle starts from that point if
-    theta' has positive proportions and variances, neither theta' nor the
-    point leaves a cluster without mass, and the point's objective is at
-    most theta0's; otherwise from theta2. Every cycle therefore descends,
-    and a collapse at an extrapolated point only rejects it. The fit
-    converges when either plain step of a cycle moves theta by at most tol
-    in Euclidean norm.
+    Each lane holds (proportions, means, variances) as one row theta of the
+    fit's parameter array. Each SQUAREM cycle (Varadhan & Roland, 2008) maps
+    theta0 to theta1 and theta1 to theta2, extrapolates theta' = theta0 -
+    2 alpha r + alpha^2 v with r = theta1 - theta0, v = theta2 - theta1 - r
+    and alpha = min(-||r|| / ||v||, -1), and maps theta' once more, which
+    restores the exact zeros of the M-step. The next cycle starts from that
+    point if theta' has positive proportions and variances, neither theta'
+    nor the point leaves a cluster without mass, and the point's objective
+    is at most theta0's; otherwise from theta2. Every cycle therefore
+    descends, and a collapse at an extrapolated point only rejects it.
 
-    FitResult.iterations counts EM-map evaluations, plain and stabilizing,
-    and max_iter bounds that count. FitResult.objective_trace holds the
-    observed objective at the start of every cycle and at the returned
-    point; FitResult.max_objective_rise is its largest rise.
+    Every lane stops on its own, and FitResult.stop_reason says why:
+    "converged" when either plain step of a cycle moves its theta by at most
+    tol in Euclidean norm, "collapsed" when a cluster loses its mass at an EM
+    iterate (the lane stops there, after fewer than max_iter iterations) and
+    "max_iter" when it has run max_iter EM maps. FitResult.iterations
+    counts the lane's EM-map evaluations, plain and stabilizing.
+    FitResult.objective_trace holds the observed objective at the start of
+    every cycle and at the returned point; FitResult.max_objective_rise is
+    its largest rise. The variance-floor warning fires once per call if any
+    lane's variances were floored.
 
     The fit starts from init, or from initialize(B, m, seed) when init is
-    None, and runs once. If a cluster loses its mass at an EM iterate the
-    fit stops there: it comes back with converged False after fewer than
-    max_iter iterations. Deterministic for fixed (B, m, spec, seed, init).
+    None, and runs once; a failed initialization raises NumericalError.
+    Returns the FitResult of a single spec, raising NumericalError when a
+    plain E-step fails (all densities underflow for a row, or the scaled
+    squared scores overflow). For a sequence it returns a list with one
+    entry per lane: its FitResult or, where that lane's plain E-step
+    failed, the NumericalError, while the other lanes go on. Deterministic
+    for fixed (B, m, spec, seed, init).
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    specs = [spec] if isinstance(spec, PenaltySpec) else list(spec)
     if init is None:
         init = initialize(B, m, seed)
-    return _em_attempt(B, m, spec, init, tol, max_iter)
+    fits = _em_attempt(B, m, specs, init, tol, max_iter)
+    if not isinstance(spec, PenaltySpec):
+        return fits
+    if isinstance(fits[0], NumericalError):
+        raise fits[0]
+    return fits[0]

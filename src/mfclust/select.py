@@ -8,6 +8,11 @@ grid with those weights; at lambda = 0 the weights do not matter, so it
 reuses the pilot's fit there. All rows, pilot and adaptive, compete for the
 final model under the adjusted BIC, whose effective dimension credits
 every mean component forced to zero.
+
+Every fit of one cluster count starts from the same k-means start, so the
+lambda > 0 points of a phase are the lanes of one run_em call: one for the
+pilot and one for every (gamma, lambda) point of the adaptive phase. The
+lambda = 0 fit runs alone.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from mfclust.em import (
     FitResult,
     NumericalError,
     PenaltySpec,
+    adaptive_weights,
     initialize,
     run_em,
 )
@@ -114,9 +120,9 @@ def adjusted_bic(fit: FitResult, n: int, q: int) -> float:
     return 2.0 * fit.plain_nll + math.log(n * q) * d_e
 
 
-def _evaluate_point(B, m, spec, init, phase):
-    fit = run_em(B, m, spec, init=init)
-    row = SelectionRow(
+def _evaluate_point(B, m, spec, fit, phase):
+    """The selection row of the grid point spec, fitted as fit."""
+    return SelectionRow(
         m=m,
         lam=spec.lam,
         gamma=spec.gamma,
@@ -131,28 +137,36 @@ def _evaluate_point(B, m, spec, init, phase):
         iterations=fit.iterations,
         max_rise=fit.max_objective_rise,
     )
-    return row, fit
 
 
-def _lambda_sweep(B, m, kind, lambdas, init, phase, gamma=0.0, reference=None, zero=None):
-    """Fit every lambda; return the (row, fit) points and the failures.
+def _fit_points(B, m, points, init, phase, zero=None):
+    """Fit the grid points, (spec, gamma) pairs; return their (row, fit)
+    pairs and the failure messages, both in grid order.
 
-    zero is the pilot's (row, fit) at lambda = 0. That spec has unit weights
-    whatever gamma is, so an adaptive sweep reuses it instead of refitting.
+    The lambda > 0 specs are the lanes of one run_em call. A lambda = 0 spec
+    is fitted alone, unless zero, the pilot's (row, fit) there, is given:
+    that spec has unit weights whatever gamma is, so it is reused instead.
     """
-    points, failures = [], []
-    for lam in lambdas:
-        if lam == 0.0 and zero is not None:
+    laned = [spec for spec, _ in points if spec.lam > 0.0]
+    lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
+    done, failures = [], []
+    for spec, gamma in points:
+        if spec.lam > 0.0:
+            fit = next(lane_fits)
+        elif zero is not None:
             row, fit = zero
-            points.append((replace(row, phase=phase), fit))
+            done.append((replace(row, phase=phase), fit))
             continue
-        spec = (PenaltySpec(kind, lam) if reference is None or lam == 0.0
-                else PenaltySpec.adaptive(kind, lam, gamma, reference))
-        try:
-            points.append(_evaluate_point(B, m, spec, init, phase))
-        except NumericalError as exc:
-            failures.append(f"m={m}, kind={kind}, lam={lam:.4g}, gamma={gamma:g} ({phase}): {exc}")
-    return points, failures
+        else:
+            try:
+                fit = run_em(B, m, spec, init=init)
+            except NumericalError as exc:
+                fit = exc
+        if isinstance(fit, NumericalError):
+            failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={gamma:g} ({phase}): {fit}")
+        else:
+            done.append((_evaluate_point(B, m, spec, fit, phase), fit))
+    return done, failures
 
 
 def _best_point(points):
@@ -179,7 +193,8 @@ def _search_one_m(args):
         return m, [], None, None, [f"m={m}: initialization failed: {exc}"]
 
     lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-    points, failures = _lambda_sweep(B, m, kind, lambdas, init, "pilot")
+    pilot = [(PenaltySpec(kind, lam), 0.0) for lam in lambdas]
+    points, failures = _fit_points(B, m, pilot, init, "pilot")
     reference = None
     if kind != "none":
         pilot_best = _best_point(points)
@@ -188,13 +203,16 @@ def _search_one_m(args):
         else:
             reference = pilot_best[1].params.means
             zero = next((p for p in points if p[0].lam == 0.0), None)
+            adaptive = []
             for gamma in grid.gamma_values:
-                adaptive, fails = _lambda_sweep(
-                    B, m, kind, lambdas, init, "adaptive",
-                    gamma=gamma, reference=reference, zero=zero,
-                )
-                points.extend(adaptive)
-                failures.extend(fails)
+                weights = adaptive_weights(kind, gamma, reference)
+                adaptive += [
+                    (PenaltySpec(kind, lam, float(gamma), weights) if lam > 0.0 else PenaltySpec(kind, lam), gamma)
+                    for lam in lambdas
+                ]
+            fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
+            points.extend(fitted)
+            failures.extend(fails)
     return m, [row for row, _ in points], _best_point(points), reference, failures
 
 

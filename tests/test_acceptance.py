@@ -360,7 +360,7 @@ def test_criterion_9_metric_unit_suite():
         n_zero_means=int(permuted.zero_mask.sum()),
         removed_sensors=fit.removed_sensors,
         iterations=fit.iterations,
-        converged=fit.converged,
+        stop_reason=fit.stop_reason,
     )
     if abs(adjusted_bic(fit, B.n, B.q) - adjusted_bic(relabeled, B.n, B.q)) > 1e-8:
         failures.append("BIC not relabeling invariant")
@@ -384,7 +384,7 @@ def test_criterion_9_metric_unit_suite():
         n_zero_means=3,
         removed_sensors=set(),
         iterations=fit.iterations,
-        converged=True,
+        stop_reason="converged",
     )
     drop = adjusted_bic(fit, B.n, B.q) - adjusted_bic(zeroed, B.n, B.q)
     if abs(drop - 3 * math.log(B.n * B.q)) > 1e-8:

@@ -482,6 +482,52 @@ def test_benchmark_small_sweep(tmp_path, capsys):
     assert len(recs) == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_repeated_penalty_kind_exits_1_before_any_output(small_run, capsys, command):
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    if command == "fit":
+        args = fit_args(tmp_path, data, ["--penalty", "none,none", "--m-grid", 2])
+    else:
+        args = ["benchmark", "--scenario", "sample-size", "--reps", 1, "--levels", 50,
+                "--kinds", "none,none", "--m-grid", 2, "--jobs", 1,
+                "--output", tmp_path / "o.csv", "--replicates", tmp_path / "r.csv"]
+    assert run_cli(*args) == 1
+    assert "penalty kinds must not repeat" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("kind", ["none", "individual", "variable", "group"])
+def test_fit_outputs_do_not_depend_on_jobs(small_run, kind):
+    tmp_path, data, _ = small_run
+    digests = []
+    for jobs, out in [(1, tmp_path / "a"), (2, tmp_path / "b")]:
+        code = run_cli(
+            "fit", "--input", data, "--report", out / "report.json", "--assignments", out / "assign.csv",
+            "--removed", out / "removed.txt", "--cluster-means", out / "means.csv", "--qc", 2,
+            "--seed", 3, "--jobs", jobs, "--penalty", kind, "--m-grid", "1,2,3",
+            "--gamma-grid", "0.5,1.0", "--lambda-multipliers", "0,1,3",
+        )
+        assert code == 0
+        digests.append([digest(out / name) for name in ("report.json", "assign.csv", "removed.txt", "means.csv")])
+    assert digests[0] == digests[1]
+
+
+def test_benchmark_outputs_do_not_depend_on_jobs(tmp_path):
+    digests = []
+    for jobs in (1, 2):
+        out, reps = tmp_path / f"rows{jobs}.csv", tmp_path / f"reps{jobs}.csv"
+        code = run_cli(
+            "benchmark", "--scenario", "sample-size", "--levels", "30,40", "--reps", 2,
+            "--kinds", "individual,variable,group,none", "--qc", 2, "--m-grid", "2,3",
+            "--gamma-grid", "1.0", "--lambda-multipliers", "0,1,3", "--seed", 4, "--jobs", jobs,
+            "--output", out, "--replicates", reps,
+        )
+        assert code == 0
+        digests.append((digest(out), digest(reps)))
+    assert digests[0] == digests[1]
+
+
 BAD_SWEEPS = [
     ("sample-size", "--reps", "0", "reps must be at least 1"),
     ("sample-size", "--levels", "50.5", "whole numbers"),

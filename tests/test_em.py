@@ -634,7 +634,7 @@ def test_run_em_reports_collapse_without_restarting(monkeypatch):
 
     monkeypatch.setattr(em, "initialize", no_initialize)
     fit = run_em(B, 3, PenaltySpec("none"), seed=0, init=far, max_iter=500)
-    assert not fit.converged
+    assert not fit.converged and fit.stop_reason == "collapsed"
     assert fit.iterations < 500
     assert fit.responsibilities.sum(axis=0).min() <= 1e-12
 
@@ -695,3 +695,105 @@ def test_pinned_entries_stay_zero():
     fit = run_em(B, 2, spec, seed=5)
     assert fit.params.means[0, 1] == 0.0
     assert fit.params.means[1, 2] == 0.0
+
+
+def test_run_em_stop_reason_max_iter():
+    rng = np.random.default_rng(32)
+    X, _ = two_separated_clouds(rng, n=60, q=4, gap=3.0)
+    fit = run_em(cm(X, q_c=2), 2, PenaltySpec("group", 1.0), seed=1, max_iter=1)
+    assert fit.stop_reason == "max_iter" and not fit.converged
+    assert fit.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# lanes: one run_em call over a stack of specs
+
+
+def assert_same_fit(lane, alone):
+    """A lane of a stacked fit against the same spec fitted alone."""
+    assert lane.iterations == alone.iterations
+    assert lane.stop_reason == alone.stop_reason
+    assert lane.n_zero_means == alone.n_zero_means
+    assert lane.removed_sensors == alone.removed_sensors
+    assert len(lane.objective_trace) == len(alone.objective_trace)
+    npt.assert_allclose(lane.params.means, alone.params.means, rtol=0, atol=1e-12)
+    npt.assert_allclose(lane.objective_trace, alone.objective_trace, rtol=1e-12, atol=0)
+
+
+def far_third_cluster():
+    """Two clouds over two sensors of two columns each, and a start whose
+    third cluster sits at 1e3 in column 0, so it has no mass there."""
+    rng = np.random.default_rng(31)
+    X, _ = two_separated_clouds(rng, n=60, q=4, gap=4.0)
+    B = cm(X, q_c=2)
+    start = initialize(B, 2, seed=0)
+    means = np.vstack([start.means, [1e3, 0.0, 0.0, 0.0]])
+    return B, make_params(np.ones(3) / 3, means, start.variances)
+
+
+@pytest.mark.parametrize("max_iter", [11, 12])
+@pytest.mark.parametrize("kind", ["individual", "variable", "group"])
+def test_lanes_match_their_fits_alone(kind, max_iter):
+    B, far = far_third_cluster()
+    # exact zeros in column 0 and cluster 2 pin the third cluster's column-0
+    # mean (individual), column 0 (variable) or the whole cluster (group),
+    # which brings it back to the data: only the unit-weight lane collapses
+    ref = np.ones((3, 4))
+    ref[:, 0] = 0.0
+    ref[2] = 0.0
+    specs = [PenaltySpec(kind, 1.0)] + [
+        PenaltySpec.adaptive(kind, lam, 1.0, ref) for lam in (0.5, 2.0, 1e6)
+    ]
+    fits = run_em(B, 3, specs, init=far, max_iter=max_iter)
+    for spec, fit in zip(specs, fits):
+        assert_same_fit(fit, run_em(B, 3, spec, init=far, max_iter=max_iter))
+    assert [f.stop_reason for f in fits] == ["collapsed", "max_iter", "max_iter", "converged"]
+    assert fits[0].iterations == 0
+    assert all(f.params.means[2, 0] == 0.0 for f in fits[1:])
+    assert fits[3].n_zero_means == 12 and fits[3].removed_sensors == {"s00", "s01"}
+
+
+@pytest.mark.parametrize("kind", ["individual", "variable", "group"])
+def test_lanes_of_a_lambda_grid_match_their_fits_alone(kind):
+    rng = np.random.default_rng(34)
+    X, _ = two_separated_clouds(rng, n=80, q=6, gap=2.5)
+    B = cm(X, q_c=2)
+    init = initialize(B, 3, seed=2)
+    lambdas = [c * 80 ** (1 / 3) for c in (0.5, 1.0, 2.0, 5.0, 10.0)]
+    pilot = [PenaltySpec(kind, lam) for lam in lambdas]
+    reference = run_em(B, 3, pilot[1], init=init).params.means
+    specs = pilot + [PenaltySpec.adaptive(kind, lam, 1.0, reference) for lam in lambdas]
+    fits = run_em(B, 3, specs, init=init)
+    for spec, fit in zip(specs, fits):
+        assert_same_fit(fit, run_em(B, 3, spec, init=init))
+    assert len({f.iterations for f in fits}) > 1
+
+
+@pytest.mark.parametrize("kind", ["individual", "variable", "group"])
+def test_a_failed_lane_leaves_the_others(kind):
+    # means of 1e160 overflow in mu^2 / sigma2, so every cluster density of
+    # every row underflows, except in the lane whose means are all pinned to 0
+    rng = np.random.default_rng(35)
+    X, _ = two_separated_clouds(rng, n=40, q=4, gap=4.0)
+    B = cm(X, q_c=2)
+    huge = make_params([0.5, 0.5], np.full((2, 4), 1e160), np.ones(4))
+    specs = [
+        PenaltySpec(kind, 1.0),
+        PenaltySpec.adaptive(kind, 1.0, 1.0, np.zeros((2, 4))),
+        PenaltySpec(kind, 3.0),
+    ]
+    fits = run_em(B, 2, specs, init=huge)
+    for i in (0, 2):
+        assert isinstance(fits[i], em.NumericalError)
+        assert str(fits[i]) == "all cluster densities underflowed for some observation"
+        with pytest.raises(em.NumericalError, match="underflowed"):
+            run_em(B, 2, specs[i], init=huge)
+    assert_same_fit(fits[1], run_em(B, 2, specs[1], init=huge))
+    assert fits[1].params.zero_mask.all()
+
+
+def test_lanes_need_one_penalty_kind():
+    rng = np.random.default_rng(36)
+    X, _ = two_separated_clouds(rng, n=40, q=4, gap=4.0)
+    with pytest.raises(ValueError, match="one penalty kind"):
+        run_em(cm(X), 2, [PenaltySpec("group", 1.0), PenaltySpec("group", 0.0)], seed=0)

@@ -13,6 +13,7 @@ from mfclust.select import (
     SearchGrid,
     SelectionRow,
     _best_point,
+    _fit_points,
     adjusted_bic,
     model_search,
     row_sort_key,
@@ -77,7 +78,7 @@ def test_adjusted_bic_drops_per_zeroed_mean():
         n_zero_means=3,
         removed_sensors=set(),
         iterations=fit.iterations,
-        converged=True,
+        stop_reason="converged",
     )
     npt.assert_allclose(bic0 - adjusted_bic(zeroed, B.n, B.q), 3 * math.log(B.n * B.q), atol=1e-10)
 
@@ -101,7 +102,7 @@ def test_adjusted_bic_relabeling_invariant():
         n_zero_means=int(params.zero_mask.sum()),
         removed_sensors=fit.removed_sensors,
         iterations=fit.iterations,
-        converged=fit.converged,
+        stop_reason=fit.stop_reason,
     )
     npt.assert_allclose(
         adjusted_bic(fit, B.n, B.q), adjusted_bic(permuted, B.n, B.q), atol=1e-8
@@ -288,3 +289,42 @@ def test_default_grids_match_contract():
     assert grid.gamma_values == (0.5, 1.0, 1.5, 2.0)
     assert grid.lambda_multipliers == (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0)
     assert 0.0 in grid.lambdas(123)
+
+
+def test_each_phase_fits_its_positive_lambdas_in_one_call(monkeypatch):
+    B, _ = three_cluster_data(seed=6)
+    calls = []
+    real = select.run_em
+
+    def counting(B, m, spec, **kwargs):
+        calls.append((m, 1 if isinstance(spec, PenaltySpec) else len(spec)))
+        return real(B, m, spec, **kwargs)
+
+    monkeypatch.setattr(select, "run_em", counting)
+    grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
+    report = model_search(B, grid, "individual", seed=1)
+    # per m: the pilot's 2 positive lambdas, its lambda = 0 alone, then the
+    # 2 gammas x 2 positive lambdas of the adaptive phase
+    assert calls == [(2, 2), (2, 1), (2, 4), (3, 2), (3, 1), (3, 4)]
+    assert [(r.m, r.phase, r.gamma) for r in report.rows if r.lam == 0.0] == [
+        (2, "pilot", 0.0), (2, "adaptive", 0.0), (2, "adaptive", 0.0),
+        (3, "pilot", 0.0), (3, "adaptive", 0.0), (3, "adaptive", 0.0),
+    ]
+    assert len(report.rows) == 2 * (3 + 2 * 3)
+
+
+def test_a_failed_lane_is_reported_and_the_others_kept():
+    # means of 1e160 make every density underflow, except in the lane whose
+    # adaptive weights pin every mean to 0
+    B, _ = three_cluster_data(seed=7)
+    huge = MixtureParams([0.5, 0.5], np.full((2, B.q), 1e160), np.ones(B.q))
+    points = [
+        (PenaltySpec("individual", 1.0), 0.0),
+        (PenaltySpec.adaptive("individual", 2.0, 1.5, np.zeros((2, B.q))), 1.5),
+    ]
+    fitted, failures = _fit_points(B, 2, points, huge, "pilot")
+    assert failures == [
+        "m=2, kind=individual, lam=1, gamma=0 (pilot): "
+        "all cluster densities underflowed for some observation"
+    ]
+    assert [(row.lam, row.gamma, row.n_zero) for row, _ in fitted] == [(2.0, 1.5, 2 * B.q)]
