@@ -7,8 +7,9 @@ win. Each key is read as its flag with the value's text (a list in comma
 form), so argparse checks it like the flag: a key that names no option of
 the command, a value the flag refuses, or a null value exits 1. A bad search grid,
 basis size, sweep (its --qc included) or simulated design is a usage error,
-raised before any input is read or output written; so are --jobs below 1
-and fit --scores with --qc, --alpha or --beta.
+raised before any input is read or output written; so are --jobs below 1,
+a --qc outside [1, --n-basis], --alpha or --beta outside the component
+rule's ranges, and fit --scores with --qc, --alpha or --beta.
 
 Options per command (besides the input and output paths):
   transform  --n-basis --order, and --qc or the --alpha/--beta rule
@@ -46,7 +47,7 @@ from mfclust.dataio import (
     write_truth,
 )
 from mfclust.em import NumericalError, PENALTY_KINDS
-from mfclust.fpca import fit_fpca, standardize
+from mfclust.fpca import check_q_c, check_rule, fit_fpca, standardize
 from mfclust.select import (
     DEFAULT_GAMMA_VALUES,
     DEFAULT_LAMBDA_MULTIPLIERS,
@@ -201,21 +202,23 @@ def _check_distinct_outputs(args, *dests, inputs=()) -> None:
 def _transform_pipeline(args):
     if args.qc is not None and (args.alpha is not None or args.beta is not None):
         raise UsageError("give either --qc or the --alpha/--beta rule, not both")
+    alpha = 0.8 if args.alpha is None else args.alpha
+    beta = 0.8 if args.beta is None else args.beta
     try:
         check_size(args.n_basis, args.order)
     except ValueError as exc:
         raise UsageError(f"bad basis: {exc}") from None
+    try:
+        # q_c <= n - 1 depends on the curves, so fit_fpca checks that bound
+        if args.qc is not None:
+            check_q_c(args.qc, args.n_basis)
+        check_rule(alpha, beta)
+    except ValueError as exc:
+        raise UsageError(f"bad component count: {exc}") from None
     raw = read_long_csv(args.input)
     data, stats = standardize(raw)
     basis = build_basis(float(data.times[0]), float(data.times[-1]), args.n_basis, args.order)
-    models, B = fit_fpca(
-        data,
-        basis,
-        q_c=args.qc,
-        alpha=0.8 if args.alpha is None else args.alpha,
-        beta=0.8 if args.beta is None else args.beta,
-        standardization=stats,
-    )
+    models, B = fit_fpca(data, basis, q_c=args.qc, alpha=alpha, beta=beta, standardization=stats)
     return raw, data, models, B
 
 

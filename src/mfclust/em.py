@@ -10,7 +10,8 @@ per column (variable), and a block shrinkage whose norm is the root of a
 scalar equation, solved by Newton's method (group). Each update
 sets a mean, column or block exactly to zero on its zero condition.
 Entries whose adaptive weight is infinite (reference mean exactly zero)
-are pinned to zero for the whole fit.
+are pinned to zero for the whole fit. At lam = 0 each update has zero
+thresholds and gives G / T exactly: kind "none" is the individual one.
 
 The E-step works in reduced form. Of log pi_k + log f_k(x_i), only
 x_i . (mu_k / sigma2) + log pi_k - 1/2 sum_j mu_kj^2 / sigma2_j depends on
@@ -23,17 +24,17 @@ monotone by falling back to the plain EM iterate whenever an extrapolated
 point does not lower the observed objective.
 
 One fit runs a stack of L lanes: penalty specs of one kind that share the
-data, m and the start, such as the lambda points of a grid search. The
-parameters are an (L, dim) array whose rows hold (proportions, means row by
-row, variances), so SQUAREM's differences, norms and extrapolation are
-single array operations. Every EM map makes one M-step and one E-step
-kernel call for all live lanes (a second call serves the lanes whose
-extrapolated or stabilized point was rejected), and SQUAREM decides
-everything per lane, with masks: each lane takes the same steps, and stops
-at the same iteration for the same reason, as it would fitted alone. A
-single spec is the one-lane case. Stacked products are one GEMM per lane
-and every reduction runs within a lane, so a lane's numbers do not depend
-on the other lanes.
+data, m and the start, such as the lambda points of a grid search, 0
+included. The parameters are an (L, dim) array whose rows hold
+(proportions, means row by row, variances), so SQUAREM's differences,
+norms and extrapolation are single array operations. Every EM map makes
+one M-step and one E-step kernel call for all live lanes (a second call
+serves the lanes whose extrapolated or stabilized point was rejected), and
+SQUAREM decides everything per lane, with masks: each lane takes the same
+steps, and stops at the same iteration for the same reason, as it would
+fitted alone. A single spec is the one-lane case. Stacked products are one
+GEMM per lane and every reduction runs within a lane, so a lane's numbers
+do not depend on the other lanes.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class PenaltySpec:
 
     weights is (m, q) for the individual penalty (one per mean), (q,) for
     the variable penalty (one per column) and (m,) for the group penalty
-    (one per cluster); None means unit weights. Infinite weights arise from
-    reference means that are exactly zero and pin the corresponding
-    parameters to zero.
+    (one per cluster); None means unit weights, and so does lam = 0, where
+    the weights do not matter. Infinite weights arise from reference means
+    that are exactly zero and pin the corresponding parameters to zero.
     """
 
     kind: str
@@ -135,9 +136,9 @@ class PenaltySpec:
         return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w)
 
     def weights_for(self, m: int, q: int) -> np.ndarray:
-        """Weights in their full shape, defaulting to ones."""
+        """Weights in their full shape: ones without weights or at lam 0."""
         shape = {"variable": (q,), "group": (m,)}.get(self.kind, (m, q))
-        if self.weights is None:
+        if self.weights is None or self.lam == 0.0:
             return np.ones(shape)
         if self.weights.shape != shape:
             raise ValueError(f"weights shape {self.weights.shape} does not match {shape}")
@@ -145,8 +146,6 @@ class PenaltySpec:
 
     def pinned(self, m: int, q: int) -> np.ndarray:
         """Boolean (m, q) mask of means pinned to zero by infinite weights."""
-        if self.kind == "none" or self.lam == 0.0 or self.weights is None:
-            return np.zeros((m, q), dtype=bool)
         inf = np.isinf(self.weights_for(m, q))
         if self.kind == "group":
             return np.repeat(inf[:, None], q, axis=1)
@@ -285,22 +284,20 @@ class _Penalty:
     """A stack of PenaltySpecs, one per lane, made concrete for m clusters
     and q = p q_c columns.
 
-    A fit builds it once. The specs share one kind, which is "none"
-    whenever lam is 0. thr stacks lam times each lane's weights in their
-    full shape: (L, m, q) individual, (L, q) variable and (L, m) group, the
-    last times sqrt(q_c). pinned is the (L, m, q) mask of means held at zero
-    by infinite weights.
+    A fit builds it once. The specs share one kind, whatever their lam. thr
+    stacks lam times each lane's weights in their full shape: (L, m, q)
+    individual and none, (L, q) variable and (L, m) group, the last times
+    sqrt(q_c); it is 0 for kind none and for every lane at lam 0. pinned is
+    the (L, m, q) mask of means held at zero by infinite weights.
     """
 
     def __init__(self, specs, m: int, q: int, q_c: int):
-        kinds = {"none" if spec.lam == 0.0 else spec.kind for spec in specs}
+        kinds = {spec.kind for spec in specs}
         if len(kinds) != 1:
             raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
         (self.kind,) = kinds
         self.q_c = q_c
         self.pinned = np.stack([spec.pinned(m, q) for spec in specs])
-        if self.kind == "none":
-            return
         thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
         self.thr = thr * np.sqrt(q_c) if self.kind == "group" else thr
 
@@ -308,26 +305,23 @@ class _Penalty:
         """The penalty of the given lanes only."""
         out = copy.copy(self)
         out.pinned = self.pinned[lanes]
-        if self.kind != "none":
-            out.thr = self.thr[lanes]
+        out.thr = self.thr[lanes]
         return out
 
     def value(self, means: np.ndarray) -> np.ndarray:
         """The (L,) penalty terms at the (L, m, q) means; see penalty_value."""
         L, m, q = means.shape
-        if self.kind == "none":
-            return np.zeros(L)
         thr = self.thr
         # a lane whose E-step failed may hold means whose squares overflow;
         # exact zeros contribute nothing even under infinite weights
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "individual":
-                size = np.abs(means)
-            elif self.kind == "variable":
+            if self.kind == "variable":
                 size = np.abs(means).max(axis=1)
-            else:
+            elif self.kind == "group":
                 size = np.sqrt((means.reshape(L, m, q // self.q_c, self.q_c) ** 2).sum(axis=3))
                 thr = thr[:, :, None]
+            else:
+                size = np.abs(means)
             terms = np.where(size != 0.0, thr * size, 0.0)
         return terms.reshape(L, -1).sum(axis=1)
 
@@ -339,7 +333,8 @@ def _variances(Xsq_colsum, G, T, means, n):
 
 
 def _individual_update(G, T, sigma2, pen):
-    """Entrywise soft-thresholded means: the exact minimizer for the individual penalty."""
+    """Entrywise soft-thresholded means: the exact minimizer for the individual
+    penalty, and G / T bit for bit at thresholds of 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         shrink = 1.0 - pen.thr * sigma2[:, None, :] / np.abs(G)
     # fmax sends the nan of 0 / 0 (a zero score under a zero weight) to 0, as it does -inf
@@ -358,7 +353,8 @@ def _variable_update(G, T, sigma2, pen):
     sum_k |G_kj| <= lam w_j sigma2_j. With the clusters sorted by |a_k|,
     decreasing, c_j is the largest of (S_i - lam w_j sigma2_j) / W_i over
     the prefix sums S_i of |G| and W_i of T, and at least 0. Each lane's
-    columns are sorted along the cluster axis.
+    columns are sorted along the cluster axis. At lam = 0 the first prefix
+    gives c_j = max_k |a_k|: nothing is clipped, and the means are G / T.
     """
     abs_G = np.abs(G)
     A = abs_G / T[:, :, None]
@@ -376,7 +372,7 @@ def _group_update(G, T, sigma2, pen):
     Block (k, l) minimizes sum_i T_k (mu_i - a_i)^2 / (2 sigma2_i) plus
     thr_k ||mu||, with a = G / T over the block and thr_k = lam w_k
     sqrt(q_c). It is exactly zero iff ||G / sigma2|| <= thr_k; otherwise
-    mu_i = G_i r / (T_k r + thr_k sigma2_i), where r = ||mu|| is the root of
+    mu_i = G_i / (T_k + thr_k sigma2_i / r), where r = ||mu|| is the root of
     sum_i G_i^2 / (T_k r + thr_k sigma2_i)^2 = 1. Newton's method runs on
     that equation in the form psi(r) = (sum_i G_i^2 / (T_k r + thr_k
     sigma2_i)^2)^(-1/2) = 1: psi is increasing, concave (a power mean of
@@ -385,7 +381,7 @@ def _group_update(G, T, sigma2, pen):
     at least max((||G|| - thr_k max_i sigma2_i) / T_k, 0); started there,
     below the root of a concave increasing psi, the iterates rise
     monotonically to it. It runs on the nonzero blocks of every lane, all at
-    once, and each block stops on its own.
+    once, and each block stops on its own. At thr_k = 0 it gives G / T.
     """
     L, m, q = G.shape
     q_c = pen.q_c
@@ -414,7 +410,7 @@ def _group_update(G, T, sigma2, pen):
         settled |= done
         if settled.all():
             break
-    out[live] = G3[live] * r[:, None] / (t * r[:, None] + c)
+    out[live] = G3[live] / (t + c / r[:, None])
     return out.reshape(L, m, q)
 
 
@@ -514,16 +510,14 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 
 
 def _mean_update_for(pen, G, T, sigma2):
-    """The M-step mean updates of a stack under the _Penalty pen, from the
-    weighted sums G = tau.T @ X (L, m, q), the masses T (L, m) and the
-    variances sigma2 (L, q)."""
-    if pen.kind == "none":
-        return G / T[:, :, None]
-    if pen.kind == "individual":
-        return _individual_update(G, T, sigma2, pen)
+    """The M-step mean updates of a stack under the _Penalty pen (kind none:
+    the individual update), from the weighted sums G = tau.T @ X (L, m, q),
+    the masses T (L, m) and the variances sigma2 (L, q)."""
     if pen.kind == "variable":
         return _variable_update(G, T, sigma2, pen)
-    return _group_update(G, T, sigma2, pen)
+    if pen.kind == "group":
+        return _group_update(G, T, sigma2, pen)
+    return _individual_update(G, T, sigma2, pen)
 
 
 def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -> set[str]:
@@ -747,8 +741,8 @@ def run_em(
     parameters by at most tol.
 
     spec is one PenaltySpec or a sequence of them, the lanes of one fit.
-    The lanes share B, m, the start and one penalty kind, where a spec with
-    lam 0 counts as kind "none" (a mix raises ValueError). Each lane is
+    The lanes share B, m, the start and one penalty kind (a mix raises
+    ValueError); lam may differ, 0 included. Each lane is
     fitted exactly as it would be alone; the lanes only share the array
     operations.
 

@@ -116,11 +116,18 @@ class SensorFpcaModel:
         return self.eigen_coeffs.shape[1]
 
 
-def _check_q_c(q_c: int, n: int, basis: BasisSpec) -> None:
-    if not 1 <= q_c <= min(n - 1, basis.n_basis):
-        raise ValueError(
-            f"q_c must be in [1, min(n-1, n_basis)] = [1, {min(n - 1, basis.n_basis)}], got {q_c}"
-        )
+def check_q_c(q_c: int, n_basis: int, n: int | None = None) -> None:
+    """Raise ValueError unless 1 <= q_c <= min(n - 1, n_basis); without n,
+    before the curves are read, only the basis bounds q_c."""
+    bound, rule = (n_basis, "n_basis") if n is None else (min(n - 1, n_basis), "min(n-1, n_basis)")
+    if not 1 <= q_c <= bound:
+        raise ValueError(f"q_c must be in [1, {rule}] = [1, {bound}], got {q_c}")
+
+
+def check_rule(alpha: float, beta: float) -> None:
+    """Raise ValueError unless the component rule's shares are in range."""
+    if not 0 < alpha <= 1 or not 0 < beta < 1:
+        raise ValueError("need 0 < alpha <= 1 and 0 < beta < 1")
 
 
 def transform(model: SensorFpcaModel, curves: np.ndarray) -> np.ndarray:
@@ -150,8 +157,7 @@ def select_num_components(fractions: np.ndarray, alpha: float, beta: float) -> i
     beta at q components. Falls back to q_max with a warning when no q
     satisfies the rule.
     """
-    if not 0 < alpha <= 1 or not 0 < beta < 1:
-        raise ValueError("need 0 < alpha <= 1 and 0 < beta < 1")
+    check_rule(alpha, beta)
     fractions = np.asarray(fractions, dtype=float)
     max_q = fractions.shape[1]
     for q in range(1, max_q + 1):
@@ -229,7 +235,7 @@ def fit_fpca(
     stats = standardization or {}
     n, p = data.n, data.p
     max_q = min(n - 1, basis.n_basis)
-    _check_q_c(max_q if q_c is None else q_c, n, basis)
+    check_q_c(max_q if q_c is None else q_c, basis.n_basis, n)
     coeffs = fit_coefficients(basis, data.times, data.values.reshape(n * p, -1)).reshape(n, p, -1)
     mean_coeffs = coeffs.mean(axis=0)
     coeffs -= mean_coeffs

@@ -10,9 +10,9 @@ final model under the adjusted BIC, whose effective dimension credits
 every mean component forced to zero.
 
 Every fit of one cluster count starts from the same k-means start, so the
-lambda > 0 points of a phase are the lanes of one run_em call: one for the
-pilot and one for every (gamma, lambda) point of the adaptive phase. The
-lambda = 0 fit runs alone.
+points of a phase are the lanes of one run_em call: one for the pilot's
+lambda grid, lambda = 0 included, and one for every (gamma, lambda > 0)
+point of the adaptive phase.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ class SearchGrid:
             raise ValueError("gamma grid must be positive and finite (0 is the built-in pilot phase)")
         if not all(0 <= c < math.inf for c in self.lambda_multipliers):
             raise ValueError("lambda multipliers must be nonnegative and finite")
+        for label, values in (("cluster counts", self.m_values), ("gammas", self.gamma_values),
+                              ("lambda multipliers", self.lambda_multipliers)):
+            if len(set(values)) < len(values):  # 1 and 1.0 are one value
+                raise ValueError(f"{label} must not repeat, got {', '.join(f'{v:g}' for v in values)}")
 
     def lambdas(self, n: int) -> tuple[float, ...]:
         scale = n ** (1.0 / 3.0)
@@ -143,25 +147,18 @@ def _fit_points(B, m, points, init, phase, zero=None):
     """Fit the grid points, (spec, gamma) pairs; return their (row, fit)
     pairs and the failure messages, both in grid order.
 
-    The lambda > 0 specs are the lanes of one run_em call. A lambda = 0 spec
-    is fitted alone, unless zero, the pilot's (row, fit) there, is given:
-    that spec has unit weights whatever gamma is, so it is reused instead.
+    The specs are the lanes of one run_em call, except where zero, the
+    pilot's (row, fit) at lambda = 0, is given: a lambda = 0 spec has unit
+    weights whatever gamma is, so that fit is reused for it instead.
     """
-    laned = [spec for spec, _ in points if spec.lam > 0.0]
+    laned = [spec for spec, _ in points if zero is None or spec.lam > 0.0]
     lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
     done, failures = [], []
     for spec, gamma in points:
-        if spec.lam > 0.0:
-            fit = next(lane_fits)
-        elif zero is not None:
-            row, fit = zero
-            done.append((replace(row, phase=phase), fit))
+        if zero is not None and spec.lam == 0.0:
+            done.append((replace(zero[0], phase=phase), zero[1]))
             continue
-        else:
-            try:
-                fit = run_em(B, m, spec, init=init)
-            except NumericalError as exc:
-                fit = exc
+        fit = next(lane_fits)
         if isinstance(fit, NumericalError):
             failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={gamma:g} ({phase}): {fit}")
         else:
@@ -206,10 +203,7 @@ def _search_one_m(args):
             adaptive = []
             for gamma in grid.gamma_values:
                 weights = adaptive_weights(kind, gamma, reference)
-                adaptive += [
-                    (PenaltySpec(kind, lam, float(gamma), weights) if lam > 0.0 else PenaltySpec(kind, lam), gamma)
-                    for lam in lambdas
-                ]
+                adaptive += [(PenaltySpec(kind, lam, float(gamma), weights), gamma) for lam in lambdas]
             fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
             points.extend(fitted)
             failures.extend(fails)

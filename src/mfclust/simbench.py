@@ -24,7 +24,7 @@ import numpy as np
 
 from mfclust.basis import build_basis, design_matrix
 from mfclust.em import NumericalError
-from mfclust.fpca import FunctionalDataSet, _check_q_c, fit_fpca, standardize
+from mfclust.fpca import FunctionalDataSet, check_q_c, fit_fpca, standardize
 from mfclust.select import SearchGrid, model_search
 
 DEFAULT_KINDS = ("individual", "variable", "group", "none")
@@ -292,7 +292,7 @@ def scenario_levels(scenario: str, reps: int, levels, q_c: int) -> tuple:
     if len(set(map(float, levels))) < len(levels):
         raise ValueError(f"levels must not repeat, got {', '.join(f'{v:g}' for v in levels)}")
     for level in levels:
-        _check_q_c(q_c, _design_for(scenario, level, seed=0).n, BASIS)
+        check_q_c(q_c, BASIS.n_basis, _design_for(scenario, level, seed=0).n)
     return levels
 
 

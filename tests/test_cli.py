@@ -390,6 +390,38 @@ def test_bad_basis_size_exits_1_before_the_input_is_read(tmp_path, capsys, comma
     assert list(tmp_path.iterdir()) == []
 
 
+def without_qc(call):
+    i = call.index("--qc")
+    return call[:i] + call[i + 2:]
+
+
+@pytest.mark.parametrize("command", ["transform", "fit"])
+@pytest.mark.parametrize("flags,message", [
+    (["--qc", 0], "q_c must be in [1, n_basis] = [1, 12], got 0"),
+    (["--qc", 13], "q_c must be in [1, n_basis] = [1, 12], got 13"),
+    (["--qc", 6, "--n-basis", 5], "q_c must be in [1, n_basis] = [1, 5], got 6"),
+    (["--alpha", 1.5], "need 0 < alpha <= 1 and 0 < beta < 1"),
+    (["--alpha", 0], "need 0 < alpha <= 1 and 0 < beta < 1"),
+    (["--beta", 0], "need 0 < alpha <= 1 and 0 < beta < 1"),
+    (["--beta", 1], "need 0 < alpha <= 1 and 0 < beta < 1"),
+], ids=["qc0", "qc13", "qc6-n-basis5", "alpha1.5", "alpha0", "beta0", "beta1"])
+def test_bad_component_count_exits_1_before_the_input_is_read(tmp_path, capsys, command, flags, message):
+    # the input does not exist: reading it would exit 2
+    call = without_qc(VALID_CALLS[command](tmp_path / "missing.csv", tmp_path))
+    assert run_cli(*call, *flags) == 1
+    assert f"bad component count: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_q_c_above_n_minus_1_is_a_data_error(small_run, capsys):
+    # n = 40 curves allow at most 39 components, which only the data tell
+    tmp_path, data, _ = small_run
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*VALID_CALLS["transform"](data, tmp_path), "--n-basis", 45, "--qc", 40) == 2
+    assert "q_c must be in [1, min(n-1, n_basis)] = [1, 39], got 40" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("flag,value", [("--qc", 7), ("--alpha", 0.3), ("--beta", 0.9)])
 def test_fit_from_scores_refuses_transform_options(small_run, capsys, flag, value):
     tmp_path, data, _ = small_run
@@ -413,7 +445,12 @@ BAD_GRIDS = [
     ("fit", "--lambda-multipliers", "0,-1"),
     ("fit", "--gamma-grid", "nan"),
     ("fit", "--m-grid", "0"),
+    ("fit", "--m-grid", "2,2"),
+    ("fit", "--gamma-grid", "1,1.0"),
+    ("fit", "--lambda-multipliers", "0,1,1"),
     ("benchmark", "--lambda-multipliers", "0,nan"),
+    ("benchmark", "--m-grid", "2,3,2"),
+    ("benchmark", "--gamma-grid", "0.5,0.50"),
 ]
 
 

@@ -792,8 +792,37 @@ def test_a_failed_lane_leaves_the_others(kind):
     assert fits[1].params.zero_mask.all()
 
 
+@pytest.mark.parametrize("kind", ["individual", "variable", "group"])
+def test_lambda_zero_lanes_match_the_unpenalized_fit(kind):
+    # at lam = 0 each kind's own update runs with thresholds of 0, beside
+    # lam > 0 lanes, and equals the unpenalized fit exactly; an adaptive spec
+    # at lam = 0 pins nothing, whatever its infinite weights
+    rng = np.random.default_rng(37)
+    X, _ = two_separated_clouds(rng, n=60, q=6, gap=2.5)
+    B = cm(X, q_c=2)
+    init = initialize(B, 3, seed=4)
+    ref = np.ones((3, 6))
+    ref[0, 0] = 0.0
+    ref[:, 1] = 0.0
+    ref[1] = 0.0
+    specs = [PenaltySpec(kind, 0.0), PenaltySpec(kind, 2.0),
+             PenaltySpec.adaptive(kind, 0.0, 1.0, ref), PenaltySpec.adaptive(kind, 1.0, 1.0, ref)]
+    fits = run_em(B, 3, specs, init=init)
+    alone = run_em(B, 3, PenaltySpec("none"), init=init)
+    for fit in (fits[0], fits[2]):
+        npt.assert_array_equal(fit.params.proportions, alone.params.proportions)
+        npt.assert_array_equal(fit.params.means, alone.params.means)
+        npt.assert_array_equal(fit.params.variances, alone.params.variances)
+        assert fit.objective_trace == alone.objective_trace
+        assert fit.iterations == alone.iterations
+        assert fit.stop_reason == alone.stop_reason
+    assert not specs[2].pinned(3, 6).any()
+    pinned = specs[3].pinned(3, 6)
+    assert pinned.any() and not fits[3].params.means[pinned].any()
+
+
 def test_lanes_need_one_penalty_kind():
     rng = np.random.default_rng(36)
     X, _ = two_separated_clouds(rng, n=40, q=4, gap=4.0)
     with pytest.raises(ValueError, match="one penalty kind"):
-        run_em(cm(X), 2, [PenaltySpec("group", 1.0), PenaltySpec("group", 0.0)], seed=0)
+        run_em(cm(X), 2, [PenaltySpec("group", 1.0), PenaltySpec("individual", 1.0)], seed=0)

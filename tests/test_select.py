@@ -47,7 +47,8 @@ def test_search_grid_validation():
         SearchGrid(gamma_values=(0.0,))
     for bad in ({"m_values": (0, 2)}, {"gamma_values": (math.nan,)}, {"gamma_values": (math.inf,)},
                 {"lambda_multipliers": (0.0, math.nan)}, {"lambda_multipliers": (0.0, math.inf)},
-                {"lambda_multipliers": (0.0, -1.0)}):
+                {"lambda_multipliers": (0.0, -1.0)}, {"m_values": (2, 2)}, {"m_values": (2, 3, 2.0)},
+                {"gamma_values": (1, 1.0)}, {"lambda_multipliers": (0, 1, 1)}):
         with pytest.raises(ValueError):
             SearchGrid(**bad)
 
@@ -291,7 +292,7 @@ def test_default_grids_match_contract():
     assert 0.0 in grid.lambdas(123)
 
 
-def test_each_phase_fits_its_positive_lambdas_in_one_call(monkeypatch):
+def test_each_phase_fits_its_lambdas_in_one_call(monkeypatch):
     B, _ = three_cluster_data(seed=6)
     calls = []
     real = select.run_em
@@ -303,9 +304,9 @@ def test_each_phase_fits_its_positive_lambdas_in_one_call(monkeypatch):
     monkeypatch.setattr(select, "run_em", counting)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
     report = model_search(B, grid, "individual", seed=1)
-    # per m: the pilot's 2 positive lambdas, its lambda = 0 alone, then the
-    # 2 gammas x 2 positive lambdas of the adaptive phase
-    assert calls == [(2, 2), (2, 1), (2, 4), (3, 2), (3, 1), (3, 4)]
+    # per m: the pilot's 3 lambdas, lambda = 0 included, then the 2 gammas x
+    # 2 positive lambdas of the adaptive phase, which reuses the pilot's lambda = 0
+    assert calls == [(2, 3), (2, 4), (3, 3), (3, 4)]
     assert [(r.m, r.phase, r.gamma) for r in report.rows if r.lam == 0.0] == [
         (2, "pilot", 0.0), (2, "adaptive", 0.0), (2, "adaptive", 0.0),
         (3, "pilot", 0.0), (3, "adaptive", 0.0), (3, "adaptive", 0.0),
