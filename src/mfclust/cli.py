@@ -18,8 +18,9 @@ Options per command (besides the input and output paths):
   simulate   --n --p-signal --p-noise --delta --seed
   benchmark  --scenario --reps --kinds --levels --qc --seed --jobs and the
              search grid
---jobs defaults to the CPU count and does not change any result. Every EM
-fit converges when a plain EM step moves its parameters by at most 1e-4
+--jobs defaults to the CPU count and does not change any result; fit
+--penalty a,b is one search of all its kinds, with one process pool. Every
+EM fit converges when a plain EM step moves its parameters by at most 1e-4
 (Euclidean norm), and stops after at most 500 EM maps.
 """
 
@@ -259,7 +260,9 @@ def cmd_fit(args) -> int:
     else:
         B, obs_ids = read_scores_csv(args.scores)
 
-    reports = [model_search(B, grid, kind, seed=args.seed, n_jobs=args.jobs) for kind in args.penalty]
+    reports = model_search(B, grid, args.penalty, seed=args.seed, n_jobs=args.jobs)
+    if failed := [r for r in reports if isinstance(r, NumericalError)]:
+        raise failed[0]  # the first failing kind, in --penalty order
     # min keeps the first of equal keys: a tie goes to the kind listed first
     best = replace(
         min(reports, key=lambda r: row_sort_key(r.best_row)),

@@ -1,24 +1,25 @@
 """Hyper-parameter search: adjusted BIC over (m, lambda, gamma) grids.
 
-Each penalty kind is fitted in two phases. The pilot phase runs the lambda
-grid with unit weights (the gamma = 0 member of the adaptive family) and
-keeps the minimum-BIC fit; its means become the reference for the adaptive
-weights. The adaptive phase reruns the lambda grid for every gamma in the
-grid with those weights; at lambda = 0 the weights do not matter, so it
-reuses the pilot's fit there. All rows, pilot and adaptive, compete for the
-final model under the adjusted BIC, whose effective dimension credits
-every mean component forced to zero.
+Each penalized kind is fitted in two phases. The pilot phase runs the
+lambda grid with unit weights (the gamma = 0 member of the adaptive
+family) and keeps the minimum-BIC fit; its means become the reference for
+the adaptive weights. The adaptive phase reruns the lambda grid for every
+gamma in the grid with those weights. All rows of a kind, pilot and
+adaptive, compete under the adjusted BIC, whose effective dimension
+credits every mean component forced to zero.
 
-Every fit of one cluster count starts from the same k-means start, so the
-points of a phase are the lanes of one run_em call: one for the pilot's
-lambda grid, lambda = 0 included, and one for every (gamma, lambda > 0)
-point of the adaptive phase.
+The kinds of one search share each cluster count's k-means start, so the
+points of a phase are the lanes of one run_em call. At lambda = 0 neither
+kind nor weights matter: the first phase of a cluster count to fit lambda
+= 0 keeps its (row, fit), and every later lambda = 0 point reuses it. Kind
+'none' has only that point.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -143,26 +144,26 @@ def _evaluate_point(B, m, spec, fit, phase):
     )
 
 
-def _fit_points(B, m, points, init, phase, zero=None):
-    """Fit the grid points, (spec, gamma) pairs; return their (row, fit)
-    pairs and the failure messages, both in grid order.
-
-    The specs are the lanes of one run_em call, except where zero, the
-    pilot's (row, fit) at lambda = 0, is given: a lambda = 0 spec has unit
-    weights whatever gamma is, so that fit is reused for it instead.
-    """
-    laned = [spec for spec, _ in points if zero is None or spec.lam > 0.0]
+def _fit_points(B, m, points, init, phase, zero):
+    """Fit the grid points, (spec, gamma) pairs, as the lanes of one run_em
+    call; return their (row, fit) pairs and the failure messages, both in
+    grid order. zero is the lambda = 0 memo of m, a list that the first
+    lambda = 0 lane to fit fills with its (row, fit)."""
+    memo = zero[0] if zero else None
+    laned = [spec for spec, _ in points if memo is None or spec.lam > 0.0]
     lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
     done, failures = [], []
     for spec, gamma in points:
-        if zero is not None and spec.lam == 0.0:
-            done.append((replace(zero[0], phase=phase), zero[1]))
+        if memo is not None and spec.lam == 0.0:
+            done.append((replace(memo[0], kind=spec.kind, phase=phase), memo[1]))
             continue
         fit = next(lane_fits)
         if isinstance(fit, NumericalError):
             failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={gamma:g} ({phase}): {fit}")
-        else:
-            done.append((_evaluate_point(B, m, spec, fit, phase), fit))
+            continue
+        done.append((_evaluate_point(B, m, spec, fit, phase), fit))
+        if spec.lam == 0.0 and not zero:
+            zero.append(done[-1])
     return done, failures
 
 
@@ -176,63 +177,41 @@ def _best_point(points):
 
 
 def _search_one_m(args):
-    """Pilot then adaptive sweeps for one m.
-
-    Returns m, every evaluated row, the best converged (row, fit) or None,
-    the reference means of the adaptive phase (None for kind 'none') and
-    the failure messages. Every fit of this m starts from one k-means
-    initialization.
-    """
-    B, m, kind, grid, seed = args
+    """Pilot then adaptive sweeps of every kind for one m, from one k-means
+    initialization. Returns, per kind, m, every evaluated row, the best
+    converged (row, fit) or None, the reference means of the adaptive
+    phase (None for kind 'none') and the failure messages."""
+    B, m, kinds, grid, seed = args
     try:
         init = initialize(B, m, seed + m)
     except NumericalError as exc:
-        return m, [], None, None, [f"m={m}: initialization failed: {exc}"]
+        return [(m, [], None, None, [f"m={m}: initialization failed: {exc}"])] * len(kinds)
 
-    lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-    pilot = [(PenaltySpec(kind, lam), 0.0) for lam in lambdas]
-    points, failures = _fit_points(B, m, pilot, init, "pilot")
-    reference = None
-    if kind != "none":
-        pilot_best = _best_point(points)
-        if pilot_best is None:
-            failures.append(f"m={m}, kind={kind}: no pilot fit converged, adaptive phase skipped")
-        else:
-            reference = pilot_best[1].params.means
-            zero = next((p for p in points if p[0].lam == 0.0), None)
-            adaptive = []
-            for gamma in grid.gamma_values:
-                weights = adaptive_weights(kind, gamma, reference)
-                adaptive += [(PenaltySpec(kind, lam, float(gamma), weights), gamma) for lam in lambdas]
-            fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
-            points.extend(fitted)
-            failures.extend(fails)
-    return m, [row for row, _ in points], _best_point(points), reference, failures
+    zero, outcomes = [], []
+    for kind in kinds:
+        lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
+        pilot = [(PenaltySpec(kind, lam), 0.0) for lam in lambdas]
+        points, failures = _fit_points(B, m, pilot, init, "pilot", zero)
+        reference = None
+        if kind != "none":
+            pilot_best = _best_point(points)
+            if pilot_best is None:
+                failures.append(f"m={m}, kind={kind}: no pilot fit converged, adaptive phase skipped")
+            else:
+                reference = pilot_best[1].params.means
+                adaptive = []
+                for gamma in grid.gamma_values:
+                    weights = adaptive_weights(kind, gamma, reference)
+                    adaptive += [(PenaltySpec(kind, lam, float(gamma), weights), gamma) for lam in lambdas]
+                fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
+                points.extend(fitted)
+                failures.extend(fails)
+        outcomes.append((m, [row for row, _ in points], _best_point(points), reference, failures))
+    return outcomes
 
 
-def model_search(
-    B: CoefficientMatrix,
-    grid: SearchGrid,
-    kind: str,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> SelectionReport:
-    """Evaluate the full (m, lambda, gamma) grid for one penalty kind.
-
-    Pilot rows compete alongside adaptive rows, so with 0 in the lambda
-    grid the unpenalized model is always a candidate. Non-converged fits
-    are reported but excluded from the minimum-BIC choice; ties resolve to
-    the smaller (m, lambda, gamma). Cluster-count tasks are independent
-    and may run in a process pool.
-    """
-    tasks = [(B, m, kind, grid, seed) for m in grid.m_values]
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_search_one_m, tasks))
-    else:
-        outcomes = [_search_one_m(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
-
+def _report(outcomes):
+    """One kind's SelectionReport from its outcomes in m order, or its NumericalError."""
     rows, failures, reference_means = [], [], {}
     for m, m_rows, _, reference, m_failures in outcomes:
         rows.extend(m_rows)
@@ -243,11 +222,41 @@ def model_search(
         log.warning("model search: %s", message)
     best = _best_point([best for _, _, best, _, _ in outcomes if best is not None])
     if best is None:
-        raise NumericalError(
+        return NumericalError(
             "no grid point produced a converged fit: " + "; ".join(failures or ["(no detail)"])
         )
-    best_row, best_fit = best
-    return SelectionReport(
-        rows=rows, best_row=best_row, best_fit=best_fit,
-        reference_means=reference_means, failures=failures,
-    )
+    return SelectionReport(rows, *best, reference_means, failures)
+
+
+def model_search(
+    B: CoefficientMatrix,
+    grid: SearchGrid,
+    kind: str | Sequence[str],
+    seed: int = 0,
+    n_jobs: int = 1,
+) -> SelectionReport | list[SelectionReport | NumericalError]:
+    """Evaluate the full (m, lambda, gamma) grid for one penalty kind, or
+    for a sequence of kinds of one dataset in one search. One kind returns
+    its SelectionReport and raises NumericalError when no grid point
+    converged; a sequence returns, per kind in order, its report or its
+    NumericalError, each as if searched alone.
+
+    Pilot rows compete alongside adaptive rows, so with 0 in the lambda
+    grid the unpenalized model is always a candidate. Non-converged fits
+    are reported but excluded from the minimum-BIC choice; ties resolve to
+    the smaller (m, lambda, gamma). Cluster-count tasks are independent
+    and may run in a process pool.
+    """
+    kinds = [kind] if isinstance(kind, str) else list(kind)
+    tasks = [(B, m, kinds, grid, seed) for m in sorted(grid.m_values)]
+    if n_jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+            outcomes = list(pool.map(_search_one_m, tasks))
+    else:
+        outcomes = [_search_one_m(t) for t in tasks]
+    reports = [_report(per_m) for per_m in zip(*outcomes)]
+    if not isinstance(kind, str):
+        return reports
+    if isinstance(reports[0], NumericalError):
+        raise reports[0]
+    return reports[0]

@@ -312,10 +312,8 @@ def _run_replicate(args):
     noise = set(design.noise_sensor_names)
 
     records, failed = [], []
-    for kind in kinds:
-        try:
-            report = model_search(B, grid, kind, seed=rep_seed + 1)
-        except NumericalError:
+    for kind, report in zip(kinds, model_search(B, grid, kinds, seed=rep_seed + 1)):
+        if isinstance(report, NumericalError):
             failed.append((level, kind))
             continue
         fit, row = report.best_fit, report.best_row

@@ -85,27 +85,18 @@ def zero_lambda_fits():
 
 
 @pytest.fixture(scope="module")
-def table1_group():
-    """Criterion 4 run: group penalty at the reference scenario, 50 replicates."""
+def table1():
+    """Criteria 3, 4 and 7 run: the group and variable penalties on the
+    reference scenario's 50 replicate datasets, both kinds in one search
+    per dataset. Returns the row and the records of each kind."""
     t0 = time.time()
+    kinds = ("group", "variable")
     rows, records = run_scenario(
-        "sample-size", reps=50, kinds=("group",), seed=41, levels=(200,),
+        "sample-size", reps=50, kinds=kinds, seed=41, levels=(200,),
         q_c=3, grid=SearchGrid(), n_jobs=JOBS,
     )
-    print(f"\n[reference scenario, group penalty: {time.time() - t0:.0f}s]")
-    return rows, records
-
-
-@pytest.fixture(scope="module")
-def table1_variable():
-    """Criterion 7 companion run: variable penalty on the same 50 datasets."""
-    t0 = time.time()
-    rows, records = run_scenario(
-        "sample-size", reps=50, kinds=("variable",), seed=41, levels=(200,),
-        q_c=3, grid=SearchGrid(), n_jobs=JOBS,
-    )
-    print(f"\n[reference scenario, variable penalty: {time.time() - t0:.0f}s]")
-    return rows, records
+    print(f"\n[reference scenario, group and variable penalties: {time.time() - t0:.0f}s]")
+    return {r.kind: r for r in rows}, {kind: [r for r in records if r.kind == kind] for kind in kinds}
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +199,9 @@ def test_criterion_2_mstep_optimality_oracles():
     )
 
 
-def test_criterion_3_monotone_descent(zero_lambda_fits, table1_group, table1_variable):
+def test_criterion_3_monotone_descent(zero_lambda_fits, table1):
     worst = max(r["fit"].max_objective_rise for r in zero_lambda_fits)
-    for _, records in (table1_group, table1_variable):
+    for records in table1[1].values():
         worst = max(worst, max(rec.max_rise for rec in records))
     check(
         3,
@@ -220,9 +211,8 @@ def test_criterion_3_monotone_descent(zero_lambda_fits, table1_group, table1_var
     )
 
 
-def test_criterion_4_reference_scenario_group(table1_group):
-    rows, _ = table1_group
-    row = rows[0]
+def test_criterion_4_reference_scenario_group(table1):
+    row = table1[0]["group"]
     ok = (
         row.reps == 50
         and row.mae_m <= 0.4
@@ -272,9 +262,8 @@ def test_criterion_6_signal_strength_trend():
     )
 
 
-def test_criterion_7_group_beats_variable_on_ari(table1_group, table1_variable):
-    _, group_records = table1_group
-    _, variable_records = table1_variable
+def test_criterion_7_group_beats_variable_on_ari(table1):
+    group_records, variable_records = table1[1]["group"], table1[1]["variable"]
     med_group = float(np.median([r.ari for r in group_records]))
     med_variable = float(np.median([r.ari for r in variable_records]))
     check(

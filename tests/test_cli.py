@@ -486,17 +486,29 @@ def test_fit_tie_across_kinds_goes_to_first_listed(small_run, penalty, winner):
     assert len({r.bic for r in best}) == 1
 
 
-def test_exit_code_numerical_failure(small_run, monkeypatch):
+def test_exit_code_numerical_failure(small_run, monkeypatch, capsys):
     tmp_path, data, _ = small_run
     from mfclust import cli as cli_mod
     from mfclust.em import NumericalError
 
-    def boom(*args, **kwargs):
-        raise NumericalError("no grid point converged")
+    real, searched = cli_mod.model_search, []
 
-    monkeypatch.setattr(cli_mod, "model_search", boom)
-    code = run_cli(*fit_args(tmp_path, data, ["--penalty", "group"]))
-    assert code == 3
+    def search(B, grid, kinds, **kwargs):
+        # one search for every listed kind, in which the group search fails
+        searched.append(kinds)
+        reports = real(B, grid, kinds, **kwargs)
+        return [NumericalError("no grid point converged") if kind == "group" else report
+                for kind, report in zip(kinds, reports)]
+
+    monkeypatch.setattr(cli_mod, "model_search", search)
+    for penalty in ("group", "individual,group"):
+        code = run_cli(*fit_args(tmp_path, data, [
+            "--penalty", penalty, "--m-grid", "1,2", "--gamma-grid", "1.0", "--lambda-multipliers", "0,1",
+        ]))
+        assert code == 3
+        assert searched.pop() == tuple(penalty.split(",")) and not searched
+        assert capsys.readouterr().err == "numerical failure: no grid point converged\n"
+        assert not any((tmp_path / name).exists() for name in ("report.json", "assign.csv", "removed.txt"))
 
 
 def test_benchmark_small_sweep(tmp_path, capsys):
@@ -534,7 +546,7 @@ def test_repeated_penalty_kind_exits_1_before_any_output(small_run, capsys, comm
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("kind", ["none", "individual", "variable", "group"])
+@pytest.mark.parametrize("kind", ["none", "individual", "variable", "group", "individual,variable,group,none"])
 def test_fit_outputs_do_not_depend_on_jobs(small_run, kind):
     tmp_path, data, _ = small_run
     digests = []

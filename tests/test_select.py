@@ -233,28 +233,44 @@ def test_model_search_parallel_matches_serial():
     assert [r.bic for r in serial.rows] == [r.bic for r in parallel.rows]
 
 
-def test_model_search_initializes_once_per_m(monkeypatch):
+def as_reports(kinds, result):
+    """model_search's result for kinds as a list of per-kind entries."""
+    return [result] if isinstance(kinds, str) else result
+
+
+ALL_KINDS = ("individual", "variable", "group", "none")
+
+
+def far_from_data(start):
+    """start with its last component moved far from the data, so that
+    every fit from it with m > 1 collapses."""
+    means = start.means.copy()
+    means[-1] += 1e3
+    return MixtureParams(start.proportions, means, start.variances)
+
+
+@pytest.mark.parametrize("kinds", ["group", ALL_KINDS], ids=["group", "all-kinds"])
+def test_model_search_initializes_once_per_m(monkeypatch, kinds):
     # every start puts its last component far from the data, so every fit
-    # with m > 1 collapses; none is restarted from another start
+    # with m > 1 collapses; none is restarted from another start, and the
+    # kinds of one search share each m's start
     B, _ = three_cluster_data(seed=5)
     calls = Counter()
     real = em.initialize
 
     def far_start(B, m, seed):
         calls[m] += 1
-        start = real(B, m, seed)
-        means = start.means.copy()
-        means[-1] += 1e3
-        return MixtureParams(start.proportions, means, start.variances)
+        return far_from_data(real(B, m, seed))
 
     monkeypatch.setattr(em, "initialize", far_start)
     monkeypatch.setattr(select, "initialize", far_start)
     grid = SearchGrid(m_values=(1, 2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0, 5.0))
-    report = model_search(B, grid, "group", seed=3)
+    reports = as_reports(kinds, model_search(B, grid, kinds, seed=3))
     assert calls == {1: 1, 2: 1, 3: 1}
-    assert report.chosen[0] == 1
-    collapsed = [r for r in report.rows if r.m > 1]
-    assert collapsed and not any(r.converged or r.iterations >= 500 for r in collapsed)
+    for report in reports:
+        assert report.chosen[0] == 1
+        collapsed = [r for r in report.rows if r.m > 1]
+        assert collapsed and not any(r.converged or r.iterations >= 500 for r in collapsed)
 
 
 def _row(bic, m=2, lam=1.0, gamma=1.0, converged=True):
@@ -292,26 +308,71 @@ def test_default_grids_match_contract():
     assert 0.0 in grid.lambdas(123)
 
 
-def test_each_phase_fits_its_lambdas_in_one_call(monkeypatch):
+@pytest.mark.parametrize("kinds,stacks", [("individual", [3, 4]), (("individual", "group"), [3, 4, 2, 4])],
+                         ids=["individual", "individual,group"])
+def test_each_phase_fits_its_lambdas_in_one_call(monkeypatch, kinds, stacks):
     B, _ = three_cluster_data(seed=6)
-    calls = []
+    calls, zero_lanes = [], Counter()
     real = select.run_em
 
     def counting(B, m, spec, **kwargs):
-        calls.append((m, 1 if isinstance(spec, PenaltySpec) else len(spec)))
+        specs = [spec] if isinstance(spec, PenaltySpec) else spec
+        calls.append((m, len(specs)))
+        zero_lanes[m] += sum(s.lam == 0.0 for s in specs)
         return real(B, m, spec, **kwargs)
 
     monkeypatch.setattr(select, "run_em", counting)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
-    report = model_search(B, grid, "individual", seed=1)
-    # per m: the pilot's 3 lambdas, lambda = 0 included, then the 2 gammas x
-    # 2 positive lambdas of the adaptive phase, which reuses the pilot's lambda = 0
-    assert calls == [(2, 3), (2, 4), (3, 3), (3, 4)]
-    assert [(r.m, r.phase, r.gamma) for r in report.rows if r.lam == 0.0] == [
-        (2, "pilot", 0.0), (2, "adaptive", 0.0), (2, "adaptive", 0.0),
-        (3, "pilot", 0.0), (3, "adaptive", 0.0), (3, "adaptive", 0.0),
-    ]
-    assert len(report.rows) == 2 * (3 + 2 * 3)
+    reports = as_reports(kinds, model_search(B, grid, kinds, seed=1))
+    # per m: the first pilot's 3 lambdas, lambda = 0 included, then the 2
+    # gammas x 2 positive lambdas of its adaptive phase; a later kind's
+    # pilot fits only the 2 positive lambdas. Every phase reuses the one
+    # lambda = 0 fit of its m.
+    assert calls == [(m, size) for m in (2, 3) for size in stacks]
+    assert zero_lanes == {2: 1, 3: 1}
+    for report in reports:
+        assert [(r.m, r.phase, r.gamma) for r in report.rows if r.lam == 0.0] == [
+            (2, "pilot", 0.0), (2, "adaptive", 0.0), (2, "adaptive", 0.0),
+            (3, "pilot", 0.0), (3, "adaptive", 0.0), (3, "adaptive", 0.0),
+        ]
+        assert len(report.rows) == 2 * (3 + 2 * 3)
+
+
+@pytest.mark.parametrize("multipliers", [(0.0, 1.0, 5.0), (0.5, 2.0)], ids=["zero-in-grid", "no-zero"])
+@pytest.mark.parametrize("kinds", [ALL_KINDS, ("none", "group")], ids=["all-kinds", "none,group"])
+def test_a_multi_kind_search_equals_its_single_kind_searches(kinds, multipliers):
+    B, _ = three_cluster_data(seed=13)
+    grid = SearchGrid(m_values=(1, 2, 3), gamma_values=(0.5, 2.0), lambda_multipliers=multipliers)
+    together = model_search(B, grid, kinds, seed=4)
+    assert len(together) == len(kinds)
+    for kind, report in zip(kinds, together):
+        alone = model_search(B, grid, kind, seed=4)
+        assert report.rows == alone.rows and report.kind == kind
+        assert (report.best_row, report.failures) == (alone.best_row, alone.failures)
+        assert report.reference_means.keys() == alone.reference_means.keys()
+        for m, means in alone.reference_means.items():
+            npt.assert_array_equal(report.reference_means[m], means)
+        got, want = report.best_fit, alone.best_fit
+        npt.assert_array_equal(got.params.proportions, want.params.proportions)
+        npt.assert_array_equal(got.params.means, want.params.means)
+        npt.assert_array_equal(got.params.variances, want.params.variances)
+        npt.assert_array_equal(got.responsibilities, want.responsibilities)
+
+
+def test_a_kind_without_a_converged_fit_is_its_own_entry(monkeypatch):
+    # every fit collapses at m in (2, 3), so no kind converges: the sequence form returns each kind's error, and
+    # the single-kind form raises the same error
+    B, _ = three_cluster_data(seed=5)
+    real = em.initialize
+    monkeypatch.setattr(select, "initialize", lambda B, m, seed: far_from_data(real(B, m, seed)))
+    grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
+    errors = model_search(B, grid, ("none", "group"), seed=3)
+    assert [type(e) for e in errors] == [em.NumericalError] * 2
+    for kind, error in zip(("none", "group"), errors):
+        assert str(error).startswith("no grid point produced a converged fit")
+        with pytest.raises(em.NumericalError) as alone:
+            model_search(B, grid, kind, seed=3)
+        assert str(alone.value) == str(error)
 
 
 def test_a_failed_lane_is_reported_and_the_others_kept():
@@ -322,10 +383,14 @@ def test_a_failed_lane_is_reported_and_the_others_kept():
     points = [
         (PenaltySpec("individual", 1.0), 0.0),
         (PenaltySpec.adaptive("individual", 2.0, 1.5, np.zeros((2, B.q))), 1.5),
+        (PenaltySpec("individual", 0.0), 0.0),
     ]
-    fitted, failures = _fit_points(B, 2, points, huge, "pilot")
+    zero = []
+    fitted, failures = _fit_points(B, 2, points, huge, "pilot", zero)
     assert failures == [
-        "m=2, kind=individual, lam=1, gamma=0 (pilot): "
+        f"m=2, kind=individual, lam={lam}, gamma=0 (pilot): "
         "all cluster densities underflowed for some observation"
+        for lam in (1, 0)
     ]
     assert [(row.lam, row.gamma, row.n_zero) for row, _ in fitted] == [(2.0, 1.5, 2 * B.q)]
+    assert zero == []  # a failed lambda = 0 lane leaves the memo empty

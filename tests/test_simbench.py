@@ -250,15 +250,20 @@ def test_run_scenario_parallel_matches_serial():
 
 
 def test_run_scenario_counts_failed_replicates_per_cell(monkeypatch):
-    def search(B, grid, kind, **kwargs):
-        if kind == "group":
-            raise NumericalError("no grid point produced a converged fit")
-        return model_search(B, grid, kind, **kwargs)
+    searched = []
+
+    def search(B, grid, kinds, **kwargs):
+        # one search per replicate, in which every group search fails
+        searched.append(kinds)
+        reports = model_search(B, grid, kinds, **kwargs)
+        return [NumericalError("no grid point produced a converged fit") if kind == "group" else report
+                for kind, report in zip(kinds, reports)]
 
     monkeypatch.setattr(simbench, "model_search", search)
     rows, recs = run_scenario(
         "sample-size", reps=2, kinds=("group", "none"), seed=6, levels=(50,), grid=SMALL_GRID,
     )
+    assert searched == [("group", "none")] * 2
     failed, done = rows
     assert (failed.kind, failed.reps, failed.n_failed) == ("group", 0, 2)
     stats = [getattr(failed, f) for f in ("mae_m", "mean_variables_removed", "mean_removed_correctly",
