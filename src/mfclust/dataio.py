@@ -14,6 +14,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -50,47 +51,38 @@ def write_long_csv(data: FunctionalDataSet, path) -> None:
 def read_long_csv(path) -> FunctionalDataSet:
     """Assemble a dataset from long rows, insisting on a rectangular grid.
 
+    The file follows Python's csv dialect: a quoted field may hold commas,
+    quotes and line breaks, and LF, CRLF and CR line ends are all read.
     Rows may come in any order; blank lines are skipped. Observations and
     sensors keep their order of first appearance and times are sorted. A bad
     header, wrong field count, non-numeric field or non-finite time raises
-    DataFormatError naming its line. Repeated cells (the first in file
-    order) and missing cells (the first 10) are found after parsing, so a
-    later line's parse error is reported before an earlier repeat.
-    """
-    obs_index: dict[str, int] = {}
-    sensor_index: dict[str, int] = {}
-    obs_col, sensor_col = array("i"), array("i")
-    time_col, value_col = array("d"), array("d")
+    DataFormatError naming its line (the number of its csv record). Repeated
+    cells (the first in file order) and missing cells (the first 10) are
+    found after parsing, so a later line's parse error is reported before an
+    earlier repeat.
 
+    The text is read and converted a block of lines at a time
+    (read_long_columns); a block that fails a check is read again row by
+    row, so the first bad row in file order is the one reported. Memory
+    grows with the number of rows, at about 40 bytes per row, never with
+    the grid.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != _HEADER:
             raise DataFormatError(f"expected header {','.join(_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            obs, sensor, time_s, value_s = row
-            try:
-                t = float(time_s)
-                v = float(value_s)
-            except ValueError:
-                raise DataFormatError(
-                    f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
-                ) from None
-            if not math.isfinite(t):
-                raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
-            obs_col.append(obs_index.setdefault(obs, len(obs_index)))
-            sensor_col.append(sensor_index.setdefault(sensor, len(sensor_index)))
-            time_col.append(t)
-            value_col.append(v)
+        (obs_order, sensor_order, time_order), (obs_col, sensor_col, time_col, value_col) = (
+            read_long_columns(fh)
+        )
 
     if not value_col:
         raise DataFormatError("no data rows")
-    obs_order, sensor_order = list(obs_index), list(sensor_index)
-    times, time_idx = np.unique(np.frombuffer(time_col), return_inverse=True)
+    # times got ids in order of appearance: sort the few distinct ones and rank them
+    by_value = np.argsort(time_order)
+    times = np.asarray(time_order)[by_value]
+    rank = np.empty(len(times), np.intc)
+    rank[by_value] = np.arange(len(times))
+    time_idx = rank[np.frombuffer(time_col, np.intc)]
     shape = (len(obs_order), len(sensor_order), len(times))
     cell_idx = (np.frombuffer(obs_col, np.intc), np.frombuffer(sensor_col, np.intc), time_idx)
     flat = np.ravel_multi_index(cell_idx, shape)
@@ -105,7 +97,8 @@ def read_long_csv(path) -> FunctionalDataSet:
             # the first row that is not the first of its cell repeats an earlier row
             r = np.setdiff1d(np.arange(len(flat)), first, assume_unique=True)[0]
             raise DataFormatError(
-                f"duplicate sample for ({obs_order[obs_col[r]]}, {sensor_order[sensor_col[r]]}, {time_col[r]})"
+                f"duplicate sample for ({obs_order[obs_col[r]]}, {sensor_order[sensor_col[r]]}, "
+                f"{time_order[time_col[r]]})"
             )
         # with no repeats, the first 10 missing cells lie below len(cells) + 10
         head = np.arange(min(n_cells, len(cells) + 10))
@@ -116,6 +109,119 @@ def read_long_csv(path) -> FunctionalDataSet:
     values = np.empty(shape)
     values.flat[flat] = np.frombuffer(value_col)
     return FunctionalDataSet(times=times, values=values, sensor_names=sensor_order, obs_ids=obs_order)
+
+
+def read_long_columns(fh) -> tuple[tuple[list, list, list], tuple[array, ...]]:
+    """Parse the long rows after the header into columns, a block at a time.
+
+    Returns the obs ids, sensor ids and times in order of first appearance,
+    and four columns with one entry per row: the int positions of its obs,
+    sensor and time in those lists, and its float value. Only these outlive
+    the call, so the grid is built from about 20 bytes per row.
+    """
+    obs_index: dict[str, int] = {}
+    sensor_index: dict[str, int] = {}
+    time_index: dict[float, int] = {}
+    obs_col, sensor_col, time_col = array("i"), array("i"), array("i")
+    value_col = array("d")
+    for lineno, rows, fields in read_csv_blocks(fh, 4):
+        try:
+            if fields is None:
+                raise ValueError("a record has the wrong field count")
+            n = len(fields) // 4
+            t = np.fromiter(map(float, fields[2::4]), float, n)
+            v = np.fromiter(map(float, fields[3::4]), float, n)
+            if not np.isfinite(t).all():
+                raise ValueError("non-finite time")
+        except ValueError:
+            read_first_bad_row(rows, lineno, 4, read_long_row)
+            raise  # only if no row of the block fails on its own
+        block_times, time_ids = np.unique(t, return_inverse=True)
+        obs_col.frombytes(read_ids(obs_index, fields[0::4]).tobytes())
+        sensor_col.frombytes(read_ids(sensor_index, fields[1::4]).tobytes())
+        time_col.frombytes(read_ids(time_index, block_times.tolist())[time_ids].tobytes())
+        value_col.frombytes(v.tobytes())
+    return (list(obs_index), list(sensor_index), list(time_index)), (obs_col, sensor_col, time_col, value_col)
+
+
+def read_long_row(lineno: int, row: list[str]) -> None:
+    """Raise DataFormatError if one long-CSV row of 4 fields fails a check."""
+    _, _, time_s, value_s = row
+    try:
+        t = float(time_s)
+        float(value_s)
+    except ValueError:
+        raise DataFormatError(
+            f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
+        ) from None
+    if not math.isfinite(t):
+        raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+
+
+def read_ids(index: dict, keys: list) -> np.ndarray:
+    """Integer ids of keys; a key new to index gets the next id."""
+    for key in dict.fromkeys(keys):
+        index.setdefault(key, len(index))
+    return np.fromiter(map(index.__getitem__, keys), np.intc, len(keys))
+
+
+# ---------------------------------------------------------------------------
+# csv records, a block at a time
+
+_BLOCK = 1 << 15  # characters of lines read per block
+
+
+def read_csv_blocks(fh, n_fields: int):
+    """Split the csv records that follow a header into blocks.
+
+    Yields (lineno, rows, fields) for each block that holds a non-blank
+    record. lineno is the number of the block's first record, counting the
+    header as 1. rows gives the block's records one at a time, blank ones as
+    empty lists, exactly as csv.reader reads them. fields is the flat list
+    of fields of the block's non-blank records, or None when one of them
+    does not have n_fields fields.
+
+    A block with no quote has one record per line, and str methods split
+    it. From the first block with a quote on, one csv.reader reads the rest
+    of the file, a block of records at a time. So does a block with a NUL
+    (which csv rejects before Python 3.11) or one long enough to hold a
+    field over csv.field_size_limit(), so that csv raises its own error.
+    """
+    lineno = 2
+    while lines := fh.readlines(_BLOCK):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
+            break
+        records = list(filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+        if records:
+            fields = None
+            if set(map(str.count, records, repeat(","))) == {n_fields - 1}:
+                fields = ",".join(records).split(",")
+            yield lineno, csv.reader(lines), fields
+        lineno += len(lines)
+    if not lines:
+        return
+    reader = csv.reader(chain(lines, fh))
+    while rows := list(islice(reader, len(lines))):
+        records = list(filter(None, rows))
+        if records:
+            fields = None
+            if set(map(len, records)) == {n_fields}:
+                fields = list(chain.from_iterable(records))
+            yield lineno, rows, fields
+        lineno += len(rows)
+
+
+def read_first_bad_row(rows, lineno: int, n_fields: int, check) -> None:
+    """Check a block's rows in file order, numbering them from lineno:
+    raise DataFormatError for the first non-blank row with the wrong field
+    count or failing check(lineno, row)."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise DataFormatError(f"line {lineno}: expected {n_fields} fields, got {len(row)}")
+        check(lineno, row)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +249,7 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
 
 def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[0] != "obs_id":
             raise DataFormatError("scores file must start with an obs_id column")
         names, comps = [], []
@@ -161,23 +266,34 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
         expected = [f"{n}_pc{l + 1}" for n in sensor_names for l in range(q_c)]
         if header[1:] != expected:
             raise DataFormatError("score columns must be sensor-major, component-minor")
-        obs_ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            obs_ids.append(row[0])
+        width = len(header)
+        obs_ids, blocks = [], []
+        for lineno, rows, fields in read_csv_blocks(fh, width):
             try:
-                values = [float(x) for x in row[1:]]
+                if fields is None:
+                    raise ValueError("a record has the wrong field count")
+                obs_ids += fields[0::width]
+                del fields[0::width]
+                scores = np.fromiter(map(float, fields), float, len(fields))
+                if not np.isfinite(scores).all():
+                    raise ValueError("non-finite score")
             except ValueError:
-                raise DataFormatError(f"line {lineno}: non-numeric score") from None
-            if not all(map(math.isfinite, values)):
-                raise DataFormatError(f"line {lineno}: non-finite score")
-            rows.append(values)
-    if not rows:
+                read_first_bad_row(rows, lineno, width, read_score_row)
+                raise  # only if no row of the block fails on its own
+            blocks.append(scores.reshape(-1, width - 1))
+    if not blocks:
         raise DataFormatError("no data rows")
-    return CoefficientMatrix(scores=np.asarray(rows), q_c=q_c, sensor_names=sensor_names), obs_ids
+    return CoefficientMatrix(scores=np.concatenate(blocks), q_c=q_c, sensor_names=sensor_names), obs_ids
+
+
+def read_score_row(lineno: int, row: list[str]) -> None:
+    """Raise DataFormatError if one score-CSV row fails a check."""
+    try:
+        values = list(map(float, row[1:]))
+    except ValueError:
+        raise DataFormatError(f"line {lineno}: non-numeric score") from None
+    if not all(map(math.isfinite, values)):
+        raise DataFormatError(f"line {lineno}: non-finite score")
 
 
 # ---------------------------------------------------------------------------

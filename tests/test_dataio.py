@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mfclust import dataio
 from mfclust.basis import build_basis
 from mfclust.dataio import (
     DataFormatError,
@@ -21,7 +23,7 @@ from mfclust.dataio import (
     write_truth,
 )
 from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
-from mfclust.fpca import CoefficientMatrix, fit_fpca, transform
+from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, fit_fpca, transform
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import default_design, generate_dataset, run_scenario
 
@@ -149,6 +151,147 @@ def test_long_csv_memory_follows_rows_not_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_long_csv_memory_per_row_of_a_complete_file(tmp_path):
+    # 100,000 rows on a complete 100 x 25 x 40 grid: the reader keeps 20
+    # bytes of columns per row and builds the grid from them, about 43 bytes
+    # per row in all; sorting a float time per row would take about 65
+    lines = [
+        f"obs{i},s{s},{k * 0.25!r},{i + s / 32 + k / 1024!r}\n"
+        for i in range(100) for s in range(25) for k in range(40)
+    ]
+    path = tmp_path / "complete.csv"
+    path.write_text("obs_id,sensor_id,time,value\n" + "".join(lines))
+    tracemalloc.start()
+    try:
+        data = read_long_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.values.shape == (100, 25, 40)
+    assert peak < 55 * 100_000
+
+
+def reference_read_long_csv(path):
+    """read_long_csv's checks and messages, one csv.reader row at a time."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["obs_id", "sensor_id", "time", "value"]
+        samples = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+            obs, sensor, time_s, value_s = row
+            try:
+                t, v = float(time_s), float(value_s)
+            except ValueError:
+                raise DataFormatError(
+                    f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
+                ) from None
+            if not np.isfinite(t):
+                raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+            samples.append((obs, sensor, t, v))
+    if not samples:
+        raise DataFormatError("no data rows")
+    cells = {}
+    for obs, sensor, t, v in samples:
+        if (obs, sensor, t) in cells:
+            raise DataFormatError(f"duplicate sample for ({obs}, {sensor}, {t})")
+        cells[obs, sensor, t] = v
+    obs_ids = list(dict.fromkeys(obs for obs, _, _, _ in samples))
+    sensors = list(dict.fromkeys(sensor for _, sensor, _, _ in samples))
+    times = sorted({t for _, _, t, _ in samples})
+    grid = list(itertools.product(obs_ids, sensors, times))
+    missing = [cell for cell in grid if cell not in cells]
+    if missing:
+        listed = ", ".join(f"({o}, {s}, {t:g})" for o, s, t in missing[:10])
+        raise DataFormatError(f"incomplete grid; first missing cells: {listed}")
+    values = np.array([cells[cell] for cell in grid]).reshape(len(obs_ids), len(sensors), len(times))
+    return values, np.array(times), sensors, obs_ids
+
+
+def block_edge_text(case, tmp_path):
+    """A long CSV for one case of the block test, and the start of the
+    message it must raise (None if it must read)."""
+    rows = [
+        f"o{i},s{s},{t},{i * 100 + s * 10 + k}.5"
+        for i in range(1, 4) for s in (1, 2) for k, t in enumerate(("0", "0.5", "1", "2"))
+    ]
+    # runs of blank lines, some of which a block boundary splits
+    rows[5:5] = rows[12:12] = ["", ""]
+    rows.insert(1, "")
+    end = {"crlf": "\r\n", "cr": "\r"}.get(case, "\n")
+    header = "obs_id,sensor_id,time,value" + end
+    if case in ("quoted-late", "bad-row-after-quote"):
+        # its only quoted id comes last, so the first quote lies in a later block
+        obs_ids = ["o1", "o2", 'q,"x"\ny']
+        values = np.arange(len(obs_ids) * 2 * 4, dtype=float).reshape(len(obs_ids), 2, 4)
+        path = tmp_path / "quoted.csv"
+        write_long_csv(FunctionalDataSet([0, 0.5, 1, 2], values, ["s1", "s2"], obs_ids), path)
+        with open(path, newline="") as fh:
+            head, quote, tail = fh.read().partition('"')
+        # blank lines after the first quoted record
+        text = head + quote + tail.replace("\r\n", "\r\n\r\n\r\n", 1)
+        if case == "quoted-late":
+            return text + "\r\n\r\n", None
+        return text + "o1,s1,abc,1.0\r\n", "line 28: non-numeric"
+    expected = {
+        "bad-row-late": ("o3,s2,1,oops", "line 29: non-numeric"),
+        "ragged-late": ("o3,s2,1", "line 29: expected 4 fields"),
+        "non-finite-late": ("o3,s2,inf,1.0", "line 29: non-finite time"),
+    }
+    message = None
+    if case in expected:
+        rows[-2], message = expected[case]
+    elif case == "duplicate":
+        rows.append(rows[3])
+        message = "duplicate sample"
+    elif case == "missing":
+        del rows[-1]
+        message = "incomplete grid"
+    return header + end.join(rows) + end, message
+
+
+@pytest.mark.parametrize("block", [1, 16, 64])
+@pytest.mark.parametrize(
+    "case",
+    ["lf", "crlf", "cr", "quoted-late", "bad-row-late", "bad-row-after-quote",
+     "ragged-late", "non-finite-late", "duplicate", "missing"],
+)
+def test_long_csv_blocks_read_as_rows(tmp_path, monkeypatch, case, block):
+    text, message = block_edge_text(case, tmp_path)
+    path = tmp_path / "blocks.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    monkeypatch.setattr(dataio, "_BLOCK", block)
+    if message is None:
+        values, times, sensors, obs_ids = reference_read_long_csv(path)
+        data = read_long_csv(path)
+        npt.assert_array_equal(data.values, values)
+        npt.assert_array_equal(data.times, times)
+        assert (data.sensor_names, data.obs_ids) == (sensors, obs_ids)
+        return
+    with pytest.raises(DataFormatError) as expected:
+        reference_read_long_csv(path)
+    assert str(expected.value).startswith(message)
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("block", [1, 16, 64])
+def test_scores_csv_blocks_read_quoted_ids(tmp_path, monkeypatch, block):
+    B = CoefficientMatrix(np.arange(12, dtype=float).reshape(4, 3) / 8, q_c=3, sensor_names=["s"])
+    obs_ids = ["a", "b", 'c,"d"\r\ne', "f"]
+    path = tmp_path / "scores.csv"
+    write_scores_csv(B, path, obs_ids=obs_ids)
+    monkeypatch.setattr(dataio, "_BLOCK", block)
+    back, back_ids = read_scores_csv(path)
+    npt.assert_array_equal(back.scores, B.scores)
+    assert back_ids == obs_ids
 
 
 def test_long_csv_reports_first_repeat_in_file_order(tmp_path):
