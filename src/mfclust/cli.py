@@ -9,7 +9,9 @@ the command, a value the flag refuses, or a null value exits 1. A bad search gri
 basis size, sweep (its --qc included) or simulated design is a usage error,
 raised before any input is read or output written; so are --jobs below 1,
 a --qc outside [1, --n-basis], --alpha or --beta outside the component
-rule's ranges, and fit --scores with --qc, --alpha or --beta.
+rule's ranges, and fit --scores with any transform option. An input that
+cannot be read (a directory, a field too long for csv) and an output path
+that is a directory exit 2, the latter before anything is read or written.
 
 Options per command (besides the input and output paths):
   transform  --n-basis --order, and --qc or the --alpha/--beta rule
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -119,8 +122,8 @@ def build_parser() -> _Parser:
                         help="parallel workers")
 
     basis_opts = argparse.ArgumentParser(add_help=False)
-    basis_opts.add_argument("--n-basis", type=int, default=12)
-    basis_opts.add_argument("--order", type=int, default=3)
+    basis_opts.add_argument("--n-basis", type=int, default=None, help="B-spline basis size (default 12)")
+    basis_opts.add_argument("--order", type=int, default=None, help="B-spline order (default 3)")
 
     qc_opts = argparse.ArgumentParser(add_help=False)
     qc_opts.add_argument("--qc", type=int, default=None, help="components per sensor")
@@ -186,13 +189,15 @@ def _grid_from(args) -> SearchGrid:
 
 
 def _check_distinct_outputs(args, *dests, inputs=()) -> None:
-    """Refuse an output option naming an input file or another output's
-    file, before anything is read or written."""
+    """Refuse an output option naming an input file, another output's file
+    or a directory, before anything is read or written."""
     seen: dict[str, str] = {}
     for dest in (*inputs, *dests):
         path = getattr(args, dest)
         if path is None:
             continue
+        if dest in dests and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         flag = "--" + dest.replace("_", "-")
         real = os.path.realpath(path)
         if real in seen and dest in dests:
@@ -205,20 +210,22 @@ def _transform_pipeline(args):
         raise UsageError("give either --qc or the --alpha/--beta rule, not both")
     alpha = 0.8 if args.alpha is None else args.alpha
     beta = 0.8 if args.beta is None else args.beta
+    n_basis = 12 if args.n_basis is None else args.n_basis
+    order = 3 if args.order is None else args.order
     try:
-        check_size(args.n_basis, args.order)
+        check_size(n_basis, order)
     except ValueError as exc:
         raise UsageError(f"bad basis: {exc}") from None
     try:
         # q_c <= n - 1 depends on the curves, so fit_fpca checks that bound
         if args.qc is not None:
-            check_q_c(args.qc, args.n_basis)
+            check_q_c(args.qc, n_basis)
         check_rule(alpha, beta)
     except ValueError as exc:
         raise UsageError(f"bad component count: {exc}") from None
     raw = read_long_csv(args.input)
     data, stats = standardize(raw)
-    basis = build_basis(float(data.times[0]), float(data.times[-1]), args.n_basis, args.order)
+    basis = build_basis(float(data.times[0]), float(data.times[-1]), n_basis, order)
     models, B = fit_fpca(data, basis, q_c=args.qc, alpha=alpha, beta=beta, standardization=stats)
     return raw, data, models, B
 
@@ -247,8 +254,8 @@ def cmd_fit(args) -> int:
         raise UsageError("give exactly one of --input or --scores")
     if args.cluster_means and not args.input:
         raise UsageError("--cluster-means needs raw curves (--input)")
-    if args.scores and (args.qc, args.alpha, args.beta) != (None, None, None):
-        raise UsageError("--qc, --alpha and --beta need raw curves (--input)")
+    if args.scores and (args.n_basis, args.order, args.qc, args.alpha, args.beta) != (None,) * 5:
+        raise UsageError("--n-basis, --order, --qc, --alpha and --beta need raw curves (--input)")
     _check_distinct_outputs(
         args, "report", "assignments", "removed", "cluster_means", inputs=("input", "scores")
     )
@@ -387,7 +394,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (DataFormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

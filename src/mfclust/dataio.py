@@ -56,10 +56,11 @@ def read_long_csv(path) -> FunctionalDataSet:
     Rows may come in any order; blank lines are skipped. Observations and
     sensors keep their order of first appearance and times are sorted. A bad
     header, wrong field count, non-numeric field or non-finite time raises
-    DataFormatError naming its line (the number of its csv record). Repeated
-    cells (the first in file order) and missing cells (the first 10) are
-    found after parsing, so a later line's parse error is reported before an
-    earlier repeat.
+    DataFormatError naming its line (the number of its csv record), and so
+    does a record csv cannot parse, such as one with a field longer than
+    csv.field_size_limit(). Repeated cells (the first in file order) and
+    missing cells (the first 10) are found after parsing, so a later line's
+    parse error is reported before an earlier repeat.
 
     The text is read and converted a block of lines at a time
     (read_long_columns); a block that fails a check is read again row by
@@ -68,7 +69,7 @@ def read_long_csv(path) -> FunctionalDataSet:
     the grid.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = read_header(fh)
         if header != _HEADER:
             raise DataFormatError(f"expected header {','.join(_HEADER)}, got {header}")
         (obs_order, sensor_order, time_order), (obs_col, sensor_col, time_col, value_col) = (
@@ -179,13 +180,14 @@ def read_csv_blocks(fh, n_fields: int):
     header as 1. rows gives the block's records one at a time, blank ones as
     empty lists, exactly as csv.reader reads them. fields is the flat list
     of fields of the block's non-blank records, or None when one of them
-    does not have n_fields fields.
+    does not have n_fields fields. A record csv cannot parse raises
+    DataFormatError naming it, after the block of the records before it.
 
     A block with no quote has one record per line, and str methods split
     it. From the first block with a quote on, one csv.reader reads the rest
     of the file, a block of records at a time. So does a block with a NUL
     (which csv rejects before Python 3.11) or one long enough to hold a
-    field over csv.field_size_limit(), so that csv raises its own error.
+    field over csv.field_size_limit(), so that csv finds its own errors.
     """
     lineno = 2
     while lines := fh.readlines(_BLOCK):
@@ -202,14 +204,33 @@ def read_csv_blocks(fh, n_fields: int):
     if not lines:
         return
     reader = csv.reader(chain(lines, fh))
-    while rows := list(islice(reader, len(lines))):
+    while True:
+        rows, error = [], None
+        try:
+            for row in islice(reader, len(lines)):
+                rows.append(row)
+        except csv.Error as exc:
+            error = DataFormatError(f"line {lineno + len(rows)}: {exc}")
         records = list(filter(None, rows))
         if records:
             fields = None
             if set(map(len, records)) == {n_fields}:
                 fields = list(chain.from_iterable(records))
             yield lineno, rows, fields
+        if error:
+            raise error
+        if not rows:
+            return
         lineno += len(rows)
+
+
+def read_header(fh) -> list[str] | None:
+    """The first csv record of fh, None for an empty file; one that csv
+    cannot parse raises DataFormatError naming line 1."""
+    try:
+        return next(csv.reader(fh), None)
+    except csv.Error as exc:
+        raise DataFormatError(f"line 1: {exc}") from None
 
 
 def read_first_bad_row(rows, lineno: int, n_fields: int, check) -> None:
@@ -249,7 +270,7 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
 
 def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = read_header(fh)
         if not header or header[0] != "obs_id":
             raise DataFormatError("scores file must start with an obs_id column")
         names, comps = [], []

@@ -27,9 +27,11 @@ One fit runs a stack of L lanes: penalty specs of one kind that share the
 data, m and the start, such as the lambda points of a grid search, 0
 included. The parameters are an (L, dim) array whose rows hold
 (proportions, means row by row, variances), so SQUAREM's differences,
-norms and extrapolation are single array operations. Every EM map makes
-one M-step and one E-step kernel call for all live lanes (a second call
-serves the lanes whose extrapolated or stabilized point was rejected), and
+norms and extrapolation are single array operations. A lane carries its
+next EM input, one SQUAREM anchor, and of the input's E-step only the
+objective, G = tau.T @ X and the cluster masses T. Every EM map makes one
+M-step and one E-step kernel call for all live lanes (a second call serves
+the lanes whose extrapolated or stabilized point was rejected), and
 SQUAREM decides everything per lane, with masks: each lane takes the same
 steps, and stops at the same iteration for the same reason, as it would
 fitted alone. A single spec is the one-lane case. Stacked products are one
@@ -546,11 +548,11 @@ class _Fit:
 
 
 def _expect(fit, pen, theta):
-    """E-step at a stack theta under pen: the observed objectives there, the
-    responsibilities, the cluster masses and the kernel's failure codes."""
+    """E-step at a stack theta under pen: the observed objectives there,
+    G = tau.T @ X, the cluster masses T and the kernel's failure codes."""
     pi, means, sigma2 = fit.split(theta)
     tau, nll, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
-    return nll + pen.value(means), tau, tau.sum(axis=1), failed
+    return nll + pen.value(means), tau.transpose(0, 2, 1) @ fit.X, tau.sum(axis=1), failed
 
 
 def _extrapolate(fit, theta0, theta1, theta2):
@@ -575,20 +577,20 @@ class _Lanes:
     """The live lanes of a fit, stacked on axis 0 of every array.
 
     index holds each lane's position among the fit's specs and pen their
-    penalty. theta is the next input of the EM map and (objective, tau, T)
+    penalty. theta is the next input of the EM map and (objective, G, T)
     its E-step. phase is the lane's place in its SQUAREM cycle: 0 while
     theta is the cycle's theta0, 1 while it is theta1 and 2 while it is the
-    extrapolated point. theta0 and theta2 hold the cycle's points so far,
-    and start the objective at theta0.
+    extrapolated point. anchor holds theta0 at phase 1 and theta2 at phase
+    2, and start the objective at theta0.
     """
 
-    ARRAYS = ("index", "theta", "objective", "tau", "T", "phase", "theta0", "theta2", "start")
+    ARRAYS = ("index", "theta", "objective", "G", "T", "phase", "anchor", "start")
 
-    def __init__(self, pen, theta, objective, tau, T):
+    def __init__(self, pen, theta, objective, G, T):
         self.pen = pen
         self.index = np.arange(len(theta))
-        self.theta = self.theta0 = self.theta2 = theta
-        self.objective, self.tau, self.T = objective, tau, T
+        self.theta = self.anchor = theta
+        self.objective, self.G, self.T = objective, G, T
         self.phase = np.zeros(len(theta), dtype=int)
         self.start = objective
 
@@ -608,28 +610,27 @@ class _Lanes:
         theta. Returns the failure codes of the plain E-steps, 0 where the
         lane goes on.
 
-        phase 0: theta1 = mapped is mapped next. phase 1: mapped is theta2;
-        the lane extrapolates and, if the point is usable and keeps every
-        cluster's mass, maps it next, else restarts from theta2. phase 2: the
-        lane keeps the stabilized point mapped if it keeps every cluster's
-        mass and does not raise the objective at theta0, else restarts from
-        theta2. Only the screened E-steps, at the extrapolated and the
-        stabilized points, may fail without failing the lane.
+        phase 0: theta1 = mapped is mapped next, with theta0 as the anchor.
+        phase 1: mapped is theta2, the next anchor; the lane extrapolates and,
+        if the point is usable and keeps every cluster's mass, maps it next,
+        else restarts from theta2. phase 2: the lane keeps the stabilized point
+        mapped if it keeps every cluster's mass and does not raise the
+        objective at theta0, else restarts from the anchor. Only the E-steps at
+        extrapolated and stabilized points may fail without failing the lane.
         """
         phase = self.phase
-        theta2 = np.where((phase == 1)[:, None], mapped, self.theta2)
-        point, usable = _extrapolate(fit, self.theta0, self.theta, theta2)
+        point, usable = _extrapolate(fit, self.anchor, self.theta, mapped)
         usable &= phase == 1
         theta = np.where(usable[:, None], point, mapped)
-        objective, tau, T, failed = _expect(fit, self.pen, theta)
+        objective, G, T, failed = _expect(fit, self.pen, theta)
         kept = (failed == 0) & (T.min(axis=1) > _EMPTY_CLUSTER_TOL) & ((phase < 2) | (objective <= self.start))
+        anchor = np.where((phase == 0)[:, None], self.theta, np.where((phase == 1)[:, None], mapped, self.anchor))
         back = (usable | (phase == 2)) & ~kept
         if back.any():
-            theta[back] = theta2[back]
-            objective[back], tau[back], T[back], failed[back] = _expect(fit, self.pen.take(back), theta2[back])
-        self.theta0 = np.where((phase == 0)[:, None], self.theta, self.theta0)
-        self.theta, self.theta2 = theta, theta2
-        self.objective, self.tau, self.T = objective, tau, T
+            theta[back] = anchor[back]
+            objective[back], G[back], T[back], failed[back] = _expect(fit, self.pen.take(back), anchor[back])
+        self.theta, self.anchor = theta, anchor
+        self.objective, self.G, self.T = objective, G, T
         self.phase = np.where(phase == 0, 1, np.where(usable & kept, 2, 0))
         return failed
 
@@ -638,14 +639,14 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
     """The EM loop of run_em: per spec, its FitResult or the NumericalError
     that ended its lane."""
     fit = _Fit(B, m, specs)
-    X, n, L = fit.X, fit.n, len(specs)
+    n, L = fit.n, len(specs)
     theta = np.concatenate((
         np.tile(params0.proportions, (L, 1)),
         np.where(fit.pen.pinned, 0.0, params0.means).reshape(L, -1),
         np.tile(params0.variances, (L, 1)),
     ), axis=1)
     out = [None] * L
-    final = theta.copy()  # the point each lane returns
+    final = np.empty_like(theta)  # the point each lane returns, once it stops
     iterations = np.zeros(L, dtype=int)
     reasons = ["max_iter"] * L
     traces = [[] for _ in range(L)]
@@ -662,15 +663,15 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
 
     def fail(failed):
         """End the lanes whose plain E-step failed."""
-        for lane, code in zip(live.index, failed):
-            if code:
-                out[lane] = NumericalError(_KERNEL_FAILURES[code - 1])
-        live.drop(failed != 0)
+        bad = failed != 0
+        for lane, code in zip(live.index[bad], failed[bad]):
+            out[lane] = NumericalError(_KERNEL_FAILURES[code - 1])
+        live.drop(bad)
 
-    objective, tau, T, failed = _expect(fit, fit.pen, theta)
-    live = _Lanes(fit.pen, theta, objective, tau, T)
+    objective, G, T, failed = _expect(fit, fit.pen, theta)
+    live = _Lanes(fit.pen, theta, objective, G, T)
     # the peak memory grows with the lanes: no name outlives the stack it holds
-    del theta, objective, tau, T
+    del theta, objective, G, T
     fail(failed)
     for step in range(1, max_iter + 1):
         at_start = live.phase == 0
@@ -683,20 +684,19 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         if not live.index.size:
             break
         iterations[live.index] = step
-        G = live.tau.transpose(0, 2, 1) @ X
-        means = _mean_update_for(live.pen, G, live.T, fit.split(live.theta)[2])
-        raw = _variances(fit.Xsq_colsum, G, live.T, means, n)
+        means = _mean_update_for(live.pen, live.G, live.T, fit.split(live.theta)[2])
+        raw = _variances(fit.Xsq_colsum, live.G, live.T, means, n)
         floored[live.index] |= raw.min(axis=1) < _VARIANCE_FLOOR
         mapped = np.concatenate((live.T / n, means.reshape(len(means), -1), np.maximum(raw, _VARIANCE_FLOOR)), axis=1)
         # either plain step of a cycle, from theta0 or theta1, may converge
         moved = mapped - live.theta
         converged = (live.phase < 2) & (np.sqrt(_dots(moved, moved)) <= tol)
-        del G, means, moved
+        del means, moved
         (mapped,) = stop(converged, mapped, "converged", mapped)
         if live.index.size:
             fail(live.advance(fit, mapped))
     # where max_iter ran out before the extrapolated point was mapped: theta2
-    stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.theta2, live.theta), "max_iter")
+    stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.anchor, live.theta), "max_iter")
 
     ok = [lane for lane in range(L) if out[lane] is None]
     if floored[ok].any():
@@ -704,7 +704,7 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
     if not ok:
         return out
     pi, means, sigma2 = fit.split(final[ok])
-    tau, plain, failed = _log_joint(X, fit.Xsq_colsum, pi, means, sigma2)
+    tau, plain, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
     penalized = plain + fit.pen.take(ok).value(means)
     for j, lane in enumerate(ok):
         if failed[j]:
@@ -750,9 +750,9 @@ def run_em(
     first (using the input's variances inside the penalty terms) and then
     the variances from the fresh means. Both are exact minimizers for every
     penalty kind, so the map never raises the observed penalized objective.
-    Each E-step is one call of the reduced-form kernel _log_joint, which
-    gives the responsibilities and the observed objective together for
-    every live lane.
+    Each E-step is one call of the reduced-form kernel _log_joint for every
+    live lane; a lane keeps of it the observed objective and what the
+    M-step reads, G = tau.T @ X and the cluster masses T.
 
     Each lane holds (proportions, means, variances) as one row theta of the
     fit's parameter array. Each SQUAREM cycle (Varadhan & Roland, 2008) maps

@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mfclust
 from mfclust.cli import main
 from mfclust.dataio import read_long_csv, read_model, read_scores_csv
 from mfclust.simbench import default_design, generate_dataset
@@ -422,7 +427,12 @@ def test_q_c_above_n_minus_1_is_a_data_error(small_run, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("flag,value", [("--qc", 7), ("--alpha", 0.3), ("--beta", 0.9)])
+FROM_SCORES_REFUSED = "--n-basis, --order, --qc, --alpha and --beta need raw curves (--input)"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--qc", 7), ("--alpha", 0.3), ("--beta", 0.9), ("--n-basis", 12), ("--order", 3),
+])
 def test_fit_from_scores_refuses_transform_options(small_run, capsys, flag, value):
     tmp_path, data, _ = small_run
     scores = tmp_path / "scores.csv"
@@ -435,8 +445,85 @@ def test_fit_from_scores_refuses_transform_options(small_run, capsys, flag, valu
         "--penalty", "none", "--m-grid", 2, "--jobs", 1, flag, value,
     )
     assert code == 1
-    assert "--qc, --alpha and --beta need raw curves (--input)" in capsys.readouterr().err
+    assert FROM_SCORES_REFUSED in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_fit_from_scores_refuses_a_basis_config_key(small_run, capsys):
+    tmp_path, data, _ = small_run
+    scores = tmp_path / "scores.csv"
+    assert run_cli("transform", "--input", data, "--scores", scores,
+                   "--model", tmp_path / "m.json", "--qc", 2) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_basis": 12}))
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli(
+        "--config", cfg, "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", 2, "--jobs", 1,
+    )
+    assert code == 1
+    assert FROM_SCORES_REFUSED in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def run_cli_process(*args):
+    """The CLI in a child process, as a shell runs it: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "mfclust.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stderr
+
+
+def with_long_field(path, lines, lineno, field):
+    """Write lines with the given field of line lineno (counting from 1)
+    replaced by one longer than csv accepts."""
+    cells = lines[lineno - 1].split(",")
+    cells[field] = "x" * 140_000
+    lines = [*lines[:lineno - 1], ",".join(cells), *lines[lineno:]]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def unusable_path_call(case, tmp_path, data):
+    """The CLI call of one unusable-path case, writing into tmp_path/out,
+    and the error it must report."""
+    adir, out, bad = tmp_path / "adir", tmp_path / "out", tmp_path / "bad.csv"
+    adir.mkdir()
+    out.mkdir()
+    too_long = f"field larger than field limit ({csv.field_size_limit()})"
+
+    def transform(path):
+        return ["transform", "--input", path, "--scores", out / "s.csv", "--model", out / "m.json"]
+
+    def fit(removed=out / "x.txt"):
+        return ["fit", "--report", out / "r.json", "--assignments", out / "a.csv",
+                "--removed", removed, "--penalty", "none", "--m-grid", 2, "--jobs", 1]
+
+    if case == "long-csv":
+        with_long_field(bad, data.read_text().splitlines(), 5, 0)
+        return transform(bad), f"line 5: {too_long}"
+    if case.startswith("scores"):
+        assert run_cli(*transform(data), "--qc", 2) == 0
+        lineno, field = (5, 0) if case == "scores-body" else (1, 3)
+        with_long_field(bad, (out / "s.csv").read_text().splitlines(), lineno, field)
+        for path in out.iterdir():
+            path.unlink()
+        return [*fit(), "--scores", bad], f"line {lineno}: {too_long}"
+    if case == "input-dir":
+        return transform(adir), "Is a directory"
+    # fit's third output is a directory: nothing may be written before it
+    return [*fit(removed=adir), "--input", data, "--qc", 2], "Is a directory"
+
+
+@pytest.mark.parametrize("case", ["long-csv", "scores-body", "scores-header", "input-dir", "output-dir"])
+def test_an_unusable_path_exits_2_without_a_traceback(small_run, case):
+    tmp_path, data, _ = small_run
+    call, message = unusable_path_call(case, tmp_path, data)
+    code, err = run_cli_process(*call)
+    assert code == 2
+    assert err.startswith("data error: ") and message in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 BAD_GRIDS = [

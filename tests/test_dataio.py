@@ -294,6 +294,32 @@ def test_scores_csv_blocks_read_quoted_ids(tmp_path, monkeypatch, block):
     assert back_ids == obs_ids
 
 
+@pytest.mark.parametrize("block", [1, 64, 1 << 15])
+@pytest.mark.parametrize("line_3,message", [
+    ("a,s1,1,2.0\n", "line 6: field larger than field limit"),
+    ("a,s1,1,x\n", "line 3: non-numeric time or value"),
+], ids=["long-field", "bad-row-first"])
+def test_long_csv_field_over_the_csv_limit_names_its_line(tmp_path, monkeypatch, block, line_3, message):
+    # the first bad row in file order is reported, whether or not csv
+    # stops at a later one in the same block
+    path = tmp_path / "long.csv"
+    rows = ["a,s1,0,1.0\n", line_3, "b,s1,0,1.0\n", "b,s1,1,2.0\n"]
+    path.write_text("obs_id,sensor_id,time,value\n" + "".join(rows) + "x" * 140_000 + ",s1,0,1.0\n")
+    monkeypatch.setattr(dataio, "_BLOCK", block)
+    with pytest.raises(DataFormatError, match=message):
+        read_long_csv(path)
+
+
+@pytest.mark.parametrize("reader,header", [
+    (read_long_csv, "obs_id,sensor_id,time,"), (read_scores_csv, "obs_id,s_pc1,"),
+], ids=["long", "scores"])
+def test_a_header_field_over_the_csv_limit_is_line_1(tmp_path, reader, header):
+    path = tmp_path / "header.csv"
+    path.write_text(header + "v" * 140_000 + "\n")
+    with pytest.raises(DataFormatError, match="line 1: field larger than field limit"):
+        reader(path)
+
+
 def test_long_csv_reports_first_repeat_in_file_order(tmp_path):
     path = tmp_path / "repeats.csv"
     path.write_text(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,7 +24,9 @@ from mfclust.em import (
     penalized_nll,
     run_em,
 )
-from mfclust.fpca import CoefficientMatrix
+from mfclust.fpca import CoefficientMatrix, fit_fpca
+from mfclust.select import DEFAULT_GAMMA_VALUES, SearchGrid
+from mfclust.simbench import BASIS, default_design, generate_dataset
 
 
 def cm(X, q_c=1):
@@ -767,6 +771,28 @@ def test_lanes_of_a_lambda_grid_match_their_fits_alone(kind):
     for spec, fit in zip(specs, fits):
         assert_same_fit(fit, run_em(B, 3, spec, init=init))
     assert len({f.iterations for f in fits}) > 1
+
+
+def test_lane_state_memory_per_lane():
+    # one adaptive phase of the default grid, 4 gammas x 9 lambdas > 0, at
+    # n = 50, m = 6 and 18 sensors of 3 components: a lane carries its point,
+    # one SQUAREM anchor and the E-step's G and T, never its (n, m)
+    # responsibilities, which keeps the peak near 35,500 bytes per lane
+    _, B = fit_fpca(generate_dataset(default_design(n=50, seed=0)), BASIS, q_c=3)
+    init = initialize(B, 6, seed=1)
+    lambdas = SearchGrid().lambdas(B.n)[1:]
+    reference = run_em(B, 6, PenaltySpec("variable", lambdas[2]), init=init).params.means
+    specs = [PenaltySpec.adaptive("variable", lam, gamma, reference)
+             for gamma in DEFAULT_GAMMA_VALUES for lam in lambdas]
+    tracemalloc.start()
+    try:
+        fits = run_em(B, 6, specs, init=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(specs) == 36 and B.q == 54
+    assert all(isinstance(fit, em.FitResult) for fit in fits)
+    assert peak < 38_500 * len(specs)
 
 
 @pytest.mark.parametrize("kind", ["individual", "variable", "group"])
