@@ -1,7 +1,7 @@
-"""Check the result line of a traced benchmark run.
+"""Check the result line of a benchmark run, traced or not.
 
-Reads the JSON result of `bench/run.py --trace 1` (its last output line) on
-stdin. Exits 0 when the run is correct, failed no operation, reports no null
+Reads the JSON result of `bench/run.py` (its last output line) on stdin.
+Exits 0 when the run is correct, failed no operation, reports no null
 metric and moved every counter named on the command line; exits 1 otherwise.
 A counter that is 0 or missing means the hook it counts is gone.
 

@@ -11,7 +11,8 @@ raised before any input is read or output written; so are --jobs below 1,
 a --qc outside [1, --n-basis], --alpha or --beta outside the component
 rule's ranges, and fit --scores with any transform option. An input that
 cannot be read (a directory, a field too long for csv) and an output path
-that is a directory exit 2, the latter before anything is read or written.
+that is a directory or lies in a missing one exit 2, the latter before
+anything is read or written.
 
 Options per command (besides the input and output paths):
   transform  --n-basis --order, and --qc or the --alpha/--beta rule
@@ -189,8 +190,9 @@ def _grid_from(args) -> SearchGrid:
 
 
 def _check_distinct_outputs(args, *dests, inputs=()) -> None:
-    """Refuse an output option naming an input file, another output's file
-    or a directory, before anything is read or written."""
+    """Refuse an output option naming an input file, another output's file,
+    a directory or a file in a missing directory, before anything is read
+    or written."""
     seen: dict[str, str] = {}
     for dest in (*inputs, *dests):
         path = getattr(args, dest)
@@ -198,6 +200,8 @@ def _check_distinct_outputs(args, *dests, inputs=()) -> None:
             continue
         if dest in dests and os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if dest in dests and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         flag = "--" + dest.replace("_", "-")
         real = os.path.realpath(path)
         if real in seen and dest in dests:

@@ -125,38 +125,30 @@ def read_long_columns(fh) -> tuple[tuple[list, list, list], tuple[array, ...]]:
     time_index: dict[float, int] = {}
     obs_col, sensor_col, time_col = array("i"), array("i"), array("i")
     value_col = array("d")
-    for lineno, rows, fields in read_csv_blocks(fh, 4):
-        try:
-            if fields is None:
-                raise ValueError("a record has the wrong field count")
-            n = len(fields) // 4
-            t = np.fromiter(map(float, fields[2::4]), float, n)
-            v = np.fromiter(map(float, fields[3::4]), float, n)
-            if not np.isfinite(t).all():
-                raise ValueError("non-finite time")
-        except ValueError:
-            read_first_bad_row(rows, lineno, 4, read_long_row)
-            raise  # only if no row of the block fails on its own
+    for obs, sensors, t, v in read_csv_blocks(fh, 4, read_long_fields):
         block_times, time_ids = np.unique(t, return_inverse=True)
-        obs_col.frombytes(read_ids(obs_index, fields[0::4]).tobytes())
-        sensor_col.frombytes(read_ids(sensor_index, fields[1::4]).tobytes())
+        obs_col.frombytes(read_ids(obs_index, obs).tobytes())
+        sensor_col.frombytes(read_ids(sensor_index, sensors).tobytes())
         time_col.frombytes(read_ids(time_index, block_times.tolist())[time_ids].tobytes())
         value_col.frombytes(v.tobytes())
     return (list(obs_index), list(sensor_index), list(time_index)), (obs_col, sensor_col, time_col, value_col)
 
 
-def read_long_row(lineno: int, row: list[str]) -> None:
-    """Raise DataFormatError if one long-CSV row of 4 fields fails a check."""
-    _, _, time_s, value_s = row
+def read_long_fields(fields: list[str], width: int) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """Obs ids, sensor ids, times and values of long rows' flat fields.
+
+    A converter of read_csv_blocks: its ValueError message describes the
+    first row of fields, so it is exact for the single row read_block gives.
+    """
+    n = len(fields) // width
     try:
-        t = float(time_s)
-        float(value_s)
+        t = np.fromiter(map(float, fields[2::width]), float, n)
+        v = np.fromiter(map(float, fields[3::width]), float, n)
     except ValueError:
-        raise DataFormatError(
-            f"line {lineno}: non-numeric time or value ({time_s!r}, {value_s!r})"
-        ) from None
-    if not math.isfinite(t):
-        raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+        raise ValueError(f"non-numeric time or value ({fields[2]!r}, {fields[3]!r})") from None
+    if not np.isfinite(t).all():
+        raise ValueError(f"non-finite time {fields[2]!r}")
+    return fields[0::width], fields[1::width], t, v
 
 
 def read_ids(index: dict, keys: list) -> np.ndarray:
@@ -172,15 +164,13 @@ def read_ids(index: dict, keys: list) -> np.ndarray:
 _BLOCK = 1 << 15  # characters of lines read per block
 
 
-def read_csv_blocks(fh, n_fields: int):
-    """Split the csv records that follow a header into blocks.
+def read_csv_blocks(fh, width: int, convert):
+    """Convert the csv records that follow a header, a block at a time.
 
-    Yields (lineno, rows, fields) for each block that holds a non-blank
-    record. lineno is the number of the block's first record, counting the
-    header as 1. rows gives the block's records one at a time, blank ones as
-    empty lists, exactly as csv.reader reads them. fields is the flat list
-    of fields of the block's non-blank records, or None when one of them
-    does not have n_fields fields. A record csv cannot parse raises
+    Yields convert(fields, width) for each block that holds a non-blank
+    record, where fields is the flat list of the fields of its non-blank
+    records; read_block says what happens when a block fails. Records are
+    numbered from 1 for the header. A record csv cannot parse raises
     DataFormatError naming it, after the block of the records before it.
 
     A block with no quote has one record per line, and str methods split
@@ -196,10 +186,9 @@ def read_csv_blocks(fh, n_fields: int):
             break
         records = list(filter(None, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
         if records:
-            fields = None
-            if set(map(str.count, records, repeat(","))) == {n_fields - 1}:
-                fields = ",".join(records).split(",")
-            yield lineno, csv.reader(lines), fields
+            even = set(map(str.count, records, repeat(","))) == {width - 1}
+            fields = ",".join(records).split(",") if even else None
+            yield read_block(csv.reader(lines), lineno, fields, width, convert)
         lineno += len(lines)
     if not lines:
         return
@@ -211,17 +200,37 @@ def read_csv_blocks(fh, n_fields: int):
                 rows.append(row)
         except csv.Error as exc:
             error = DataFormatError(f"line {lineno + len(rows)}: {exc}")
-        records = list(filter(None, rows))
-        if records:
-            fields = None
-            if set(map(len, records)) == {n_fields}:
-                fields = list(chain.from_iterable(records))
-            yield lineno, rows, fields
+        if records := list(filter(None, rows)):
+            even = set(map(len, records)) == {width}
+            fields = list(chain.from_iterable(records)) if even else None
+            yield read_block(rows, lineno, fields, width, convert)
         if error:
             raise error
         if not rows:
             return
         lineno += len(rows)
+
+
+def read_block(rows, lineno: int, fields: list[str] | None, width: int, convert):
+    """convert(fields, width) for one block; fields is None when a record
+    has the wrong field count. A failing block is converted again row by
+    row (blank rows are empty lists, numbered from lineno): the first bad
+    row raises DataFormatError "line N: <message>", and if none fails on
+    its own, the block's ValueError is raised."""
+    try:
+        if fields is None:
+            raise ValueError("a record has the wrong field count")
+        return convert(fields, width)
+    except ValueError:
+        for lineno, row in enumerate(rows, start=lineno):
+            try:
+                if row and len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                if row:
+                    convert(row, width)
+            except ValueError as exc:
+                raise DataFormatError(f"line {lineno}: {exc}") from None
+        raise
 
 
 def read_header(fh) -> list[str] | None:
@@ -231,18 +240,6 @@ def read_header(fh) -> list[str] | None:
         return next(csv.reader(fh), None)
     except csv.Error as exc:
         raise DataFormatError(f"line 1: {exc}") from None
-
-
-def read_first_bad_row(rows, lineno: int, n_fields: int, check) -> None:
-    """Check a block's rows in file order, numbering them from lineno:
-    raise DataFormatError for the first non-blank row with the wrong field
-    count or failing check(lineno, row)."""
-    for lineno, row in enumerate(rows, start=lineno):
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise DataFormatError(f"line {lineno}: expected {n_fields} fields, got {len(row)}")
-        check(lineno, row)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +255,8 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
     if "" in B.sensor_names:
         raise DataFormatError("score columns need non-empty sensor names, got an empty sensor_id")
     obs_ids = obs_ids or [str(i) for i in range(B.n)]
+    if len(obs_ids) != B.n:
+        raise ValueError("obs_ids length must match the score rows")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["obs_id"] + [
@@ -287,34 +286,32 @@ def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
         expected = [f"{n}_pc{l + 1}" for n in sensor_names for l in range(q_c)]
         if header[1:] != expected:
             raise DataFormatError("score columns must be sensor-major, component-minor")
-        width = len(header)
         obs_ids, blocks = [], []
-        for lineno, rows, fields in read_csv_blocks(fh, width):
-            try:
-                if fields is None:
-                    raise ValueError("a record has the wrong field count")
-                obs_ids += fields[0::width]
-                del fields[0::width]
-                scores = np.fromiter(map(float, fields), float, len(fields))
-                if not np.isfinite(scores).all():
-                    raise ValueError("non-finite score")
-            except ValueError:
-                read_first_bad_row(rows, lineno, width, read_score_row)
-                raise  # only if no row of the block fails on its own
-            blocks.append(scores.reshape(-1, width - 1))
+        for ids, scores in read_csv_blocks(fh, len(header), read_score_fields):
+            obs_ids += ids
+            blocks.append(scores)
     if not blocks:
         raise DataFormatError("no data rows")
+    seen = set()
+    for obs in obs_ids:
+        if obs in seen:
+            raise DataFormatError(f"duplicate obs_id {obs!r}")
+        seen.add(obs)
     return CoefficientMatrix(scores=np.concatenate(blocks), q_c=q_c, sensor_names=sensor_names), obs_ids
 
 
-def read_score_row(lineno: int, row: list[str]) -> None:
-    """Raise DataFormatError if one score-CSV row fails a check."""
+def read_score_fields(fields: list[str], width: int) -> tuple[list, np.ndarray]:
+    """Obs ids and (rows, width - 1) scores of score rows' flat fields,
+    which lose their ids; a converter like read_long_fields."""
+    obs_ids = fields[0::width]
+    del fields[0::width]
     try:
-        values = list(map(float, row[1:]))
+        scores = np.fromiter(map(float, fields), float, len(fields))
     except ValueError:
-        raise DataFormatError(f"line {lineno}: non-numeric score") from None
-    if not all(map(math.isfinite, values)):
-        raise DataFormatError(f"line {lineno}: non-finite score")
+        raise ValueError("non-numeric score") from None
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite score")
+    return obs_ids, scores.reshape(-1, width - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import BSpline
 
-from mfclust.basis import build_basis, design_matrix, fit_coefficients, gram_matrix
+from mfclust.basis import BasisSpec, build_basis, design_matrix, fit_coefficients, gram_matrix
 
 
 def test_build_basis_shapes():
@@ -14,6 +14,20 @@ def test_build_basis_shapes():
     # interior knots equally spaced
     interior = b.knots[3:-3]
     npt.assert_allclose(np.diff(interior), interior[1] - interior[0])
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 30), (0.0, 30.0), (-2, 1.5)])
+def test_basis_spec_is_its_four_numbers(lo, hi):
+    b = BasisSpec(lo, hi, 3, 12)
+    same = build_basis(float(lo), float(hi), 12, 3)
+    assert b == same and hash(b) == hash(same) and len({b, same}) == 1
+    assert b != build_basis(lo, hi, 11, 3) and b != build_basis(lo, hi, 12, 4)
+    # each endpoint `order` times around equally spaced interior knots
+    expected = np.concatenate([np.full(3, float(lo)), np.linspace(lo, hi, 11)[1:-1], np.full(3, float(hi))])
+    npt.assert_array_equal(b.knots, expected)
+    npt.assert_array_equal(same.knots, expected)
+    with pytest.raises(TypeError):
+        BasisSpec(lo, hi, 3, 12, knots=expected)
 
 
 def test_build_basis_single_constant():

@@ -221,6 +221,22 @@ def test_fit_rejects_non_finite_score(tmp_path, capsys):
     assert "line 7: non-finite score" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_repeated_obs_id(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    rows = [f"o{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(4)) for i in range(30)]
+    rows[9] = "o4" + rows[9][2:]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("obs_id,s1_pc1,s1_pc2,s2_pc1,s2_pc2\n" + "\n".join(rows) + "\n")
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", "2", "--jobs", 1,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "data error: duplicate obs_id 'o4'\n"
+    assert list(tmp_path.iterdir()) == [scores]
+
+
 def test_fit_goes_on_past_cluster_counts_above_n(tmp_path):
     rng = np.random.default_rng(5)
     rows = [f"o{i}," + ",".join(repr(float(x)) for x in rng.standard_normal(4)) for i in range(4)]
@@ -511,11 +527,19 @@ def unusable_path_call(case, tmp_path, data):
         return [*fit(), "--scores", bad], f"line {lineno}: {too_long}"
     if case == "input-dir":
         return transform(adir), "Is a directory"
+    missing = out / "nodir" / "x.csv"
+    if case == "fit-missing-dir":
+        return [*fit(removed=missing), "--input", data, "--qc", 2], f"No such file or directory: '{missing}'"
+    if case == "benchmark-missing-dir":
+        return ["benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1, "--kinds", "none",
+                "--m-grid", 2, "--jobs", 1, "--output", missing, "--replicates", out / "reps.csv"], (
+            f"No such file or directory: '{missing}'")
     # fit's third output is a directory: nothing may be written before it
     return [*fit(removed=adir), "--input", data, "--qc", 2], "Is a directory"
 
 
-@pytest.mark.parametrize("case", ["long-csv", "scores-body", "scores-header", "input-dir", "output-dir"])
+@pytest.mark.parametrize("case", ["long-csv", "scores-body", "scores-header", "input-dir", "output-dir",
+                                  "fit-missing-dir", "benchmark-missing-dir"])
 def test_an_unusable_path_exits_2_without_a_traceback(small_run, case):
     tmp_path, data, _ = small_run
     call, message = unusable_path_call(case, tmp_path, data)

@@ -284,14 +284,28 @@ def test_long_csv_blocks_read_as_rows(tmp_path, monkeypatch, case, block):
 
 @pytest.mark.parametrize("block", [1, 16, 64])
 def test_scores_csv_blocks_read_quoted_ids(tmp_path, monkeypatch, block):
-    B = CoefficientMatrix(np.arange(12, dtype=float).reshape(4, 3) / 8, q_c=3, sensor_names=["s"])
-    obs_ids = ["a", "b", 'c,"d"\r\ne', "f"]
+    B = CoefficientMatrix(np.arange(24, dtype=float).reshape(8, 3) / 8, q_c=3, sensor_names=["s"])
     path = tmp_path / "scores.csv"
-    write_scores_csv(B, path, obs_ids=obs_ids)
     monkeypatch.setattr(dataio, "_BLOCK", block)
-    back, back_ids = read_scores_csv(path)
-    npt.assert_array_equal(back.scores, B.scores)
-    assert back_ids == obs_ids
+    for quoted in (1, 7):
+        obs_ids = list("abcdefgh")
+        obs_ids[quoted] = 'c,"d"\r\ne'
+        write_scores_csv(B, path, obs_ids=obs_ids)
+        back, back_ids = read_scores_csv(path)
+        npt.assert_array_equal(back.scores, B.scores)
+        assert back_ids == obs_ids
+        # a bad row g in a later block is record 8, whether the quoted
+        # record spanning two lines comes before it or after it
+        head, _, tail = path.read_bytes().decode().partition("\r\ng,")
+        for bad_row, message in [
+            ("g,0.5,x,1.0", "line 8: non-numeric score"),
+            ("g,0.5,inf,1.0", "line 8: non-finite score"),
+            ("g,0.5,1.0", "line 8: expected 4 fields, got 3"),
+        ]:
+            path.write_bytes((head + "\r\n" + bad_row + tail[tail.index("\r\n"):]).encode())
+            with pytest.raises(DataFormatError) as exc:
+                read_scores_csv(path)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("block", [1, 64, 1 << 15])
@@ -416,6 +430,23 @@ def test_scores_csv_round_trip(tmp_path):
     assert obs_ids == [f"o{i}" for i in range(6)]
 
 
+def test_scores_csv_rejects_a_repeated_obs_id(tmp_path):
+    # the first row that repeats an earlier id is named, not the first id repeated
+    path = tmp_path / "scores.csv"
+    path.write_text("obs_id,s1_pc1\na,0.5\nb,1.0\nc,2.0\nb,3.0\na,4.0\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_scores_csv(path)
+    assert str(exc.value) == "duplicate obs_id 'b'"
+
+
+def test_scores_csv_refuses_obs_ids_of_another_length(tmp_path):
+    B = CoefficientMatrix(np.zeros((4, 2)), q_c=2, sensor_names=["s"])
+    path = tmp_path / "scores.csv"
+    with pytest.raises(ValueError, match="obs_ids length must match the score rows"):
+        write_scores_csv(B, path, obs_ids=["a", "b"])
+    assert not path.exists()
+
+
 def test_model_bundle_round_trip_exact(tmp_path):
     design, data = small_dataset(seed=3)
     basis = build_basis(0, 30, 12, 3)
@@ -440,6 +471,7 @@ def test_model_bundle_round_trip_exact(tmp_path):
         npt.assert_array_equal(rt.eigen_coeffs, orig.eigen_coeffs)
         npt.assert_array_equal(rt.eigenvalues, orig.eigenvalues)
         assert rt.standardization == orig.standardization
+        assert rt.basis == orig.basis and hash(rt.basis) == hash(orig.basis)
 
 
 def test_model_round_trip_preserves_hard_labels(tmp_path):
