@@ -44,7 +44,7 @@ from __future__ import annotations
 import copy
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,6 +176,9 @@ class FitResult:
     stop_reason says why the fit ended: "converged" (a plain EM step moved
     the parameters by at most tol), "max_iter" (the iteration cap ran out)
     or "collapsed" (a cluster lost its mass at an EM iterate).
+    max_objective_rise is the largest rise of the observed objective from
+    the start of one SQUAREM cycle to the start of the next, or to the
+    returned point; it is negative when every cycle descends.
     """
 
     params: MixtureParams
@@ -187,7 +190,7 @@ class FitResult:
     removed_sensors: set[str]
     iterations: int
     stop_reason: str
-    objective_trace: list[float] = field(default_factory=list, repr=False)
+    max_objective_rise: float
 
     @property
     def converged(self) -> bool:
@@ -196,14 +199,6 @@ class FitResult:
     @property
     def m(self) -> int:
         return self.params.m
-
-    @property
-    def max_objective_rise(self) -> float:
-        """Largest iteration-to-iteration increase of the observed objective."""
-        trace = self.objective_trace
-        if len(trace) < 2:
-            return 0.0
-        return float(max(b - a for a, b in zip(trace, trace[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +209,9 @@ _KERNEL_FAILURES = (
     "all cluster densities underflowed for some observation",
     "the scaled squared scores overflow",
 )
+# how a lane of a fit ended, by outcome code; kernel failure c is _COLLAPSED + c
+_OUTCOMES = ("converged", "max_iter", "collapsed", *_KERNEL_FAILURES)
+_CONVERGED, _MAX_ITER, _COLLAPSED = range(3)
 
 
 def _dots(a, b):
@@ -581,10 +579,11 @@ class _Lanes:
     its E-step. phase is the lane's place in its SQUAREM cycle: 0 while
     theta is the cycle's theta0, 1 while it is theta1 and 2 while it is the
     extrapolated point. anchor holds theta0 at phase 1 and theta2 at phase
-    2, and start the objective at theta0.
+    2, start the objective at theta0 (+inf before the first cycle) and rise
+    the largest rise of start from one cycle to the next so far.
     """
 
-    ARRAYS = ("index", "theta", "objective", "G", "T", "phase", "anchor", "start")
+    ARRAYS = ("index", "theta", "objective", "G", "T", "phase", "anchor", "start", "rise")
 
     def __init__(self, pen, theta, objective, G, T):
         self.pen = pen
@@ -592,13 +591,12 @@ class _Lanes:
         self.theta = self.anchor = theta
         self.objective, self.G, self.T = objective, G, T
         self.phase = np.zeros(len(theta), dtype=int)
-        self.start = objective
+        self.start = np.full(len(theta), np.inf)
+        self.rise = np.full(len(theta), -np.inf)
 
     def drop(self, mask, *arrays):
         """Drop the lanes in mask, here and from arrays stacked like them;
         returns those arrays."""
-        if not mask.any():
-            return arrays
         keep = ~mask
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
@@ -645,42 +643,34 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         np.where(fit.pen.pinned, 0.0, params0.means).reshape(L, -1),
         np.tile(params0.variances, (L, 1)),
     ), axis=1)
-    out = [None] * L
-    final = np.empty_like(theta)  # the point each lane returns, once it stops
+    # a stopped lane's point, outcome code, and last cycle's start and rise
+    final, outcome = np.empty_like(theta), np.empty(L, dtype=int)
+    start, rise = np.empty(L), np.empty(L)
     iterations = np.zeros(L, dtype=int)
-    reasons = ["max_iter"] * L
-    traces = [[] for _ in range(L)]
     floored = np.zeros(L, dtype=bool)
 
-    def stop(mask, points, reason, *arrays):
-        """End the lanes in mask at their points, for reason."""
-        if mask.any():
-            lanes = live.index[mask]
-            final[lanes] = points[mask]
-            for lane in lanes:
-                reasons[lane] = reason
+    def stop(mask, points, code, *arrays):
+        """End the lanes in mask at their points with code, one for all or one per lane."""
+        if not mask.any():
+            return arrays
+        lanes = live.index[mask]
+        final[lanes] = points[mask]
+        outcome[lanes] = np.broadcast_to(code, mask.shape)[mask]
+        start[lanes], rise[lanes] = live.start[mask], live.rise[mask]
         return live.drop(mask, *arrays)
-
-    def fail(failed):
-        """End the lanes whose plain E-step failed."""
-        bad = failed != 0
-        for lane, code in zip(live.index[bad], failed[bad]):
-            out[lane] = NumericalError(_KERNEL_FAILURES[code - 1])
-        live.drop(bad)
 
     objective, G, T, failed = _expect(fit, fit.pen, theta)
     live = _Lanes(fit.pen, theta, objective, G, T)
     # the peak memory grows with the lanes: no name outlives the stack it holds
     del theta, objective, G, T
-    fail(failed)
+    stop(failed != 0, live.theta, _COLLAPSED + failed)
     for step in range(1, max_iter + 1):
         at_start = live.phase == 0
-        for lane, value in zip(live.index[at_start], live.objective[at_start].tolist()):
-            traces[lane].append(value)
-        live.start = np.where(at_start, live.objective, live.start)
+        np.maximum(live.rise, live.objective - live.start, out=live.rise, where=at_start)
+        np.copyto(live.start, live.objective, where=at_start)
         # collapsed, reported as not converged (an extrapolated point is
         # accepted only with every cluster's mass, so this theta is plain)
-        stop(live.T.min(axis=1) <= _EMPTY_CLUSTER_TOL, live.theta, "collapsed")
+        stop(live.T.min(axis=1) <= _EMPTY_CLUSTER_TOL, live.theta, _COLLAPSED)
         if not live.index.size:
             break
         iterations[live.index] = step
@@ -692,40 +682,40 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         moved = mapped - live.theta
         converged = (live.phase < 2) & (np.sqrt(_dots(moved, moved)) <= tol)
         del means, moved
-        (mapped,) = stop(converged, mapped, "converged", mapped)
+        (mapped,) = stop(converged, mapped, _CONVERGED, mapped)
         if live.index.size:
-            fail(live.advance(fit, mapped))
+            failed = live.advance(fit, mapped)
+            stop(failed != 0, live.theta, _COLLAPSED + failed)
     # where max_iter ran out before the extrapolated point was mapped: theta2
-    stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.anchor, live.theta), "max_iter")
+    stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.anchor, live.theta), _MAX_ITER)
 
-    ok = [lane for lane in range(L) if out[lane] is None]
+    ok = np.flatnonzero(outcome <= _COLLAPSED)
     if floored[ok].any():
         warnings.warn("degenerate variance floored at 1e-8 during EM")
-    if not ok:
-        return out
-    pi, means, sigma2 = fit.split(final[ok])
-    tau, plain, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
-    penalized = plain + fit.pen.take(ok).value(means)
-    for j, lane in enumerate(ok):
-        if failed[j]:
-            out[lane] = NumericalError(_KERNEL_FAILURES[failed[j] - 1])
-            continue
-        traces[lane].append(float(penalized[j]))
-        # copies, so that a fit kept does not keep every lane's arrays alive
-        params = MixtureParams(proportions=pi[j].copy(), means=means[j].copy(), variances=sigma2[j].copy())
-        out[lane] = FitResult(
-            params=params,
-            responsibilities=tau[j].copy(),
-            hard_labels=tau[j].argmax(axis=1),
-            penalized_nll=float(penalized[j]),
-            plain_nll=float(plain[j]),
-            n_zero_means=int(params.zero_mask.sum()),
-            removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, B.q_c),
-            iterations=int(iterations[lane]),
-            stop_reason=reasons[lane],
-            objective_trace=traces[lane],
-        )
-    return out
+    if ok.size:
+        pi, means, sigma2 = fit.split(final[ok])
+        tau, plain, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
+        penalized = plain + fit.pen.take(ok).value(means)
+        outcome[ok] = np.where(failed != 0, _COLLAPSED + failed, outcome[ok])
+        rise[ok] = np.maximum(rise[ok], penalized - start[ok])
+    results = [NumericalError(_OUTCOMES[code]) if code > _COLLAPSED else None for code in outcome.tolist()]
+    for j, lane in enumerate(ok.tolist()):
+        if results[lane] is None:
+            # copies, so that a fit kept does not keep every lane's arrays alive
+            params = MixtureParams(proportions=pi[j].copy(), means=means[j].copy(), variances=sigma2[j].copy())
+            results[lane] = FitResult(
+                params=params,
+                responsibilities=tau[j].copy(),
+                hard_labels=tau[j].argmax(axis=1),
+                penalized_nll=float(penalized[j]),
+                plain_nll=float(plain[j]),
+                n_zero_means=int(params.zero_mask.sum()),
+                removed_sensors=_removed_sensors(params.zero_mask, B.sensor_names, B.q_c),
+                iterations=int(iterations[lane]),
+                stop_reason=_OUTCOMES[outcome[lane]],
+                max_objective_rise=float(rise[lane]),
+            )
+    return results
 
 
 def run_em(
@@ -770,11 +760,9 @@ def run_em(
     tol in Euclidean norm, "collapsed" when a cluster loses its mass at an EM
     iterate (the lane stops there, after fewer than max_iter iterations) and
     "max_iter" when it has run max_iter EM maps. FitResult.iterations
-    counts the lane's EM-map evaluations, plain and stabilizing.
-    FitResult.objective_trace holds the observed objective at the start of
-    every cycle and at the returned point; FitResult.max_objective_rise is
-    its largest rise. The variance-floor warning fires once per call if any
-    lane's variances were floored.
+    counts the lane's EM-map evaluations, plain and stabilizing. The
+    variance-floor warning fires once per call if any lane's variances were
+    floored.
 
     The fit starts from init, or from initialize(B, m, seed) when init is
     None, and runs once; a failed initialization raises NumericalError.
@@ -787,6 +775,10 @@ def run_em(
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     specs = [spec] if isinstance(spec, PenaltySpec) else list(spec)
     if init is None:
         init = initialize(B, m, seed)

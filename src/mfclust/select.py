@@ -53,6 +53,8 @@ class SearchGrid:
     def __post_init__(self):
         if not self.m_values or not self.gamma_values or not self.lambda_multipliers:
             raise ValueError("grids must be nonempty")
+        if not all(isinstance(m, (int, np.integer)) for m in self.m_values):
+            raise ValueError(f"cluster counts must be integers, got {', '.join(map(repr, self.m_values))}")
         if any(m < 1 for m in self.m_values):
             raise ValueError("cluster counts must be positive")
         if not all(0 < g < math.inf for g in self.gamma_values):

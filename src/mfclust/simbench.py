@@ -126,6 +126,9 @@ def default_design(
     additional signal sensors, if requested, are drawn reproducibly from
     the recorded master seed at the same scale.
     """
+    for name, count in (("p_signal", p_signal), ("p_noise", p_noise)):
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative, got {count}")
     h = BASIS.n_basis
     frozen = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
     extra = [

@@ -7,6 +7,7 @@ criteria use fixed seeds, so outcomes are reproducible bit for bit.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,16 +341,13 @@ def test_criterion_9_metric_unit_suite():
         variances=fit.params.variances,
     )
     value = penalized_nll(B, permuted, PenaltySpec("none"))
-    relabeled = type(fit)(
+    relabeled = replace(
+        fit,
         params=permuted,
         responsibilities=fit.responsibilities[:, perm],
-        hard_labels=fit.hard_labels,
         penalized_nll=value,
         plain_nll=value,
         n_zero_means=int(permuted.zero_mask.sum()),
-        removed_sensors=fit.removed_sensors,
-        iterations=fit.iterations,
-        stop_reason=fit.stop_reason,
     )
     if abs(adjusted_bic(fit, B.n, B.q) - adjusted_bic(relabeled, B.n, B.q)) > 1e-8:
         failures.append("BIC not relabeling invariant")
@@ -364,15 +362,11 @@ def test_criterion_9_metric_unit_suite():
         failures.append("BIC formula at m=1")
     means = fit.params.means.copy()
     means[0, :3] = 0.0
-    zeroed = type(fit)(
+    zeroed = replace(
+        fit,
         params=MixtureParams(fit.params.proportions, means, fit.params.variances),
-        responsibilities=fit.responsibilities,
-        hard_labels=fit.hard_labels,
-        penalized_nll=fit.penalized_nll,
-        plain_nll=fit.plain_nll,
         n_zero_means=3,
         removed_sensors=set(),
-        iterations=fit.iterations,
         stop_reason="converged",
     )
     drop = adjusted_bic(fit, B.n, B.q) - adjusted_bic(zeroed, B.n, B.q)

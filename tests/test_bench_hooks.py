@@ -1,0 +1,30 @@
+"""Every function the benchmark harness counts is still defined by the program.
+
+bench/layers.py reads call counts off a profile by function name, and a
+renamed function would only show up as a null or zero counter in a traced
+benchmark run. The harness module is loaded from its file, unchanged.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROGRAM_DIR = ROOT / "src" / "mfclust"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers
+
+
+LAYERS = load_layers()
+HOOKS = [(module, name) for _, module, name in LAYERS.CALL_COUNTS] + [("em", "_variances"), ("em", "_em_attempt")]
+
+
+@pytest.mark.parametrize("module,name", HOOKS, ids=[f"{m}.{n}" for m, n in HOOKS])
+def test_benchmark_hook_is_defined(module, name):
+    assert LAYERS.defines(str(PROGRAM_DIR), module, name)

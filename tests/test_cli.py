@@ -698,6 +698,7 @@ BAD_SWEEPS = [
     ("sample-size", "--levels", "50,50.0", "levels must not repeat"),
     ("sample-size", "--qc", "0", "q_c must be in"),
     ("sample-size", "--qc", "13", "q_c must be in"),
+    ("noise-ratio", "--levels", "-8", "bad sweep: p_noise must be nonnegative, got -8"),
 ]
 
 
@@ -720,6 +721,15 @@ def test_simulate_bad_delta_exits_1_before_any_output(tmp_path, capsys, delta):
                    "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
     assert code == 1
     assert "delta must be positive and finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value,name", [("--p-signal", -1, "p_signal"), ("--p-noise", -2, "p_noise")])
+def test_simulate_negative_sensor_count_exits_1_naming_it(tmp_path, capsys, flag, value, name):
+    code = run_cli("simulate", "--n", 20, flag, value,
+                   "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json")
+    assert code == 1
+    assert f"usage error: bad design: {name} must be nonnegative, got {value}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -51,6 +51,10 @@ def test_search_grid_validation():
                 {"gamma_values": (1, 1.0)}, {"lambda_multipliers": (0, 1, 1)}):
         with pytest.raises(ValueError):
             SearchGrid(**bad)
+    for bad in ((2.5,), (2, 3.0), (np.float64(2.0),)):
+        with pytest.raises(ValueError, match="cluster counts must be integers"):
+            SearchGrid(m_values=bad)
+    assert SearchGrid(m_values=(np.int64(2), 3)).m_values == (2, 3)
 
 
 def test_adjusted_bic_effective_dimension():
@@ -70,15 +74,11 @@ def test_adjusted_bic_drops_per_zeroed_mean():
     zeroed = fit
     means = fit.params.means.copy()
     means[0, :3] = 0.0
-    zeroed = type(fit)(
+    zeroed = replace(  # the likelihood is kept as it was
+        fit,
         params=MixtureParams(fit.params.proportions, means, fit.params.variances),
-        responsibilities=fit.responsibilities,
-        hard_labels=fit.hard_labels,
-        penalized_nll=fit.penalized_nll,
-        plain_nll=fit.plain_nll,  # pretend the likelihood is unchanged
         n_zero_means=3,
         removed_sensors=set(),
-        iterations=fit.iterations,
         stop_reason="converged",
     )
     npt.assert_allclose(bic0 - adjusted_bic(zeroed, B.n, B.q), 3 * math.log(B.n * B.q), atol=1e-10)
@@ -94,16 +94,13 @@ def test_adjusted_bic_relabeling_invariant():
         variances=fit.params.variances,
     )
     value = penalized_nll(B, params, PenaltySpec("none"))
-    permuted = type(fit)(
+    permuted = replace(
+        fit,
         params=params,
         responsibilities=fit.responsibilities[:, perm],
-        hard_labels=fit.hard_labels,
         penalized_nll=value,
         plain_nll=value,
         n_zero_means=int(params.zero_mask.sum()),
-        removed_sensors=fit.removed_sensors,
-        iterations=fit.iterations,
-        stop_reason=fit.stop_reason,
     )
     npt.assert_allclose(
         adjusted_bic(fit, B.n, B.q), adjusted_bic(permuted, B.n, B.q), atol=1e-8
