@@ -35,7 +35,6 @@ from mfclust.simbench import (
     BenchmarkRow,
     SimulationDesign,
     ari,
-    default_design,
     generate_dataset,
     mae_m,
     removal_counts,
@@ -58,7 +57,6 @@ __all__ = [
     "adjusted_bic",
     "ari",
     "build_basis",
-    "default_design",
     "e_step",
     "fit_coefficients",
     "fit_fpca",

@@ -65,7 +65,7 @@ from mfclust.simbench import (
     DEFAULT_KINDS,
     SCENARIOS,
     ReplicateRecord,
-    default_design,
+    SimulationDesign,
     generate_dataset,
     run_scenario,
     scenario_levels,
@@ -295,8 +295,8 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     _check_distinct_outputs(args, "output", "truth")
     try:
-        design = default_design(n=args.n, p_signal=args.p_signal, p_noise=args.p_noise,
-                                delta=args.delta, seed=args.seed)
+        design = SimulationDesign(n=args.n, p_signal=args.p_signal, p_noise=args.p_noise,
+                                  delta=args.delta, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"bad design: {exc}") from None
     data = generate_dataset(design)

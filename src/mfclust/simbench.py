@@ -7,8 +7,8 @@ variances so larger values give tighter, easier clusters. Curves are
 evaluated on a fixed grid through the shared basis and standardized per
 sensor. The frozen population lives in data/benchmark_design.json, parsed
 once at import: its fixed settings are the constants M_TRUE, PROPORTIONS,
-BASIS and GRID, and a SimulationDesign holds only what varies (n, delta,
-seed, and the coefficient means and variances).
+BASIS and GRID, and a SimulationDesign is only the five numbers that vary
+(n, p_signal, p_noise, delta, seed).
 """
 
 from __future__ import annotations
@@ -53,48 +53,30 @@ SCENARIOS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationDesign:
-    """What varies between synthetic datasets of the frozen population.
-
-    signal_means has shape (M_TRUE, p_signal, BASIS.n_basis) and
-    signal_variances the same shape; noise_variances is (p_noise,
-    BASIS.n_basis). The sensor counts are read off these shapes. All
-    coefficient variances are divided by delta when sampling.
+    """What varies between synthetic datasets of the frozen population: n
+    observations of p_signal signal and p_noise noise sensors, the divisor
+    delta of every coefficient variance, and the seed of the draw. Equal
+    numbers give equal designs, which hash alike.
     """
 
-    n: int
-    delta: float
-    signal_means: np.ndarray
-    signal_variances: np.ndarray
-    noise_variances: np.ndarray
-    seed: int
+    n: int = 200
+    p_signal: int = 2
+    p_noise: int = 16
+    delta: float = 1.5
+    seed: int = 0
 
     def __post_init__(self):
-        self.signal_means = np.asarray(self.signal_means, dtype=float)
-        self.signal_variances = np.asarray(self.signal_variances, dtype=float)
-        self.noise_variances = np.asarray(self.noise_variances, dtype=float)
+        for name, count in (("p_signal", self.p_signal), ("p_noise", self.p_noise)):
+            if count < 0:
+                raise ValueError(f"{name} must be nonnegative, got {count}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        h = BASIS.n_basis
-        if self.signal_means.ndim != 3 or self.signal_means.shape[::2] != (M_TRUE, h):
-            raise ValueError(f"signal means must have shape ({M_TRUE}, p_signal, {h})")
-        if self.signal_variances.shape != self.signal_means.shape:
-            raise ValueError("signal variances must have the shape of the signal means")
-        if self.noise_variances.ndim != 2 or self.noise_variances.shape[1] != h:
-            raise ValueError(f"noise variances must have shape (p_noise, {h})")
         if self.p == 0:
             raise ValueError("need at least one sensor")
-
-    @property
-    def p_signal(self) -> int:
-        return self.signal_means.shape[1]
-
-    @property
-    def p_noise(self) -> int:
-        return self.noise_variances.shape[0]
 
     @property
     def p(self) -> int:
@@ -112,49 +94,32 @@ class SimulationDesign:
     def sensor_names(self) -> list[str]:
         return self.signal_sensor_names + self.noise_sensor_names
 
-
-def default_design(
-    n: int = 200,
-    p_signal: int = 2,
-    p_noise: int = 16,
-    delta: float = 1.5,
-    seed: int = 0,
-) -> SimulationDesign:
-    """Benchmark design with the frozen cluster mean vectors.
-
-    The checked-in file carries means for the first two signal sensors;
-    additional signal sensors, if requested, are drawn reproducibly from
-    the recorded master seed at the same scale.
-    """
-    for name, count in (("p_signal", p_signal), ("p_noise", p_noise)):
-        if count < 0:
-            raise ValueError(f"{name} must be nonnegative, got {count}")
-    h = BASIS.n_basis
-    frozen = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
-    extra = [
-        np.random.default_rng(np.random.SeedSequence([_FROZEN["master_seed"], s]))
-        .normal(0.0, _FROZEN["mean_scale"], size=(M_TRUE, h))
-        for s in range(frozen.shape[0], p_signal)
-    ]
-    means = np.concatenate([frozen[:p_signal], np.reshape(extra, (-1, M_TRUE, h))])
-    return SimulationDesign(
-        n=n,
-        delta=delta,
-        signal_means=means.transpose(1, 0, 2),
-        signal_variances=np.full((M_TRUE, p_signal, h), _FROZEN["coef_variance"]),
-        noise_variances=np.full((p_noise, h), _FROZEN["noise_variance"]),
-        seed=seed,
-    )
+    @property
+    def signal_means(self) -> np.ndarray:
+        """(M_TRUE, p_signal, BASIS.n_basis) cluster mean coefficients: the
+        frozen file's sensors first, then sensors drawn reproducibly from its
+        master seed at the same scale."""
+        h = BASIS.n_basis
+        frozen = np.asarray(_FROZEN["signal_means"], dtype=float)  # (p_frozen, m, h)
+        extra = [
+            np.random.default_rng(np.random.SeedSequence([_FROZEN["master_seed"], s]))
+            .normal(0.0, _FROZEN["mean_scale"], size=(M_TRUE, h))
+            for s in range(frozen.shape[0], self.p_signal)
+        ]
+        means = np.concatenate([frozen[: self.p_signal], np.reshape(extra, (-1, M_TRUE, h))])
+        return means.transpose(1, 0, 2)
 
 
 def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
     """Draw one dataset: labels, spline coefficients, curves, standardization.
 
     Per observation a cluster is drawn from PROPORTIONS and the p * h
-    coefficient vector from that cluster's diagonal Gaussian with variances
-    divided by delta. Curves are the coefficients pushed through BASIS on
-    GRID, then fpca.standardize rescales each sensor to pooled mean 0 and
-    variance 1. Identical seeds give identical datasets.
+    coefficient vector from that cluster's diagonal Gaussian: signal_means
+    on the signal sensors and zero on the noise sensors, with the frozen
+    file's signal and noise coefficient variances divided by delta. Curves
+    are the coefficients pushed through BASIS on GRID, then
+    fpca.standardize rescales each sensor to pooled mean 0 and variance 1.
+    Identical designs give identical datasets.
     """
     rng = np.random.default_rng(design.seed)
     m, h = M_TRUE, BASIS.n_basis
@@ -163,13 +128,13 @@ def generate_dataset(design: SimulationDesign) -> FunctionalDataSet:
     mean_blocks = np.concatenate(
         [design.signal_means, np.zeros((m, design.p_noise, h))], axis=1
     )  # (m, p, h)
-    var_blocks = np.concatenate(
-        [design.signal_variances, np.repeat(design.noise_variances[None], m, axis=0)], axis=1
-    ) / design.delta
+    variances = np.repeat(
+        [_FROZEN["coef_variance"], _FROZEN["noise_variance"]], [design.p_signal, design.p_noise]
+    ) / design.delta  # (p,)
 
     coeffs = mean_blocks[labels] + rng.standard_normal((design.n, design.p, h)) * np.sqrt(
-        var_blocks[labels]
-    )
+        variances
+    )[:, None]
 
     curves = coeffs @ _GRID_DESIGN.T  # (n, p, n_times)
     raw = FunctionalDataSet(times=GRID, values=curves, sensor_names=design.sensor_names, labels=labels)
@@ -280,7 +245,7 @@ def _design_for(scenario: str, level, seed: int) -> SimulationDesign:
         if not float(level).is_integer():
             raise ValueError(f"{scenario} levels set {varies} and must be whole numbers, got {level}")
         level = int(level)
-    return default_design(seed=seed, **{varies: level})
+    return SimulationDesign(seed=seed, **{varies: level})
 
 
 def scenario_levels(scenario: str, reps: int, levels, q_c: int) -> tuple:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import mfclust
 from mfclust.cli import main
 from mfclust.dataio import read_long_csv, read_model, read_scores_csv
-from mfclust.simbench import default_design, generate_dataset
+from mfclust.simbench import SimulationDesign, generate_dataset
 
 
 def run_cli(*args):
@@ -24,13 +25,13 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def simulate_small(tmp_path, n=40, p_noise=3, seed=1, delta=1.5):
+def simulate_small(tmp_path, n=40, p_noise=3, seed=1, delta=1.5, p_signal=2):
     tmp_path.mkdir(exist_ok=True)
     data = tmp_path / "data.csv"
     truth = tmp_path / "truth.json"
     code = run_cli(
-        "simulate", "--n", n, "--p-noise", p_noise, "--delta", delta, "--seed", seed,
-        "--output", data, "--truth", truth,
+        "simulate", "--n", n, "--p-signal", p_signal, "--p-noise", p_noise, "--delta", delta,
+        "--seed", seed, "--output", data, "--truth", truth,
     )
     assert code == 0
     return data, truth
@@ -56,13 +57,18 @@ def test_simulate_deterministic(tmp_path):
 
 
 def test_simulate_output_reads_back_as_generated_dataset(tmp_path):
-    data, _ = simulate_small(tmp_path, n=30, p_noise=2, seed=5, delta=2.0)
+    # the truth file's design block is the whole design: it redraws the dataset exactly
+    data, truth = simulate_small(tmp_path, n=30, p_signal=3, p_noise=2, seed=5, delta=2.0)
+    doc = json.loads(truth.read_text())
+    design = SimulationDesign(**{f.name: doc["design"][f.name] for f in dataclasses.fields(SimulationDesign)})
+    assert design == SimulationDesign(n=30, p_signal=3, p_noise=2, delta=2.0, seed=5)
     back = read_long_csv(data)
-    want = generate_dataset(default_design(n=30, p_noise=2, delta=2.0, seed=5))
+    want = generate_dataset(design)
     npt.assert_array_equal(back.values, want.values)
     npt.assert_array_equal(back.times, want.times)
     assert back.sensor_names == want.sensor_names
     assert back.obs_ids == [str(i) for i in range(30)]
+    assert doc["labels"] == want.labels.tolist()
 
 
 @pytest.fixture()

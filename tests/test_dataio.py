@@ -25,11 +25,11 @@ from mfclust.dataio import (
 from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, fit_fpca, transform
 from mfclust.select import SearchGrid, model_search
-from mfclust.simbench import default_design, generate_dataset, run_scenario
+from mfclust.simbench import SimulationDesign, generate_dataset, run_scenario
 
 
 def small_dataset(seed=0, n=25, p_noise=2):
-    design = default_design(n=n, p_noise=p_noise, seed=seed)
+    design = SimulationDesign(n=n, p_noise=p_noise, seed=seed)
     return design, generate_dataset(design)
 
 

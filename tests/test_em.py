@@ -26,7 +26,7 @@ from mfclust.em import (
 )
 from mfclust.fpca import CoefficientMatrix, fit_fpca
 from mfclust.select import DEFAULT_GAMMA_VALUES, SearchGrid
-from mfclust.simbench import BASIS, default_design, generate_dataset
+from mfclust.simbench import BASIS, SimulationDesign, generate_dataset
 
 
 def cm(X, q_c=1):
@@ -812,7 +812,7 @@ def test_lane_state_memory_per_lane():
     # n = 50, m = 6 and 18 sensors of 3 components: a lane carries its point,
     # one SQUAREM anchor and the E-step's G and T, never its (n, m)
     # responsibilities, which keeps the peak near 35,500 bytes per lane
-    _, B = fit_fpca(generate_dataset(default_design(n=50, seed=0)), BASIS, q_c=3)
+    _, B = fit_fpca(generate_dataset(SimulationDesign(n=50, seed=0)), BASIS, q_c=3)
     init = initialize(B, 6, seed=1)
     lambdas = SearchGrid().lambdas(B.n)[1:]
     reference = run_em(B, 6, PenaltySpec("variable", lambdas[2]), init=init).params.means

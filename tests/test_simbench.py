@@ -1,12 +1,15 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mfclust import simbench
+from mfclust.basis import design_matrix
 from mfclust.em import NumericalError
-from mfclust.fpca import fit_fpca, select_num_components
+from mfclust.fpca import FunctionalDataSet, fit_fpca, select_num_components, standardize
 from mfclust.select import SearchGrid, model_search
 from mfclust.simbench import (
     BASIS,
@@ -17,7 +20,6 @@ from mfclust.simbench import (
     _load_frozen_design,
     ari,
     count_zero_columns,
-    default_design,
     generate_dataset,
     mae_m,
     removal_counts,
@@ -29,9 +31,9 @@ SMALL_GRID = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers
 
 
 def test_default_design_shapes():
-    d = default_design(n=200, p_noise=16, delta=1.5, seed=0)
-    assert d.p == 18 and d.p_signal == 2 and d.p_noise == 16
-    assert d.signal_means.shape == (3, 2, 12)
+    d = SimulationDesign()
+    assert (d.n, d.p_signal, d.p_noise, d.delta, d.seed) == (200, 2, 16, 1.5, 0)
+    assert d.p == 18 and d.signal_means.shape == (3, 2, 12)
     assert d.sensor_names[0] == "sig01" and d.sensor_names[-1] == "noi16"
     assert len(PROPORTIONS) == M_TRUE and sum(PROPORTIONS) == pytest.approx(1.0)
 
@@ -42,49 +44,68 @@ def test_frozen_constants_match_the_design_file():
     assert (BASIS.domain_lo, BASIS.domain_hi) == tuple(frozen["domain"])
     assert (BASIS.n_basis, BASIS.order) == (frozen["n_basis"], frozen["order"])
     assert simbench.GRID.shape == (frozen["n_times"],)
-    data = generate_dataset(default_design(n=5, p_noise=1, seed=1))
+    data = generate_dataset(SimulationDesign(n=5, p_noise=1, seed=1))
     npt.assert_array_equal(data.times, simbench.GRID)
 
 
-def design_arrays(p_signal=2, p_noise=3, m=M_TRUE, h=BASIS.n_basis):
-    return dict(
-        signal_means=np.zeros((m, p_signal, h)),
-        signal_variances=np.ones((m, p_signal, h)),
-        noise_variances=np.ones((p_noise, h)),
-    )
+def test_design_is_its_five_numbers():
+    fields = [f.name for f in dataclasses.fields(SimulationDesign)]
+    assert fields == ["n", "p_signal", "p_noise", "delta", "seed"]
+    a = SimulationDesign(n=50, p_noise=8, delta=2.0, seed=3)
+    b = SimulationDesign(50, 2, 8, 2.0, 3)
+    assert a == b and hash(a) == hash(b)
+    assert SimulationDesign() == SimulationDesign(200, 2, 16, 1.5, 0)
+    assert a != dataclasses.replace(a, seed=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.n = 10
 
 
-def test_design_reads_sensor_counts_off_its_arrays():
-    d = SimulationDesign(n=10, delta=1.0, seed=0, **design_arrays(p_signal=1, p_noise=4))
-    assert (d.p_signal, d.p_noise, d.p) == (1, 4, 5)
+def test_design_names_its_sensors():
+    d = SimulationDesign(n=10, p_signal=1, p_noise=4)
+    assert d.p == 5
     assert d.sensor_names == ["sig01", "noi01", "noi02", "noi03", "noi04"]
 
 
-@pytest.mark.parametrize("arrays,message", [
-    (design_arrays(m=M_TRUE + 1), "signal means must have shape"),
-    (design_arrays(h=BASIS.n_basis - 1), "signal means must have shape"),
-    ({**design_arrays(), "signal_means": np.zeros((M_TRUE, 2 * BASIS.n_basis))},
-     "signal means must have shape"),
-    ({**design_arrays(), "signal_variances": np.ones((M_TRUE, 3, BASIS.n_basis))},
-     "signal variances must have the shape of the signal means"),
-    ({**design_arrays(), "noise_variances": np.ones((3, BASIS.n_basis + 1))},
-     "noise variances must have shape"),
-    (design_arrays(p_signal=0, p_noise=0), "need at least one sensor"),
-])
-def test_design_rejects_arrays_of_the_wrong_shape(arrays, message):
+@pytest.mark.parametrize("numbers,message", [
+    (dict(p_signal=0, p_noise=0), "need at least one sensor"),
+    (dict(p_signal=-1), "p_signal must be nonnegative, got -1"),
+    (dict(p_noise=-8, n=0), "p_noise must be nonnegative, got -8"),
+    (dict(n=0), "n must be at least 1, got 0"),
+    (dict(delta=math.inf), "delta must be positive and finite, got inf"),
+], ids=["no-sensors", "negative-signal", "negative-noise", "no-observations", "infinite-delta"])
+def test_design_rejects_bad_numbers(numbers, message):
     with pytest.raises(ValueError, match=message):
-        SimulationDesign(n=10, delta=1.0, seed=0, **arrays)
+        SimulationDesign(**numbers)
 
 
 def test_default_design_extra_signal_sensors_deterministic():
-    a = default_design(p_signal=4, seed=1)
-    b = default_design(p_signal=4, seed=2)
+    a = SimulationDesign(p_signal=4, seed=1)
+    b = SimulationDesign(p_signal=4, seed=2)
     npt.assert_array_equal(a.signal_means, b.signal_means)
-    npt.assert_array_equal(a.signal_means[:, :2, :], default_design(seed=3).signal_means)
+    npt.assert_array_equal(a.signal_means[:, :2, :], SimulationDesign(seed=3).signal_means)
+
+
+@pytest.mark.parametrize("design,labels,values", [
+    (SimulationDesign(),
+     "1000221212202020210100211122212102101221101112010220201012001001020210121211122121"
+     "1212220222022202221022011202102021202011210020001121012121112012021201010220201112"
+     "200221120022222220022012110110210221",
+     {(0, 0, 0): -0.7616370957719306, (57, 1, 12): 0.7183840811638986,
+      (101, 5, 30): -0.6287327474881059, (199, 17, 7): -0.02467348902766554}),
+    (SimulationDesign(n=24, p_signal=4, p_noise=2, delta=2.0, seed=11),
+     "011002002111100221212011",
+     {(0, 0, 0): -0.5150953764925417, (5, 2, 10): 1.1771703945540375,
+      (17, 3, 21): -1.1559908123786662, (23, 5, 30): 2.0181810403448806}),
+], ids=["default", "four-signal"])
+def test_generate_dataset_pinned_draws(design, labels, values):
+    data = generate_dataset(design)
+    assert "".join(map(str, data.labels)) == labels
+    for index, value in values.items():
+        assert data.values[index] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_generate_dataset_deterministic():
-    d = default_design(n=40, p_noise=4, seed=7)
+    d = SimulationDesign(n=40, p_noise=4, seed=7)
     a = generate_dataset(d)
     b = generate_dataset(d)
     npt.assert_array_equal(a.values, b.values)
@@ -92,7 +113,7 @@ def test_generate_dataset_deterministic():
 
 
 def test_generate_dataset_standardized_per_sensor():
-    d = default_design(n=60, p_noise=6, seed=8)
+    d = SimulationDesign(n=60, p_noise=6, seed=8)
     data = generate_dataset(d)
     for s in range(data.p):
         block = data.values[:, s, :]
@@ -101,7 +122,7 @@ def test_generate_dataset_standardized_per_sensor():
 
 
 def test_generate_dataset_huge_delta_collapses_spread():
-    d = default_design(n=80, p_noise=2, delta=1e6, seed=9)
+    d = SimulationDesign(n=80, p_noise=2, delta=1e6, seed=9)
     data = generate_dataset(d)
     for k in range(3):
         sig = data.values[data.labels == k][:, 0, :]  # first signal sensor
@@ -109,14 +130,14 @@ def test_generate_dataset_huge_delta_collapses_spread():
 
 
 def test_generate_dataset_cluster_shares():
-    d = default_design(n=10000, p_noise=1, seed=10)
+    d = SimulationDesign(n=10000, p_noise=1, seed=10)
     data = generate_dataset(d)
     shares = np.bincount(data.labels, minlength=3) / 10000
     assert np.abs(shares - 1 / 3).max() < 0.02
 
 
 def test_generate_dataset_noise_sensors_have_flat_cluster_means():
-    d = default_design(n=1000, p_noise=4, seed=11)
+    d = SimulationDesign(n=1000, p_noise=4, seed=11)
     data = generate_dataset(d)
     for s in range(2, data.p):  # noise sensors
         curves = data.values[:, s, :]
@@ -126,7 +147,7 @@ def test_generate_dataset_noise_sensors_have_flat_cluster_means():
 
 
 def test_generate_dataset_signal_sensors_show_cluster_structure():
-    d = default_design(n=1000, p_noise=2, seed=12)
+    d = SimulationDesign(n=1000, p_noise=2, seed=12)
     data = generate_dataset(d)
     curves = data.values[:, 0, :]
     cluster_means = np.stack([curves[data.labels == k].mean(axis=0) for k in range(3)])
@@ -306,8 +327,9 @@ def test_scenario_tables_declared():
 # many-sensor analog
 
 
-def analog_design(n: int = 419, seed: int = 424242) -> SimulationDesign:
-    """A 42-sensor population with heterogeneous smoothness.
+def analog_dataset(n: int = 419, seed: int = 424242) -> FunctionalDataSet:
+    """A 42-sensor population with heterogeneous smoothness, drawn as
+    generate_dataset draws the frozen one.
 
     Most sensors concentrate their coefficient variance on a few smooth
     modes, a minority spread it across many, so the variance-explained
@@ -334,18 +356,23 @@ def analog_design(n: int = 419, seed: int = 424242) -> SimulationDesign:
         rate = rng.uniform(0.75, 0.9) if slow[s] else rng.uniform(0.3, 0.55)
         noise_variances[s] = decay_profile(rate)
 
-    return SimulationDesign(
-        n=n,
-        delta=1.5,
-        signal_means=signal_means,
-        signal_variances=signal_variances,
-        noise_variances=noise_variances,
-        seed=seed,
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(M_TRUE, size=n, p=np.asarray(PROPORTIONS))
+    mean_blocks = np.concatenate([signal_means, np.zeros((M_TRUE, p_noise, h))], axis=1)
+    var_blocks = np.concatenate(
+        [signal_variances, np.repeat(noise_variances[None], M_TRUE, axis=0)], axis=1
+    ) / 1.5
+    coeffs = mean_blocks[labels] + rng.standard_normal((n, p_signal + p_noise, h)) * np.sqrt(
+        var_blocks[labels]
     )
+    names = [f"sig{i + 1:02d}" for i in range(p_signal)] + [f"noi{i + 1:02d}" for i in range(p_noise)]
+    curves = coeffs @ design_matrix(BASIS, simbench.GRID).T
+    raw = FunctionalDataSet(times=simbench.GRID, values=curves, sensor_names=names, labels=labels)
+    return standardize(raw)[0]
 
 
 def test_analog_component_rule_selects_three():
-    data = generate_dataset(analog_design())
+    data = analog_dataset()
     assert (data.n, data.p) == (419, 42)
     models, _ = fit_fpca(data, BASIS, q_c=12)
     frac = np.stack([m.variance_explained for m in models])
