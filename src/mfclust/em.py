@@ -175,7 +175,8 @@ class FitResult:
 
     stop_reason says why the fit ended: "converged" (a plain EM step moved
     the parameters by at most tol), "max_iter" (the iteration cap ran out)
-    or "collapsed" (a cluster lost its mass at an EM iterate).
+    or "collapsed" (a cluster lost its mass at an EM iterate or at the
+    returned point).
     max_objective_rise is the largest rise of the observed objective from
     the start of one SQUAREM cycle to the start of the next, or to the
     returned point; it is negative when every cycle descends.
@@ -696,7 +697,9 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         pi, means, sigma2 = fit.split(final[ok])
         tau, plain, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
         penalized = plain + fit.pen.take(ok).value(means)
-        outcome[ok] = np.where(failed != 0, _COLLAPSED + failed, outcome[ok])
+        # a lane whose returned point leaves a cluster without mass collapsed there
+        empty = tau.sum(axis=1).min(axis=1) <= _EMPTY_CLUSTER_TOL
+        outcome[ok] = np.where(failed != 0, _COLLAPSED + failed, np.where(empty, _COLLAPSED, outcome[ok]))
         rise[ok] = np.maximum(rise[ok], penalized - start[ok])
     results = [NumericalError(_OUTCOMES[code]) if code > _COLLAPSED else None for code in outcome.tolist()]
     for j, lane in enumerate(ok.tolist()):
@@ -757,9 +760,10 @@ def run_em(
 
     Every lane stops on its own, and FitResult.stop_reason says why:
     "converged" when either plain step of a cycle moves its theta by at most
-    tol in Euclidean norm, "collapsed" when a cluster loses its mass at an EM
-    iterate (the lane stops there, after fewer than max_iter iterations) and
-    "max_iter" when it has run max_iter EM maps. FitResult.iterations
+    tol in Euclidean norm, "max_iter" when it has run max_iter EM maps, and
+    "collapsed" when a cluster's mass is at most 1e-12 at an EM map's input
+    (the lane stops there) or at the point the lane returns, even after a
+    converged step or its last map. FitResult.iterations
     counts the lane's EM-map evaluations, plain and stabilizing. The
     variance-floor warning fires once per call if any lane's variances were
     floored.

@@ -642,6 +642,15 @@ def test_run_em_reports_collapse_without_restarting(monkeypatch):
     assert fit.responsibilities.sum(axis=0).min() <= 1e-12
 
 
+def test_run_em_collapses_where_the_returned_point_empties_a_cluster():
+    # every map's input keeps each cluster's mass above 1e-12, but the point
+    # returned after the 12th map leaves one cluster with 2.6e-13
+    _, B = fit_fpca(generate_dataset(SimulationDesign(n=50, seed=1000)), BASIS, q_c=3)
+    fit = run_em(B, 4, PenaltySpec("group", 0.5 * 50 ** (1 / 3)), init=initialize(B, 4, 1005))
+    assert fit.stop_reason == "collapsed" and fit.iterations == 12
+    assert fit.responsibilities.sum(axis=0).min() <= 1e-12
+
+
 def test_run_em_default_start_is_initialize():
     B, _ = collapsing_start()
     spec = PenaltySpec("none")
