@@ -247,7 +247,7 @@ def cmd_transform(args) -> int:
     _check_distinct_outputs(args, "scores", "model", inputs=("input",))
     raw, data, models, B = _transform_pipeline(args)
     write_scores_csv(B, args.scores, obs_ids=raw.obs_ids)
-    write_model(ModelBundle(fpca_models=models, q_c=B.q_c), args.model)
+    write_model(ModelBundle(fpca_models=models), args.model)
     print(f"n={data.n} sensors={data.p} components={B.q_c} (q={B.q})")
     _print_variance_table(models)
     return 0
@@ -279,7 +279,7 @@ def cmd_fit(args) -> int:
         min(reports, key=lambda r: row_sort_key(r.best_row)),
         rows=[row for r in reports for row in r.rows],
     )
-    write_model(ModelBundle.from_report(best, fpca_models=models, q_c=B.q_c), args.report)
+    write_model(ModelBundle.from_report(best, fpca_models=models), args.report)
     write_assignments(best.best_fit, args.assignments, obs_ids=obs_ids)
     removed = sorted(best.best_fit.removed_sensors)
     with open(args.removed, "w") as fh:

@@ -323,17 +323,15 @@ class ModelBundle:
     """Everything needed to reapply a fitted pipeline."""
 
     fpca_models: list[SensorFpcaModel] | None = None
-    q_c: int | None = None
     mixture: MixtureParams | None = None
     selection_rows: list[SelectionRow] | None = None
     chosen: tuple[int, float, float, str] | None = None
     removed_sensors: list[str] | None = None
 
     @classmethod
-    def from_report(cls, report: SelectionReport, fpca_models=None, q_c=None) -> "ModelBundle":
+    def from_report(cls, report: SelectionReport, fpca_models=None) -> "ModelBundle":
         return cls(
             fpca_models=fpca_models,
-            q_c=q_c,
             mixture=report.best_fit.params,
             selection_rows=report.rows,
             chosen=report.chosen,
@@ -382,7 +380,7 @@ def write_model(bundle: ModelBundle, path) -> None:
            "selection_table": None, "chosen": None, "removed_sensors": bundle.removed_sensors}
     if bundle.fpca_models is not None:
         doc["fpca"] = {
-            "q_c": bundle.q_c if bundle.q_c is not None else bundle.fpca_models[0].q_c,
+            "q_c": bundle.fpca_models[0].q_c,
             "sensors": [_sensor_model_to_json(m) for m in bundle.fpca_models],
         }
     if bundle.mixture is not None:
@@ -415,8 +413,13 @@ def read_model(path) -> ModelBundle:
         )
     bundle = ModelBundle(removed_sensors=doc.get("removed_sensors"))
     if doc.get("fpca") is not None:
-        bundle.q_c = doc["fpca"]["q_c"]
         bundle.fpca_models = [_sensor_model_from_json(o) for o in doc["fpca"]["sensors"]]
+        q_c = doc["fpca"]["q_c"]
+        for model in bundle.fpca_models:
+            if model.q_c != q_c:
+                raise DataFormatError(
+                    f"fpca q_c is {q_c}, but sensor {model.sensor!r} has {model.q_c} eigenfunctions"
+                )
     if doc.get("mixture") is not None:
         mx = doc["mixture"]
         bundle.mixture = MixtureParams(

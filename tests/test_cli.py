@@ -90,7 +90,7 @@ def test_transform_writes_scores_and_model(small_run, capsys):
     B, obs_ids = read_scores_csv(scores)
     assert B.q_c == 2 and B.p == 5 and len(obs_ids) == 40
     bundle = read_model(model)
-    assert bundle.q_c == 2 and len(bundle.fpca_models) == 5
+    assert len(bundle.fpca_models) == 5 and {m.q_c for m in bundle.fpca_models} == {2}
     assert bundle.mixture is None
 
 

@@ -453,7 +453,7 @@ def test_model_bundle_round_trip_exact(tmp_path):
     models, B = fit_fpca(data, basis, q_c=2)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
     report = model_search(B, grid, "group", seed=4)
-    bundle = ModelBundle.from_report(report, fpca_models=models, q_c=2)
+    bundle = ModelBundle.from_report(report, fpca_models=models)
 
     path = tmp_path / "model.json"
     write_model(bundle, path)
@@ -474,6 +474,20 @@ def test_model_bundle_round_trip_exact(tmp_path):
         assert rt.basis == orig.basis and hash(rt.basis) == hash(orig.basis)
 
 
+def test_model_rejects_a_q_c_its_sensors_do_not_have(tmp_path):
+    _, data = small_dataset(seed=3)
+    models, _ = fit_fpca(data, build_basis(0, 30, 12, 3), q_c=2)
+    path = tmp_path / "model.json"
+    write_model(ModelBundle(fpca_models=models), path)
+    doc = json.loads(path.read_text())
+    assert doc["fpca"]["q_c"] == 2
+    assert [m.q_c for m in read_model(path).fpca_models] == [2] * len(models)
+    doc["fpca"]["q_c"] = 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match="fpca q_c is 3, but sensor 'sig01' has 2 eigenfunctions"):
+        read_model(path)
+
+
 def test_model_round_trip_preserves_hard_labels(tmp_path):
     design, data = small_dataset(seed=5)
     basis = build_basis(0, 30, 12, 3)
@@ -483,7 +497,7 @@ def test_model_round_trip_preserves_hard_labels(tmp_path):
     labels_before = report.best_fit.hard_labels
 
     path = tmp_path / "model.json"
-    write_model(ModelBundle.from_report(report, fpca_models=models, q_c=2), path)
+    write_model(ModelBundle.from_report(report, fpca_models=models), path)
     back = read_model(path)
 
     scores = [transform(m, data.values[:, s, :]) for s, m in enumerate(back.fpca_models)]
