@@ -1,7 +1,10 @@
-"""The README's Library example runs as written and gives what it shows."""
+"""The README's examples run as written and give what they show."""
 
 import pathlib
 import re
+import shlex
+
+from mfclust.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,31 @@ def test_readme_library_example_runs(capsys):
     assert namespace["m"] == 3
     assert sorted(namespace["report"].best_fit.removed_sensors) == noise
     assert capsys.readouterr().out == f"3 {noise}\n"
+
+
+def command_lines() -> dict[str, list[str]]:
+    """The README's command-line block: each command's arguments, by command."""
+    (block,) = re.findall(r"^## Command line\n\n```\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        prog, *args = shlex.split(line)
+        assert prog == "mfclust"
+        commands[args[0]] = args
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = command_lines()
+    assert list(commands) == ["simulate", "transform", "fit", "benchmark"]
+    monkeypatch.chdir(tmp_path)
+    for name in ("simulate", "transform", "fit"):
+        assert main(commands[name]) == 0, name
+    out = capsys.readouterr().out
+    assert "simulated n=200 sensors=18 (signal=2, noise=16) delta=1.5 seed=7\n" in out
+    assert "chosen: kind=group m=3 " in out
+    noise = [f"noi{i:02d}" for i in range(1, 17)]
+    assert (tmp_path / "removed.txt").read_text().split() == noise
+    # its 50 replicates are too slow to run here, so the benchmark line is only parsed
+    args = build_parser().parse_args(commands["benchmark"])
+    assert (args.command, args.scenario, args.reps) == ("benchmark", "sample-size", 50)
+    assert (args.output, args.replicates) == ("rows.csv", "reps.csv")
