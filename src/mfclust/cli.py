@@ -314,7 +314,7 @@ def cmd_benchmark(args) -> int:
     _check_distinct_outputs(args, "output", "replicates")
     grid = _grid_from(args)
     try:
-        scenario_levels(args.scenario, args.reps, args.levels, args.qc)
+        scenario_levels(args.scenario, args.reps, args.levels, args.qc, grid)
     except ValueError as exc:
         raise UsageError(f"bad sweep: {exc}") from None
 

@@ -106,10 +106,11 @@ class MixtureParams:
 class PenaltySpec:
     """Penalty kind plus strength, adaptive exponent, and weights.
 
-    weights is (m, q) for the individual penalty (one per mean), (q,) for
-    the variable penalty (one per column) and (m,) for the group penalty
-    (one per cluster); None means unit weights, and so does lam = 0, where
-    the weights do not matter. Infinite weights arise from reference means
+    lam and gamma must be nonnegative and finite. weights is (m, q) for the
+    individual penalty (one per mean), (q,) for the variable penalty (one
+    per column) and (m,) for the group penalty (one per cluster); None
+    means unit weights, and so does lam = 0, where the weights do not
+    matter. Infinite weights arise from reference means
     that are exactly zero and pin the corresponding parameters to zero.
     """
 
@@ -121,8 +122,9 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("lam and gamma must be nonnegative")
+        for name in ("lam", "gamma"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if self.kind == "none" and self.lam != 0.0:
             raise ValueError("kind 'none' requires lam == 0")
         if self.weights is not None:

@@ -67,8 +67,14 @@ class SearchGrid:
                 raise ValueError(f"{label} must not repeat, got {', '.join(f'{v:g}' for v in values)}")
 
     def lambdas(self, n: int) -> tuple[float, ...]:
+        """The lambda grid at n observations; raises ValueError, naming the
+        multiplier, where a multiplier times n**(1/3) overflows."""
         scale = n ** (1.0 / 3.0)
-        return tuple(mult * scale for mult in self.lambda_multipliers)
+        lams = tuple(mult * scale for mult in self.lambda_multipliers)
+        for mult, lam in zip(self.lambda_multipliers, lams):
+            if lam == math.inf:
+                raise ValueError(f"lambda multiplier {mult:g} times n**(1/3) overflows at n={n}")
+        return lams
 
 
 @dataclass(frozen=True)
@@ -247,8 +253,10 @@ def model_search(
     grid the unpenalized model is always a candidate. Non-converged fits
     are reported but excluded from the minimum-BIC choice; ties resolve to
     the smaller (m, lambda, gamma). Cluster-count tasks are independent
-    and may run in a process pool.
+    and may run in a process pool. A lambda multiplier that overflows at
+    B.n raises ValueError before any fit.
     """
+    grid.lambdas(B.n)
     kinds = [kind] if isinstance(kind, str) else list(kind)
     tasks = [(B, m, kinds, grid, seed) for m in sorted(grid.m_values)]
     if n_jobs > 1 and len(tasks) > 1:

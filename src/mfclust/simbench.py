@@ -248,10 +248,10 @@ def _design_for(scenario: str, level, seed: int) -> SimulationDesign:
     return SimulationDesign(seed=seed, **{varies: level})
 
 
-def scenario_levels(scenario: str, reps: int, levels, q_c: int) -> tuple:
+def scenario_levels(scenario: str, reps: int, levels, q_c: int, grid: SearchGrid = SearchGrid()) -> tuple:
     """The levels a sweep runs (the scenario's own when levels is None),
     after checking the scenario, reps, that no level repeats, and every
-    level's design and its component count q_c."""
+    level's design, its component count q_c and grid's lambdas at its n."""
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIOS)}")
     if reps < 1:
@@ -260,7 +260,9 @@ def scenario_levels(scenario: str, reps: int, levels, q_c: int) -> tuple:
     if len(set(map(float, levels))) < len(levels):
         raise ValueError(f"levels must not repeat, got {', '.join(f'{v:g}' for v in levels)}")
     for level in levels:
-        check_q_c(q_c, BASIS.n_basis, _design_for(scenario, level, seed=0).n)
+        n = _design_for(scenario, level, seed=0).n
+        check_q_c(q_c, BASIS.n_basis, n)
+        grid.lambdas(n)
     return levels
 
 
@@ -347,8 +349,8 @@ def run_scenario(
     grouped once into one row per (level, penalty kind) cell; failed
     replicates are dropped from their cell and counted in n_failed.
     """
-    levels = scenario_levels(scenario, reps, levels, q_c)
     grid = grid or SearchGrid()
+    levels = scenario_levels(scenario, reps, levels, q_c, grid)
 
     tasks = [
         (scenario, level, level_idx, rep, tuple(kinds), seed, q_c, grid)

@@ -721,6 +721,33 @@ def test_bad_sweep_exits_1_before_any_output(tmp_path, capsys, scenario, flag, v
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_overflowing_lambda_is_refused_before_any_output(small_run, capsys):
+    # 1e308 * 40**(1/3) is not finite: fit finds out once it has read n
+    tmp_path, data, _ = small_run
+    scores = tmp_path / "scores.csv"
+    assert run_cli("transform", "--input", data, "--scores", scores, "--model", tmp_path / "m.json",
+                   "--qc", 2) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli("fit", "--scores", scores, "--report", tmp_path / "r.json",
+                   "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+                   "--penalty", "individual", "--m-grid", "1,2", "--lambda-multipliers", "0,1e308",
+                   "--jobs", 1)
+    assert code == 2
+    assert capsys.readouterr().err == "data error: lambda multiplier 1e+308 times n**(1/3) overflows at n=40\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    # benchmark knows each level's n up front
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run_cli("benchmark", "--scenario", "sample-size", "--levels", 50, "--reps", 1,
+                   "--kinds", "individual", "--m-grid", 1, "--lambda-multipliers", "0,1e308", "--jobs", 1,
+                   "--output", out / "o.csv", "--replicates", out / "r.csv")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "usage error: bad sweep: lambda multiplier 1e+308 times n**(1/3) overflows at n=50\n")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "0"])
 def test_simulate_bad_delta_exits_1_before_any_output(tmp_path, capsys, delta):
     code = run_cli("simulate", "--n", 20, "--delta", delta,

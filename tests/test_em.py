@@ -741,6 +741,14 @@ def test_run_em_rejects_a_bad_stop_rule_before_initializing(monkeypatch, option,
         run_em(cm(X, q_c=2), 2, PenaltySpec("none"), seed=1, **option)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lam", np.inf), ("lam", np.nan), ("lam", -1.0), ("gamma", np.inf), ("gamma", np.nan),
+])
+def test_penalty_spec_refuses_a_non_finite_or_negative_strength(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
+        PenaltySpec("individual", **{field: value})
+
+
 def test_run_em_accepts_tol_zero():
     rng = np.random.default_rng(33)
     X, _ = two_separated_clouds(rng, n=40, q=4, gap=3.0)

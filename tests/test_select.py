@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -55,6 +56,23 @@ def test_search_grid_validation():
         with pytest.raises(ValueError, match="cluster counts must be integers"):
             SearchGrid(m_values=bad)
     assert SearchGrid(m_values=(np.int64(2), 3)).m_values == (2, 3)
+
+
+def test_an_overflowing_lambda_is_refused_naming_its_multiplier(monkeypatch):
+    grid = SearchGrid(m_values=(1, 2), lambda_multipliers=(0.0, 1e308))
+    message = re.escape("lambda multiplier 1e+308 times n**(1/3) overflows at n=50")
+    with pytest.raises(ValueError, match=message):
+        grid.lambdas(50)
+    # at n = 1 the scale is 1, and the multiplier itself is the lambda
+    assert grid.lambdas(1) == (0.0, 1e308)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the lambdas were checked")
+
+    monkeypatch.setattr(select, "initialize", no_fit)
+    B, _ = three_cluster_data(n=50)
+    with pytest.raises(ValueError, match=message):
+        model_search(B, grid, ("individual", "none"))
 
 
 def test_adjusted_bic_effective_dimension():
