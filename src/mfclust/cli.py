@@ -8,7 +8,7 @@ form), so argparse checks it like the flag: a key that names no option of
 the command, a value the flag refuses, or a null value exits 1. A bad search grid,
 basis size, sweep (its --qc included) or simulated design is a usage error,
 raised before any input is read or output written; so are --jobs below 1,
-a --qc outside [1, --n-basis], --alpha or --beta outside the component
+a negative --seed, a --qc outside [1, --n-basis], --alpha or --beta outside the component
 rule's ranges, and fit --scores with any transform option. An input that
 cannot be read (a directory, a field too long for csv) and an output path
 that is a directory or lies in a missing one exit 2, the latter before
@@ -101,6 +101,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _kind_list(text: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in text.split(","))
     for k in kinds:
@@ -118,7 +124,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_nonnegative_int, default=0)
     common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                         help="parallel workers")
 
@@ -156,7 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--penalty", type=_kind_list, default=("group",))
 
     p = sub.add_parser("simulate", help="write a synthetic dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--p-signal", type=int, default=2)
     p.add_argument("--p-noise", type=int, default=16)

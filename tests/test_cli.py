@@ -408,6 +408,29 @@ def test_jobs_below_one_exits_1_before_any_work(small_run, capsys, command, valu
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,flags,config", [
+    ("simulate", ["--seed", -1], None),
+    ("benchmark", ["--seed", -1], None),
+    ("benchmark", [], {"seed": -2}),
+    ("simulate", [], {"seed": -2}),
+    # seed + m is nonnegative for every m of the grid in the last two
+    ("fit", ["--seed", -5, "--m-grid", "1,2"], None),
+    ("fit", ["--seed", -1], None),
+    ("fit", ["--seed", -5, "--m-grid", "5,6"], None),
+], ids=["simulate", "benchmark", "benchmark-config", "simulate-config", "fit", "fit-seed-1", "fit-m-grid-5,6"])
+def test_negative_seed_exits_1_before_the_input_is_read(tmp_path, capsys, command, flags, config):
+    # the input does not exist: reading it would exit 2
+    args = [*VALID_CALLS[command](tmp_path / "missing.csv", tmp_path), *flags]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = ["--config", tmp_path / "cfg.json", *args]
+    assert run_cli(*args) == 1
+    value = flags[1] if flags else config["seed"]
+    assert capsys.readouterr().err == (
+        f"usage error: argument --seed: expected a nonnegative integer, got '{value}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["cfg.json"])
+
+
 @pytest.mark.parametrize("command", ["transform", "fit"])
 @pytest.mark.parametrize("flag,value", [("--order", 0), ("--n-basis", 2)])
 def test_bad_basis_size_exits_1_before_the_input_is_read(tmp_path, capsys, command, flag, value):
