@@ -771,7 +771,8 @@ def run_em(
     floored.
 
     The fit starts from init, or from initialize(B, m, seed) when init is
-    None, and runs once; a failed initialization raises NumericalError.
+    None, and runs once; a failed initialization raises NumericalError, and
+    an init whose (m, q) is not the fit's raises ValueError.
     Returns the FitResult of a single spec, raising NumericalError when a
     plain E-step fails (all densities underflow for a row, or the scaled
     squared scores overflow). For a sequence it returns a list with one
@@ -788,6 +789,8 @@ def run_em(
     specs = [spec] if isinstance(spec, PenaltySpec) else list(spec)
     if init is None:
         init = initialize(B, m, seed)
+    elif init.means.shape != (m, B.q):
+        raise ValueError(f"the start has (m, q) = {init.means.shape}, the fit has ({m}, {B.q})")
     fits = _em_attempt(B, m, specs, init, tol, max_iter)
     if not isinstance(spec, PenaltySpec):
         return fits

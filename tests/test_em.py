@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -747,6 +748,18 @@ def test_run_em_rejects_a_bad_stop_rule_before_initializing(monkeypatch, option,
 def test_penalty_spec_refuses_a_non_finite_or_negative_strength(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
         PenaltySpec("individual", **{field: value})
+
+
+def test_run_em_names_a_start_of_the_wrong_shape(monkeypatch):
+    rng = np.random.default_rng(33)
+    X, _ = two_separated_clouds(rng, n=40, q=4, gap=3.0)
+    B = cm(X)
+    start = initialize(B, 2, 0)
+    monkeypatch.setattr(em, "_em_attempt", lambda *args: pytest.fail("EM ran from a start of the wrong shape"))
+    with pytest.raises(ValueError, match=re.escape("the start has (m, q) = (2, 4), the fit has (3, 4)")):
+        run_em(B, 3, PenaltySpec("none"), init=start)
+    with pytest.raises(ValueError, match=re.escape("the start has (m, q) = (2, 4), the fit has (2, 2)")):
+        run_em(cm(X[:, :2]), 2, [PenaltySpec("none")], init=start)
 
 
 def test_run_em_accepts_tol_zero():
