@@ -9,9 +9,10 @@ thresholding (individual), the proximal map of a weighted L-infinity norm
 per column (variable), and a block shrinkage whose norm is the root of a
 scalar equation, solved by Newton's method (group). Each update
 sets a mean, column or block exactly to zero on its zero condition.
-Entries whose adaptive weight is infinite (reference mean exactly zero)
-are pinned to zero for the whole fit. At lam = 0 each update has zero
-thresholds and gives G / T exactly: kind "none" is the individual one.
+An infinite adaptive weight (reference mean exactly zero) makes an
+infinite threshold, which pins its means to zero for the whole fit. At
+lam = 0 each update has zero thresholds and gives G / T exactly: kind
+"none" is the individual one.
 
 The E-step works in reduced form. Of log pi_k + log f_k(x_i), only
 x_i . (mu_k / sigma2) + log pi_k - 1/2 sum_j mu_kj^2 / sigma2_j depends on
@@ -41,7 +42,6 @@ do not depend on the other lanes.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -133,12 +133,6 @@ class PenaltySpec:
                 raise ValueError("weights must be nonnegative")
             object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def adaptive(cls, kind: str, lam: float, gamma: float, reference_means: np.ndarray) -> "PenaltySpec":
-        """The spec with adaptive_weights(kind, gamma, reference_means)."""
-        w = adaptive_weights(kind, gamma, reference_means)
-        return cls(kind=kind, lam=float(lam), gamma=float(gamma), weights=w)
-
     def weights_for(self, m: int, q: int) -> np.ndarray:
         """Weights in their full shape: ones without weights or at lam 0."""
         shape = {"variable": (q,), "group": (m,)}.get(self.kind, (m, q))
@@ -147,15 +141,6 @@ class PenaltySpec:
         if self.weights.shape != shape:
             raise ValueError(f"weights shape {self.weights.shape} does not match {shape}")
         return self.weights
-
-    def pinned(self, m: int, q: int) -> np.ndarray:
-        """Boolean (m, q) mask of means pinned to zero by infinite weights."""
-        inf = np.isinf(self.weights_for(m, q))
-        if self.kind == "group":
-            return np.repeat(inf[:, None], q, axis=1)
-        if self.kind == "variable":
-            return np.repeat(inf[None, :], m, axis=0)
-        return inf
 
 
 def adaptive_weights(kind: str, gamma: float, reference_means: np.ndarray) -> np.ndarray:
@@ -283,50 +268,46 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
 # penalty and M-step pieces
 
 
-class _Penalty:
-    """A stack of PenaltySpecs, one per lane, made concrete for m clusters
-    and q = p q_c columns.
+def _thresholds(specs, m: int, q: int, q_c: int):
+    """The one penalty kind of a stack of specs, one per lane, and its
+    thresholds for m clusters and q = p q_c columns: lam times each lane's
+    weights in their full shape, (L, m, q) individual and none, (L, q)
+    variable and (L, m) group, the last times sqrt(q_c). They are 0 for
+    kind none and for every lane at lam 0, and infinite where a weight is:
+    those means are pinned at zero (see _pinned)."""
+    kinds = {spec.kind for spec in specs}
+    if len(kinds) != 1:
+        raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
+    (kind,) = kinds
+    thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
+    return kind, thr * np.sqrt(q_c) if kind == "group" else thr
 
-    A fit builds it once. The specs share one kind, whatever their lam. thr
-    stacks lam times each lane's weights in their full shape: (L, m, q)
-    individual and none, (L, q) variable and (L, m) group, the last times
-    sqrt(q_c); it is 0 for kind none and for every lane at lam 0. pinned is
-    the (L, m, q) mask of means held at zero by infinite weights.
-    """
 
-    def __init__(self, specs, m: int, q: int, q_c: int):
-        kinds = {spec.kind for spec in specs}
-        if len(kinds) != 1:
-            raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
-        (self.kind,) = kinds
-        self.q_c = q_c
-        self.pinned = np.stack([spec.pinned(m, q) for spec in specs])
-        thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
-        self.thr = thr * np.sqrt(q_c) if self.kind == "group" else thr
+def _pinned(kind, thr):
+    """The means that infinite thresholds pin at zero, as a mask broadcasting to (L, m, q)."""
+    inf = np.isinf(thr)
+    if kind == "variable":
+        return inf[:, None, :]
+    if kind == "group":
+        return inf[:, :, None]
+    return inf
 
-    def take(self, lanes) -> "_Penalty":
-        """The penalty of the given lanes only."""
-        out = copy.copy(self)
-        out.pinned = self.pinned[lanes]
-        out.thr = self.thr[lanes]
-        return out
 
-    def value(self, means: np.ndarray) -> np.ndarray:
-        """The (L,) penalty terms at the (L, m, q) means; see penalty_value."""
-        L, m, q = means.shape
-        thr = self.thr
-        # a lane whose E-step failed may hold means whose squares overflow;
-        # exact zeros contribute nothing even under infinite weights
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "variable":
-                size = np.abs(means).max(axis=1)
-            elif self.kind == "group":
-                size = np.sqrt((means.reshape(L, m, q // self.q_c, self.q_c) ** 2).sum(axis=3))
-                thr = thr[:, :, None]
-            else:
-                size = np.abs(means)
-            terms = np.where(size != 0.0, thr * size, 0.0)
-        return terms.reshape(L, -1).sum(axis=1)
+def _penalty(kind, thr, q_c, means):
+    """The (L,) penalty terms at the (L, m, q) means under thresholds thr; see penalty_value."""
+    L, m, q = means.shape
+    # a lane whose E-step failed may hold means whose squares overflow;
+    # exact zeros contribute nothing even under infinite thresholds
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "variable":
+            size = np.abs(means).max(axis=1)
+        elif kind == "group":
+            size = np.sqrt((means.reshape(L, m, q // q_c, q_c) ** 2).sum(axis=3))
+            thr = thr[:, :, None]
+        else:
+            size = np.abs(means)
+        terms = np.where(size != 0.0, thr * size, 0.0)
+    return terms.reshape(L, -1).sum(axis=1)
 
 
 def _variances(Xsq_colsum, G, T, means, n):
@@ -335,18 +316,19 @@ def _variances(Xsq_colsum, G, T, means, n):
     return (Xsq_colsum - 2.0 * (means * G).sum(axis=-2) + (T[..., None, :] @ means**2)[..., 0, :]) / n
 
 
-def _individual_update(G, T, sigma2, pen):
+def _individual_update(G, T, sigma2, thr):
     """Entrywise soft-thresholded means: the exact minimizer for the individual
     penalty, and G / T bit for bit at thresholds of 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = 1.0 - pen.thr * sigma2[:, None, :] / np.abs(G)
+        shrink = 1.0 - thr * sigma2[:, None, :] / np.abs(G)
     # fmax sends the nan of 0 / 0 (a zero score under a zero weight) to 0, as it does -inf
     out = G / T[:, :, None] * np.fmax(shrink, 0.0)
-    out[pen.pinned] = 0.0
+    # an infinite threshold zeroes the product, but as -0.0 where G < 0: a pinned mean is +0.0
+    out[np.isinf(thr)] = 0.0
     return out
 
 
-def _variable_update(G, T, sigma2, pen):
+def _variable_update(G, T, sigma2, thr):
     """Exact minimizer for the variable penalty: one L-infinity prox per column.
 
     Column j minimizes sum_k T_k (mu_k - a_k)^2 / (2 sigma2_j) plus
@@ -362,14 +344,14 @@ def _variable_update(G, T, sigma2, pen):
     abs_G = np.abs(G)
     A = abs_G / T[:, :, None]
     order = np.argsort(-A, axis=1, kind="stable")
-    budget = (pen.thr * sigma2)[:, None, :]
+    budget = (thr * sigma2)[:, None, :]
     levels = np.cumsum(np.take_along_axis(abs_G, order, axis=1), axis=1) - budget
     levels /= np.cumsum(np.take_along_axis(np.broadcast_to(T[:, :, None], A.shape), order, axis=1), axis=1)
     c = np.maximum(levels.max(axis=1), 0.0)[:, None, :]
     return np.where(c == 0.0, 0.0, np.sign(G) * np.minimum(A, c))
 
 
-def _group_update(G, T, sigma2, pen):
+def _group_update(G, T, sigma2, thr, q_c):
     """Exact block minimizer for the group penalty.
 
     Block (k, l) minimizes sum_i T_k (mu_i - a_i)^2 / (2 sigma2_i) plus
@@ -387,9 +369,7 @@ def _group_update(G, T, sigma2, pen):
     once, and each block stops on its own. At thr_k = 0 it gives G / T.
     """
     L, m, q = G.shape
-    q_c = pen.q_c
     p = q // q_c
-    thr = pen.thr  # (L, m)
     G3 = G.reshape(L, m, p, q_c)
     sig3 = sigma2.reshape(L, p, q_c)
     scaled = G3 / sig3[:, None]
@@ -425,7 +405,8 @@ def penalty_value(means: np.ndarray, spec: PenaltySpec, q_c: int) -> float:
     (cluster, sensor) blocks mu_kl.
     """
     means = np.asarray(means, dtype=float)
-    return float(_Penalty([spec], *means.shape, q_c).value(means[None])[0])
+    kind, thr = _thresholds([spec], *means.shape, q_c)
+    return float(_penalty(kind, thr, q_c, means[None])[0])
 
 
 def penalized_nll(B: CoefficientMatrix, params: MixtureParams, spec: PenaltySpec) -> float:
@@ -512,15 +493,15 @@ def initialize(B: CoefficientMatrix, m: int, seed: int) -> MixtureParams:
 # full EM
 
 
-def _mean_update_for(pen, G, T, sigma2):
-    """The M-step mean updates of a stack under the _Penalty pen (kind none:
-    the individual update), from the weighted sums G = tau.T @ X (L, m, q),
-    the masses T (L, m) and the variances sigma2 (L, q)."""
-    if pen.kind == "variable":
-        return _variable_update(G, T, sigma2, pen)
-    if pen.kind == "group":
-        return _group_update(G, T, sigma2, pen)
-    return _individual_update(G, T, sigma2, pen)
+def _mean_update_for(kind, thr, q_c, G, T, sigma2):
+    """The M-step mean updates of a stack under kind with thresholds thr
+    (kind none: the individual update), from the weighted sums G = tau.T @ X
+    (L, m, q), the masses T (L, m) and the variances sigma2 (L, q)."""
+    if kind == "variable":
+        return _variable_update(G, T, sigma2, thr)
+    if kind == "group":
+        return _group_update(G, T, sigma2, thr, q_c)
+    return _individual_update(G, T, sigma2, thr)
 
 
 def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -> set[str]:
@@ -531,15 +512,15 @@ def _removed_sensors(zero_mask: np.ndarray, sensor_names: list[str], q_c: int) -
 
 class _Fit:
     """What one fit computes once: the scores X, the column sums of X^2,
-    the penalty of every lane, and the layout of a parameter row theta =
-    (proportions, means row by row, variances)."""
+    the penalty kind and every lane's thresholds thr, and the layout of a
+    parameter row theta = (proportions, means row by row, variances)."""
 
     def __init__(self, B: CoefficientMatrix, m: int, specs):
         self.X = B.scores
         self.n, self.q = self.X.shape
-        self.m = m
+        self.m, self.q_c = m, B.q_c
         self.Xsq_colsum = (self.X**2).sum(axis=0)
-        self.pen = _Penalty(specs, m, self.q, B.q_c)
+        self.kind, self.thr = _thresholds(specs, m, self.q, B.q_c)
 
     def split(self, theta):
         """Views of a stack of rows theta: (L, m) proportions, (L, m, q)
@@ -548,12 +529,12 @@ class _Fit:
         return theta[:, :m], theta[:, m:v].reshape(-1, m, self.q), theta[:, v:]
 
 
-def _expect(fit, pen, theta):
-    """E-step at a stack theta under pen: the observed objectives there,
+def _expect(fit, thr, theta):
+    """E-step at a stack theta under thresholds thr: observed objectives,
     G = tau.T @ X, the cluster masses T and the kernel's failure codes."""
     pi, means, sigma2 = fit.split(theta)
     tau, nll, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
-    return nll + pen.value(means), tau.transpose(0, 2, 1) @ fit.X, tau.sum(axis=1), failed
+    return nll + _penalty(fit.kind, thr, fit.q_c, means), tau.transpose(0, 2, 1) @ fit.X, tau.sum(axis=1), failed
 
 
 def _extrapolate(fit, theta0, theta1, theta2):
@@ -577,8 +558,8 @@ def _extrapolate(fit, theta0, theta1, theta2):
 class _Lanes:
     """The live lanes of a fit, stacked on axis 0 of every array.
 
-    index holds each lane's position among the fit's specs and pen their
-    penalty. theta is the next input of the EM map and (objective, G, T)
+    index holds each lane's position among the fit's specs and thr their
+    thresholds. theta is the next input of the EM map and (objective, G, T)
     its E-step. phase is the lane's place in its SQUAREM cycle: 0 while
     theta is the cycle's theta0, 1 while it is theta1 and 2 while it is the
     extrapolated point. anchor holds theta0 at phase 1 and theta2 at phase
@@ -586,10 +567,10 @@ class _Lanes:
     the largest rise of start from one cycle to the next so far.
     """
 
-    ARRAYS = ("index", "theta", "objective", "G", "T", "phase", "anchor", "start", "rise")
+    ARRAYS = ("index", "thr", "theta", "objective", "G", "T", "phase", "anchor", "start", "rise")
 
-    def __init__(self, pen, theta, objective, G, T):
-        self.pen = pen
+    def __init__(self, thr, theta, objective, G, T):
+        self.thr = thr
         self.index = np.arange(len(theta))
         self.theta = self.anchor = theta
         self.objective, self.G, self.T = objective, G, T
@@ -603,7 +584,6 @@ class _Lanes:
         keep = ~mask
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
-        self.pen = self.pen.take(keep)
         return tuple(a[keep] for a in arrays)
 
     def advance(self, fit, mapped):
@@ -623,13 +603,13 @@ class _Lanes:
         point, usable = _extrapolate(fit, self.anchor, self.theta, mapped)
         usable &= phase == 1
         theta = np.where(usable[:, None], point, mapped)
-        objective, G, T, failed = _expect(fit, self.pen, theta)
+        objective, G, T, failed = _expect(fit, self.thr, theta)
         kept = (failed == 0) & (T.min(axis=1) > _EMPTY_CLUSTER_TOL) & ((phase < 2) | (objective <= self.start))
         anchor = np.where((phase == 0)[:, None], self.theta, np.where((phase == 1)[:, None], mapped, self.anchor))
         back = (usable | (phase == 2)) & ~kept
         if back.any():
             theta[back] = anchor[back]
-            objective[back], G[back], T[back], failed[back] = _expect(fit, self.pen.take(back), anchor[back])
+            objective[back], G[back], T[back], failed[back] = _expect(fit, self.thr[back], anchor[back])
         self.theta, self.anchor = theta, anchor
         self.objective, self.G, self.T = objective, G, T
         self.phase = np.where(phase == 0, 1, np.where(usable & kept, 2, 0))
@@ -643,7 +623,7 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
     n, L = fit.n, len(specs)
     theta = np.concatenate((
         np.tile(params0.proportions, (L, 1)),
-        np.where(fit.pen.pinned, 0.0, params0.means).reshape(L, -1),
+        np.where(_pinned(fit.kind, fit.thr), 0.0, params0.means).reshape(L, -1),
         np.tile(params0.variances, (L, 1)),
     ), axis=1)
     # a stopped lane's point, outcome code, and last cycle's start and rise
@@ -662,8 +642,8 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         start[lanes], rise[lanes] = live.start[mask], live.rise[mask]
         return live.drop(mask, *arrays)
 
-    objective, G, T, failed = _expect(fit, fit.pen, theta)
-    live = _Lanes(fit.pen, theta, objective, G, T)
+    objective, G, T, failed = _expect(fit, fit.thr, theta)
+    live = _Lanes(fit.thr, theta, objective, G, T)
     # the peak memory grows with the lanes: no name outlives the stack it holds
     del theta, objective, G, T
     stop(failed != 0, live.theta, _COLLAPSED + failed)
@@ -677,7 +657,7 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         if not live.index.size:
             break
         iterations[live.index] = step
-        means = _mean_update_for(live.pen, live.G, live.T, fit.split(live.theta)[2])
+        means = _mean_update_for(fit.kind, live.thr, fit.q_c, live.G, live.T, fit.split(live.theta)[2])
         raw = _variances(fit.Xsq_colsum, live.G, live.T, means, n)
         floored[live.index] |= raw.min(axis=1) < _VARIANCE_FLOOR
         mapped = np.concatenate((live.T / n, means.reshape(len(means), -1), np.maximum(raw, _VARIANCE_FLOOR)), axis=1)
@@ -698,7 +678,7 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
     if ok.size:
         pi, means, sigma2 = fit.split(final[ok])
         tau, plain, failed = _log_joint(fit.X, fit.Xsq_colsum, pi, means, sigma2)
-        penalized = plain + fit.pen.take(ok).value(means)
+        penalized = plain + _penalty(fit.kind, fit.thr[ok], fit.q_c, means)
         # a lane whose returned point leaves a cluster without mass collapsed there
         empty = tau.sum(axis=1).min(axis=1) <= _EMPTY_CLUSTER_TOL
         outcome[ok] = np.where(failed != 0, _COLLAPSED + failed, np.where(empty, _COLLAPSED, outcome[ok]))

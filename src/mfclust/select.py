@@ -152,22 +152,22 @@ def _evaluate_point(B, m, spec, fit, phase):
     )
 
 
-def _fit_points(B, m, points, init, phase, zero):
-    """Fit the grid points, (spec, gamma) pairs, as the lanes of one run_em
-    call; return their (row, fit) pairs and the failure messages, both in
-    grid order. zero is the lambda = 0 memo of m, a list that the first
-    lambda = 0 lane to fit fills with its (row, fit)."""
+def _fit_points(B, m, specs, init, phase, zero):
+    """Fit the grid points, PenaltySpecs, as the lanes of one run_em call;
+    return their (row, fit) pairs and the failure messages, both in grid
+    order. zero is the lambda = 0 memo of m, a list that the first lambda
+    = 0 lane to fit fills with its (row, fit)."""
     memo = zero[0] if zero else None
-    laned = [spec for spec, _ in points if memo is None or spec.lam > 0.0]
+    laned = [spec for spec in specs if memo is None or spec.lam > 0.0]
     lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
     done, failures = [], []
-    for spec, gamma in points:
+    for spec in specs:
         if memo is not None and spec.lam == 0.0:
             done.append((replace(memo[0], kind=spec.kind, phase=phase), memo[1]))
             continue
         fit = next(lane_fits)
         if isinstance(fit, NumericalError):
-            failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={gamma:g} ({phase}): {fit}")
+            failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={spec.gamma:g} ({phase}): {fit}")
             continue
         done.append((_evaluate_point(B, m, spec, fit, phase), fit))
         if spec.lam == 0.0 and not zero:
@@ -198,7 +198,7 @@ def _search_one_m(args):
     zero, outcomes = [], []
     for kind in kinds:
         lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-        pilot = [(PenaltySpec(kind, lam), 0.0) for lam in lambdas]
+        pilot = [PenaltySpec(kind, lam) for lam in lambdas]
         points, failures = _fit_points(B, m, pilot, init, "pilot", zero)
         reference = None
         if kind != "none":
@@ -210,7 +210,7 @@ def _search_one_m(args):
                 adaptive = []
                 for gamma in grid.gamma_values:
                     weights = adaptive_weights(kind, gamma, reference)
-                    adaptive += [(PenaltySpec(kind, lam, float(gamma), weights), gamma) for lam in lambdas]
+                    adaptive += [PenaltySpec(kind, lam, float(gamma), weights) for lam in lambdas]
                 fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
                 points.extend(fitted)
                 failures.extend(fails)

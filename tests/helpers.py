@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from scipy.stats import norm
 
-from mfclust.em import _mean_update_for, _Penalty
+from mfclust.em import _mean_update_for, _thresholds
 
 
 def golden_section(f, lo, hi, tol=1e-12):
@@ -143,6 +143,6 @@ def two_separated_clouds(rng, n=100, q=4, gap=8.0):
 def mean_update(X, tau, sigma2, spec, q_c=1):
     """The EM's M-step mean update for data X under responsibilities tau."""
     X = np.asarray(X, dtype=float)
-    pen = _Penalty([spec], tau.shape[1], X.shape[1], q_c)
+    kind, thr = _thresholds([spec], tau.shape[1], X.shape[1], q_c)
     G, T, sigma2 = tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float)
-    return _mean_update_for(pen, G[None], T[None], sigma2[None])[0]
+    return _mean_update_for(kind, thr, q_c, G[None], T[None], sigma2[None])[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -18,8 +19,11 @@ from mfclust import em
 from mfclust.em import (
     MixtureParams,
     PenaltySpec,
+    _pinned,
     _removed_sensors,
+    _thresholds,
     _variances,
+    adaptive_weights,
     e_step,
     initialize,
     penalized_nll,
@@ -41,6 +45,11 @@ def variance_update(X, tau, means):
 
 def unpenalized(X, tau):
     return mean_update(X, tau, np.ones(X.shape[1]), PenaltySpec("none"))
+
+
+def pinned(spec, m, q, q_c=1):
+    """The (m, q) mask of the means that spec pins at zero in a fit."""
+    return np.broadcast_to(_pinned(*_thresholds([spec], m, q, q_c)), (1, m, q))[0]
 
 
 def make_params(pi, means, variances):
@@ -395,9 +404,9 @@ def test_variable_zeroed_max_removes_whole_column():
 
 def test_variable_weights_are_per_column():
     ref = np.array([[0.5, 0.0, -2.0], [-1.5, 0.0, 1.0]])
-    spec = PenaltySpec.adaptive("variable", lam=2.0, gamma=1.0, reference_means=ref)
+    spec = PenaltySpec("variable", 2.0, 1.0, adaptive_weights("variable", 1.0, ref))
     npt.assert_allclose(spec.weights_for(2, 3), [1 / 1.5, np.inf, 1 / 2.0])
-    npt.assert_array_equal(spec.pinned(2, 3), [[False, True, False], [False, True, False]])
+    npt.assert_array_equal(pinned(spec, 2, 3), [[False, True, False], [False, True, False]])
     npt.assert_array_equal(PenaltySpec("variable", 2.0).weights_for(2, 3), np.ones(3))
     means = np.array([[1.0, 0.0, 0.5], [-3.0, 0.0, -0.25]])
     # lam * sum_j w_j max_k |mu_kj|; the pinned zero column adds nothing
@@ -700,14 +709,29 @@ def test_hard_labels_are_argmax_with_low_index_ties():
 
 
 def test_pinned_entries_stay_zero():
+    # clouds at -3 and 3: the low cluster's pinned means have G < 0, where
+    # an infinite threshold alone would give -0.0; the output bytes need +0.0
     rng = np.random.default_rng(29)
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=6.0)
-    B = cm(X, q_c=2)
-    ref = np.array([[1.0, 0.0, 2.0, 1.0], [1.0, 1.0, 0.0, 1.0]])
-    spec = PenaltySpec.adaptive("individual", lam=1.0, gamma=1.0, reference_means=ref)
-    fit = run_em(B, 2, spec, seed=5)
-    assert fit.params.means[0, 1] == 0.0
-    assert fit.params.means[1, 2] == 0.0
+    B = cm(X - 3.0, q_c=2)
+    init = initialize(B, 2, seed=5)
+    low = int(init.means[:, 0].argmin())
+    # a zero reference column and a zero reference cluster pin means of every kind
+    ref = np.ones((2, 4))
+    ref[:, 0] = 0.0
+    ref[low] = 0.0
+    for kind, n_pinned in (("individual", 5), ("variable", 2), ("group", 4)):
+        spec = PenaltySpec(kind, 1.0, 1.0, adaptive_weights(kind, 1.0, ref))
+        mask = pinned(spec, 2, 4, q_c=2)
+        assert mask[low, 0] and mask.sum() == n_pinned, kind
+        fit = run_em(B, 2, spec, init=init)
+        assert fit.converged, kind
+        npt.assert_array_equal(fit.params.means[mask], 0.0)
+        assert not np.signbit(fit.params.means[mask]).any(), kind
+        # at lam = 0 the weights do not matter: nothing is pinned
+        unpenalized = dataclasses.replace(spec, lam=0.0)
+        assert not pinned(unpenalized, 2, 4, q_c=2).any()
+        assert run_em(B, 2, unpenalized, init=init).params.means.all(), kind
 
 
 def test_run_em_stop_reason_max_iter():
@@ -809,9 +833,8 @@ def test_lanes_match_their_fits_alone(kind, max_iter):
     ref = np.ones((3, 4))
     ref[:, 0] = 0.0
     ref[2] = 0.0
-    specs = [PenaltySpec(kind, 1.0)] + [
-        PenaltySpec.adaptive(kind, lam, 1.0, ref) for lam in (0.5, 2.0, 1e6)
-    ]
+    weights = adaptive_weights(kind, 1.0, ref)
+    specs = [PenaltySpec(kind, 1.0)] + [PenaltySpec(kind, lam, 1.0, weights) for lam in (0.5, 2.0, 1e6)]
     fits = run_em(B, 3, specs, init=far, max_iter=max_iter)
     for spec, fit in zip(specs, fits):
         assert_same_fit(fit, run_em(B, 3, spec, init=far, max_iter=max_iter))
@@ -830,7 +853,8 @@ def test_lanes_of_a_lambda_grid_match_their_fits_alone(kind):
     lambdas = [c * 80 ** (1 / 3) for c in (0.5, 1.0, 2.0, 5.0, 10.0)]
     pilot = [PenaltySpec(kind, lam) for lam in lambdas]
     reference = run_em(B, 3, pilot[1], init=init).params.means
-    specs = pilot + [PenaltySpec.adaptive(kind, lam, 1.0, reference) for lam in lambdas]
+    weights = adaptive_weights(kind, 1.0, reference)
+    specs = pilot + [PenaltySpec(kind, lam, 1.0, weights) for lam in lambdas]
     fits = run_em(B, 3, specs, init=init)
     for spec, fit in zip(specs, fits):
         assert_same_fit(fit, run_em(B, 3, spec, init=init))
@@ -846,7 +870,7 @@ def test_lane_state_memory_per_lane():
     init = initialize(B, 6, seed=1)
     lambdas = SearchGrid().lambdas(B.n)[1:]
     reference = run_em(B, 6, PenaltySpec("variable", lambdas[2]), init=init).params.means
-    specs = [PenaltySpec.adaptive("variable", lam, gamma, reference)
+    specs = [PenaltySpec("variable", lam, gamma, adaptive_weights("variable", gamma, reference))
              for gamma in DEFAULT_GAMMA_VALUES for lam in lambdas]
     tracemalloc.start()
     try:
@@ -869,7 +893,7 @@ def test_a_failed_lane_leaves_the_others(kind):
     huge = make_params([0.5, 0.5], np.full((2, 4), 1e160), np.ones(4))
     specs = [
         PenaltySpec(kind, 1.0),
-        PenaltySpec.adaptive(kind, 1.0, 1.0, np.zeros((2, 4))),
+        PenaltySpec(kind, 1.0, 1.0, adaptive_weights(kind, 1.0, np.zeros((2, 4)))),
         PenaltySpec(kind, 3.0),
     ]
     fits = run_em(B, 2, specs, init=huge)
@@ -895,8 +919,9 @@ def test_lambda_zero_lanes_match_the_unpenalized_fit(kind):
     ref[0, 0] = 0.0
     ref[:, 1] = 0.0
     ref[1] = 0.0
+    weights = adaptive_weights(kind, 1.0, ref)
     specs = [PenaltySpec(kind, 0.0), PenaltySpec(kind, 2.0),
-             PenaltySpec.adaptive(kind, 0.0, 1.0, ref), PenaltySpec.adaptive(kind, 1.0, 1.0, ref)]
+             PenaltySpec(kind, 0.0, 1.0, weights), PenaltySpec(kind, 1.0, 1.0, weights)]
     fits = run_em(B, 3, specs, init=init)
     alone = run_em(B, 3, PenaltySpec("none"), init=init)
     for fit in (fits[0], fits[2]):
@@ -906,9 +931,9 @@ def test_lambda_zero_lanes_match_the_unpenalized_fit(kind):
         assert fit.max_objective_rise == alone.max_objective_rise
         assert fit.iterations == alone.iterations
         assert fit.stop_reason == alone.stop_reason
-    assert not specs[2].pinned(3, 6).any()
-    pinned = specs[3].pinned(3, 6)
-    assert pinned.any() and not fits[3].params.means[pinned].any()
+    assert not pinned(specs[2], 3, 6, q_c=2).any()
+    mask = pinned(specs[3], 3, 6, q_c=2)
+    assert mask.any() and not fits[3].params.means[mask].any()
 
 
 def test_lanes_need_one_penalty_kind():

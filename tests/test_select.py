@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from mfclust import em, select
-from mfclust.em import MixtureParams, PenaltySpec, penalized_nll, run_em
+from mfclust.em import MixtureParams, PenaltySpec, adaptive_weights, penalized_nll, run_em
 from mfclust.fpca import CoefficientMatrix
 from mfclust.select import (
     SearchGrid,
@@ -161,14 +161,9 @@ def test_two_phase_deterministic():
 
 def test_adaptive_weights_at_gamma_zero_equal_unit_weights():
     ref = np.array([[0.5, 2.0], [1.5, 0.1]])
-    adaptive = PenaltySpec.adaptive("individual", 3.0, 0.0, ref)
-    unit = PenaltySpec("individual", 3.0)
-    npt.assert_array_equal(adaptive.weights_for(2, 2), unit.weights_for(2, 2))
-    adaptive_g = PenaltySpec.adaptive("group", 3.0, 0.0, ref)
-    npt.assert_array_equal(adaptive_g.weights_for(2, 2), np.ones(2))
-    adaptive_v = PenaltySpec.adaptive("variable", 3.0, 0.0, ref)
-    unit_v = PenaltySpec("variable", 3.0)
-    npt.assert_array_equal(adaptive_v.weights_for(2, 2), unit_v.weights_for(2, 2))
+    for kind in ("individual", "variable", "group"):
+        adaptive = PenaltySpec(kind, 3.0, 0.0, adaptive_weights(kind, 0.0, ref))
+        npt.assert_array_equal(adaptive.weights_for(2, 2), PenaltySpec(kind, 3.0).weights_for(2, 2))
 
 
 def test_model_search_recovers_three_clusters():
@@ -395,13 +390,13 @@ def test_a_failed_lane_is_reported_and_the_others_kept():
     # adaptive weights pin every mean to 0
     B, _ = three_cluster_data(seed=7)
     huge = MixtureParams([0.5, 0.5], np.full((2, B.q), 1e160), np.ones(B.q))
-    points = [
-        (PenaltySpec("individual", 1.0), 0.0),
-        (PenaltySpec.adaptive("individual", 2.0, 1.5, np.zeros((2, B.q))), 1.5),
-        (PenaltySpec("individual", 0.0), 0.0),
+    specs = [
+        PenaltySpec("individual", 1.0),
+        PenaltySpec("individual", 2.0, 1.5, adaptive_weights("individual", 1.5, np.zeros((2, B.q)))),
+        PenaltySpec("individual", 0.0),
     ]
     zero = []
-    fitted, failures = _fit_points(B, 2, points, huge, "pilot", zero)
+    fitted, failures = _fit_points(B, 2, specs, huge, "pilot", zero)
     assert failures == [
         f"m=2, kind=individual, lam={lam}, gamma=0 (pilot): "
         "all cluster densities underflowed for some observation"
