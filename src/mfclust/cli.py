@@ -8,11 +8,13 @@ form), so argparse checks it like the flag: a key that names no option of
 the command, a value the flag refuses, or a null value exits 1. A bad search grid,
 basis size, sweep (its --qc included) or simulated design is a usage error,
 raised before any input is read or output written; so are --jobs below 1,
-a negative --seed, a --qc outside [1, --n-basis], --alpha or --beta outside the component
-rule's ranges, and fit --scores with any transform option. An input that
-cannot be read (a directory, a field too long for csv) and an output path
-that is a directory or lies in a missing one exit 2, the latter before
-anything is read or written.
+a negative --seed, a --qc outside [1, --n-basis], --alpha or --beta
+outside the component rule's ranges, and fit --scores with any transform
+option. An input that cannot be read (a directory, a field too long for
+csv) and an output path that is a directory or lies in a missing one exit
+2, the latter before anything is read or written. A lambda multiplier
+whose lambda overflows at n exits 2 from fit, once n is read, and 1 from
+benchmark, as a bad sweep; neither writes anything.
 
 Options per command (besides the input and output paths):
   transform  --n-basis --order, and --qc or the --alpha/--beta rule
