@@ -290,7 +290,7 @@ def cmd_fit(args) -> int:
     write_model(ModelBundle.from_report(best, fpca_models=models), args.report)
     write_assignments(best.best_fit, args.assignments, obs_ids=obs_ids)
     removed = sorted(best.best_fit.removed_sensors)
-    with open(args.removed, "w") as fh:
+    with open(args.removed, "w", encoding="utf-8") as fh:
         fh.writelines(name + "\n" for name in removed)
     if args.cluster_means:
         write_cluster_means(models, best.best_fit.params, B.q_c, args.cluster_means)
@@ -329,7 +329,7 @@ def cmd_benchmark(args) -> int:
     # replicate rows are flushed as they finish, so an interrupted run
     # still leaves a valid partial CSV
     rep_fields = list(ReplicateRecord.__dataclass_fields__)
-    with open(args.replicates, "w", newline="") as rep_fh:
+    with open(args.replicates, "w", newline="", encoding="utf-8") as rep_fh:
         rep_writer = csv.writer(rep_fh)
         rep_writer.writerow(rep_fields)
         rep_fh.flush()
@@ -386,7 +386,7 @@ def _with_config(argv: list[str]) -> list[str]:
     if path is None or i == len(argv):
         return argv
     # config values use natural JSON types (lists, numbers, strings)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold a JSON object")

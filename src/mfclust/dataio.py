@@ -39,7 +39,7 @@ _HEADER = ["obs_id", "sensor_id", "time", "value"]
 
 def write_long_csv(data: FunctionalDataSet, path) -> None:
     obs_ids = data.obs_ids or [str(i) for i in range(data.n)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for i, obs in enumerate(obs_ids):
@@ -68,7 +68,7 @@ def read_long_csv(path) -> FunctionalDataSet:
     grows with the number of rows, at about 40 bytes per row, never with
     the grid.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = read_header(fh)
         if header != _HEADER:
             raise DataFormatError(f"expected header {','.join(_HEADER)}, got {header}")
@@ -257,7 +257,7 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
     obs_ids = obs_ids or [str(i) for i in range(B.n)]
     if len(obs_ids) != B.n:
         raise ValueError("obs_ids length must match the score rows")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["obs_id"] + [
             f"{name}_pc{l + 1}" for name in B.sensor_names for l in range(B.q_c)
@@ -268,7 +268,7 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
 
 
 def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = read_header(fh)
         if not header or header[0] != "obs_id":
             raise DataFormatError("scores file must start with an obs_id column")
@@ -396,13 +396,13 @@ def write_model(bundle: ModelBundle, path) -> None:
     if bundle.chosen is not None:
         m, lam, gamma, kind = bundle.chosen
         doc["chosen"] = {"m": m, "lam": lam, "gamma": gamma, "kind": kind}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
 
 def read_model(path) -> ModelBundle:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupted model file: {exc}") from None
@@ -447,7 +447,7 @@ def write_assignments(fit: FitResult, path, obs_ids: list[str] | None = None) ->
     obs_ids = obs_ids or [str(i) for i in range(n)]
     if len(obs_ids) != n:
         raise ValueError("obs_ids length must match the fitted observations")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["obs_id", "label"] + [f"resp_{k + 1}" for k in range(m)])
         for obs, label, resp in zip(obs_ids, fit.hard_labels, fit.responsibilities):
@@ -456,7 +456,7 @@ def write_assignments(fit: FitResult, path, obs_ids: list[str] | None = None) ->
 
 def write_benchmark_rows(rows: list[BenchmarkRow], path) -> None:
     fields = list(BenchmarkRow.__dataclass_fields__)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:
@@ -472,7 +472,7 @@ def write_cluster_means(
     the component functions weighted by that cluster's score means, in the
     sensor's standardized units.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sensor_id", "cluster", "time", "value"])
         for s, model in enumerate(models):
@@ -504,5 +504,5 @@ def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None
             "seed": design.seed,
         },
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

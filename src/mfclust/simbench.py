@@ -31,7 +31,7 @@ DEFAULT_KINDS = ("individual", "variable", "group", "none")
 
 
 def _load_frozen_design() -> dict:
-    with resources.files("mfclust").joinpath("data/benchmark_design.json").open() as fh:
+    with resources.files("mfclust").joinpath("data/benchmark_design.json").open(encoding="utf-8") as fh:
         frozen = json.load(fh)
     if frozen.get("version") != 1:
         raise ValueError(f"unsupported benchmark design version {frozen.get('version')!r}")

@@ -13,7 +13,7 @@ import pytest
 
 import mfclust
 from mfclust.cli import main
-from mfclust.dataio import read_long_csv, read_model, read_scores_csv
+from mfclust.dataio import read_long_csv, read_model, read_scores_csv, write_long_csv
 from mfclust.simbench import SimulationDesign, generate_dataset
 
 
@@ -512,12 +512,34 @@ def test_fit_from_scores_refuses_a_basis_config_key(small_run, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def run_cli_process(*args):
-    """The CLI in a child process, as a shell runs it: (exit code, stderr)."""
-    env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1])}
+def run_cli_process(*args, env=None):
+    """The CLI in a child process, as a shell runs it, with env added to
+    the environment: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1]), **(env or {})}
     done = subprocess.run([sys.executable, "-m", "mfclust.cli", *map(str, args)],
                           capture_output=True, text=True, env=env)
     return done.returncode, done.stderr
+
+
+# a locale whose encoding is ASCII: no C-locale coercion and no UTF-8 mode
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                "PYTHONIOENCODING": "utf-8"}
+
+
+def test_non_ascii_sensor_names_read_and_write_alike_in_an_ascii_locale(tmp_path, capsys):
+    # the files are UTF-8 whatever the locale; only the printed table needs PYTHONIOENCODING
+    data = generate_dataset(SimulationDesign(n=20, p_signal=1, p_noise=1, seed=3))
+    data = dataclasses.replace(data, sensor_names=["température", "pression"])
+    write_long_csv(data, tmp_path / "data.csv")
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    assert run_cli(*VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path / "a")) == 0
+    code, err = run_cli_process(*VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path / "b"),
+                                env=ASCII_LOCALE)
+    assert (code, err) == (0, "")
+    for name in ("s.csv", "m.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+    assert "température_pc1" in (tmp_path / "b" / "s.csv").read_text(encoding="utf-8")
 
 
 def with_long_field(path, lines, lineno, field):
