@@ -12,9 +12,10 @@ import numpy.testing as npt
 import pytest
 
 import mfclust
+from mfclust import cli
 from mfclust.cli import main
 from mfclust.dataio import read_long_csv, read_model, read_scores_csv, write_long_csv
-from mfclust.simbench import SimulationDesign, generate_dataset
+from mfclust.simbench import ReplicateRecord, SimulationDesign, generate_dataset
 
 
 def run_cli(*args):
@@ -691,6 +692,27 @@ def test_benchmark_small_sweep(tmp_path, capsys):
     with open(reps) as fh:
         recs = list(csv.DictReader(fh))
     assert len(recs) == 2
+
+
+def test_benchmark_replicates_bytes_are_pinned(tmp_path, monkeypatch):
+    # the sweep is replaced by one hand-made record, so the file form alone is checked
+    record = ReplicateRecord(scenario="signal-strength", level=1.5, kind="group", rep=0, seed=7, m_hat=3,
+                             ari=1 / 3, variables_removed=2, removed_correctly=2, removed_falsely=0,
+                             lam=0.1, gamma=1.0, bic=-12.5, max_rise=-0.0)
+
+    def one_record(*args, on_record, **kwargs):
+        on_record(record)
+        return [], [record]
+
+    monkeypatch.setattr(cli, "run_scenario", one_record)
+    reps = tmp_path / "reps.csv"
+    assert run_cli("benchmark", "--scenario", "signal-strength", "--levels", 1.5, "--reps", 1,
+                   "--output", tmp_path / "rows.csv", "--replicates", reps) == 0
+    assert reps.read_bytes() == (
+        b"scenario,level,kind,rep,seed,m_hat,ari,variables_removed,removed_correctly,"
+        b"removed_falsely,lam,gamma,bic,max_rise\r\n"
+        b"signal-strength,1.5,group,0,7,3,0.3333333333333333,2,2,0,0.1,1.0,-12.5,-0.0\r\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["fit", "benchmark"])

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -23,9 +24,9 @@ from mfclust.dataio import (
     write_truth,
 )
 from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
-from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, fit_fpca, transform
-from mfclust.select import SearchGrid, model_search
-from mfclust.simbench import SimulationDesign, generate_dataset, run_scenario
+from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, fit_fpca, transform
+from mfclust.select import SearchGrid, SelectionRow, model_search
+from mfclust.simbench import BenchmarkRow, SimulationDesign, generate_dataset, run_scenario
 
 
 def small_dataset(seed=0, n=25, p_noise=2):
@@ -540,6 +541,52 @@ def test_model_rejects_non_finite_mixture(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="means must be finite"):
         read_model(path)
+
+
+PINNED_MODEL = Path(__file__).parent / "data" / "model_v1.json"
+
+
+def pinned_bundle() -> ModelBundle:
+    """The bundle of PINNED_MODEL: two sensors, a +0.0 and a -0.0 entry,
+    a non-ASCII sensor name, one selection row and the chosen point."""
+    basis = build_basis(0.0, 2.0, 3, 2)
+    models = [
+        SensorFpcaModel(
+            sensor=name, basis=basis, times=np.array([0.0, 0.5, 2.0]),
+            mean_coeffs=np.array([0.1, -1 / 3, 2.5e-17]),
+            eigen_coeffs=np.array([[1.0], [0.0], [-0.5]]) * sign,
+            eigenvalues=np.array([0.7]), variance_explained=np.array([0.9]),
+            standardization=(1.5, 0.25),
+        )
+        for name, sign in (("t\u00b0C", 1.0), ("p", -1.0))
+    ]
+    mixture = MixtureParams(proportions=[0.25, 0.75], means=[[0.0, 1.0], [-2.0, 0.125]], variances=[1.0, 3.0])
+    row = SelectionRow(m=2, lam=0.5, gamma=1.0, kind="group", phase="adaptive", bic=123.456, n_zero=1,
+                       n_removed_sensors=0, converged=True, plain_nll=60.1, penalized_nll=61.2, iterations=7)
+    return ModelBundle(fpca_models=models, mixture=mixture, selection_rows=[row],
+                       chosen=(2, 0.5, 1.0, "group"), removed_sensors=[])
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    # key order, indent=1 and float repr of schema version 1, recorded once
+    path = tmp_path / "model.json"
+    write_model(pinned_bundle(), path)
+    assert path.read_bytes() == PINNED_MODEL.read_bytes()
+    write_model(read_model(PINNED_MODEL), path)
+    assert path.read_bytes() == PINNED_MODEL.read_bytes()
+
+
+def test_benchmark_rows_bytes_are_pinned(tmp_path):
+    row = BenchmarkRow(scenario="signal-strength", level=1.5, kind="group", reps=3, mae_m=1 / 3,
+                       mean_variables_removed=2.0, mean_removed_correctly=1.5, mean_removed_falsely=0.0,
+                       ari_median=0.1, ari_q1=-0.0, ari_q3=1.0, n_failed=0)
+    path = tmp_path / "rows.csv"
+    write_benchmark_rows([row], path)
+    assert path.read_bytes() == (
+        b"scenario,level,kind,reps,mae_m,mean_variables_removed,mean_removed_correctly,"
+        b"mean_removed_falsely,ari_median,ari_q1,ari_q3,n_failed\r\n"
+        b"signal-strength,1.5,group,3,0.3333333333333333,2.0,1.5,0.0,0.1,-0.0,1.0,0\r\n"
+    )
 
 
 def read_assignments_csv(path):
