@@ -32,7 +32,6 @@ EM fit converges when a plain EM step moves its parameters by at most 1e-4
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import json
 import os
@@ -45,11 +44,13 @@ from mfclust.dataio import (
     ModelBundle,
     read_long_csv,
     read_scores_csv,
+    record_writer,
     write_assignments,
     write_benchmark_rows,
     write_cluster_means,
     write_long_csv,
     write_model,
+    write_removed,
     write_scores_csv,
     write_truth,
 )
@@ -235,11 +236,10 @@ def _transform_pipeline(args):
         check_rule(alpha, beta)
     except ValueError as exc:
         raise UsageError(f"bad component count: {exc}") from None
-    raw = read_long_csv(args.input)
-    data, stats = standardize(raw)
+    data, stats = standardize(read_long_csv(args.input))
     basis = build_basis(float(data.times[0]), float(data.times[-1]), n_basis, order)
     models, B = fit_fpca(data, basis, q_c=args.qc, alpha=alpha, beta=beta, standardization=stats)
-    return raw, data, models, B
+    return data, models, B
 
 
 def _print_variance_table(models):
@@ -253,8 +253,8 @@ def _print_variance_table(models):
 
 def cmd_transform(args) -> int:
     _check_distinct_outputs(args, "scores", "model", inputs=("input",))
-    raw, data, models, B = _transform_pipeline(args)
-    write_scores_csv(B, args.scores, obs_ids=raw.obs_ids)
+    data, models, B = _transform_pipeline(args)
+    write_scores_csv(B, args.scores, data.obs_ids)
     write_model(ModelBundle(fpca_models=models), args.model)
     print(f"n={data.n} sensors={data.p} components={B.q_c} (q={B.q})")
     _print_variance_table(models)
@@ -274,8 +274,8 @@ def cmd_fit(args) -> int:
     grid = _grid_from(args)
     models = None
     if args.input:
-        raw, _, models, B = _transform_pipeline(args)
-        obs_ids = raw.obs_ids
+        data, models, B = _transform_pipeline(args)
+        obs_ids = data.obs_ids
     else:
         B, obs_ids = read_scores_csv(args.scores)
 
@@ -288,12 +288,11 @@ def cmd_fit(args) -> int:
         rows=[row for r in reports for row in r.rows],
     )
     write_model(ModelBundle.from_report(best, fpca_models=models), args.report)
-    write_assignments(best.best_fit, args.assignments, obs_ids=obs_ids)
+    write_assignments(best.best_fit, args.assignments, obs_ids)
     removed = sorted(best.best_fit.removed_sensors)
-    with open(args.removed, "w", encoding="utf-8") as fh:
-        fh.writelines(name + "\n" for name in removed)
+    write_removed(removed, args.removed)
     if args.cluster_means:
-        write_cluster_means(models, best.best_fit.params, B.q_c, args.cluster_means)
+        write_cluster_means(models, best.best_fit.params, args.cluster_means)
     m, lam, gamma, kind = best.chosen
     print(f"chosen: kind={kind} m={m} lambda={lam:.4g} gamma={gamma:g}")
     print(f"removed {len(removed)} of {B.p} sensors: {', '.join(removed) if removed else '(none)'}")
@@ -326,19 +325,9 @@ def cmd_benchmark(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad sweep: {exc}") from None
 
-    # replicate rows are flushed as they finish, so an interrupted run
-    # still leaves a valid partial CSV
-    rep_fields = list(ReplicateRecord.__dataclass_fields__)
-    with open(args.replicates, "w", newline="", encoding="utf-8") as rep_fh:
-        rep_writer = csv.writer(rep_fh)
-        rep_writer.writerow(rep_fields)
-        rep_fh.flush()
-
-        def stream(record):
-            rep_writer.writerow([getattr(record, f) for f in rep_fields])
-            rep_fh.flush()
-
-        rows, records = run_scenario(
+    # each replicate's row is written as it finishes
+    with record_writer(ReplicateRecord, args.replicates) as stream:
+        rows, _ = run_scenario(
             args.scenario,
             reps=args.reps,
             kinds=args.kinds,

@@ -1,5 +1,10 @@
 """File formats: long-CSV datasets, JSON model bundles, CSV results.
 
+This is the one module that reads or writes the program's files, and a
+record's file form is its fields, in UTF-8 whatever the locale. A record
+stored as JSON (_to_json) is the object of its dataclass's init fields in
+field order; a CSV of records (record_writer) has one column per field.
+
 The dataset format is one row per (observation, sensor, time) sample with
 header obs_id,sensor_id,time,value; every curve must cover the same time
 grid. Fitted models are stored as a single JSON document with a schema
@@ -13,12 +18,13 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice, repeat
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
-from mfclust.basis import BasisSpec, build_basis
 from mfclust.em import FitResult, MixtureParams
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, reconstruct
 from mfclust.select import SelectionReport, SelectionRow
@@ -37,15 +43,26 @@ class DataFormatError(ValueError):
 _HEADER = ["obs_id", "sensor_id", "time", "value"]
 
 
-def write_long_csv(data: FunctionalDataSet, path) -> None:
-    obs_ids = data.obs_ids or [str(i) for i in range(data.n)]
+def _write_csv(path, header: list[str], rows) -> None:
+    """A CSV file of the header, then each row of the iterable rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for i, obs in enumerate(obs_ids):
-            for s, sensor in enumerate(data.sensor_names):
-                for t, value in zip(data.times, data.values[i, s, :]):
-                    writer.writerow([obs, sensor, repr(float(t)), repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def write_long_csv(data: FunctionalDataSet, path) -> None:
+    _write_csv(path, _HEADER, (
+        [obs, sensor, repr(float(t)), repr(float(value))]
+        for obs, curves in zip(data.obs_ids, data.values)
+        for sensor, curve in zip(data.sensor_names, curves)
+        for t, value in zip(data.times, curve)
+    ))
 
 
 def read_long_csv(path) -> FunctionalDataSet:
@@ -246,7 +263,7 @@ def read_header(fh) -> list[str] | None:
 # score matrices
 
 
-def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = None) -> None:
+def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str]) -> None:
     """Score CSV with one column <sensor>_pc<l> per component, sensor-major.
 
     An empty sensor name gives columns that read_scores_csv rejects, so it
@@ -254,17 +271,10 @@ def write_scores_csv(B: CoefficientMatrix, path, obs_ids: list[str] | None = Non
     """
     if "" in B.sensor_names:
         raise DataFormatError("score columns need non-empty sensor names, got an empty sensor_id")
-    obs_ids = obs_ids or [str(i) for i in range(B.n)]
     if len(obs_ids) != B.n:
         raise ValueError("obs_ids length must match the score rows")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["obs_id"] + [
-            f"{name}_pc{l + 1}" for name in B.sensor_names for l in range(B.q_c)
-        ]
-        writer.writerow(header)
-        for obs, row in zip(obs_ids, B.scores):
-            writer.writerow([obs] + [repr(float(x)) for x in row])
+    header = ["obs_id"] + [f"{name}_pc{l + 1}" for name in B.sensor_names for l in range(B.q_c)]
+    _write_csv(path, header, ([obs] + [repr(float(x)) for x in row] for obs, row in zip(obs_ids, B.scores)))
 
 
 def read_scores_csv(path) -> tuple[CoefficientMatrix, list[str]]:
@@ -339,65 +349,52 @@ class ModelBundle:
         )
 
 
-def _basis_to_json(basis: BasisSpec) -> dict:
-    return {
-        "domain_lo": basis.domain_lo,
-        "domain_hi": basis.domain_hi,
-        "order": basis.order,
-        "n_basis": basis.n_basis,
-    }
+_CHOSEN = ("m", "lam", "gamma", "kind")  # the keys of a bundle's chosen grid point
 
 
-def _sensor_model_to_json(model: SensorFpcaModel) -> dict:
-    return {
-        "sensor": model.sensor,
-        "basis": _basis_to_json(model.basis),
-        "times": model.times.tolist(),
-        "mean_coeffs": model.mean_coeffs.tolist(),
-        "eigen_coeffs": model.eigen_coeffs.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "variance_explained": model.variance_explained.tolist(),
-        "standardization": list(model.standardization),
-    }
+def _to_json(value):
+    """The JSON form of a value: a dataclass is the object of its init
+    fields, in field order; an array, tuple or list is a list."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def _sensor_model_from_json(obj: dict) -> SensorFpcaModel:
-    b = obj["basis"]
-    return SensorFpcaModel(
-        sensor=obj["sensor"],
-        basis=build_basis(b["domain_lo"], b["domain_hi"], b["n_basis"], b["order"]),
-        times=np.asarray(obj["times"]),
-        mean_coeffs=np.asarray(obj["mean_coeffs"]),
-        eigen_coeffs=np.asarray(obj["eigen_coeffs"]),
-        eigenvalues=np.asarray(obj["eigenvalues"]),
-        variance_explained=np.asarray(obj["variance_explained"]),
-        standardization=tuple(obj["standardization"]),
-    )
+def _from_json(kind, value):
+    """The value of type kind whose _to_json form is value. A dataclass is
+    built from its init fields, each as its annotated type (a field value
+    lacks keeps its default); an array, tuple, int or float is rebuilt
+    from its JSON; any other value is returned as it is."""
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _from_json(hints[f.name], value[f.name])
+                       for f in fields(kind) if f.init and f.name in value})
+    if kind is np.ndarray:
+        return np.asarray(value)
+    if get_origin(kind) is tuple:
+        return tuple(value)
+    return kind(value) if kind in (int, float) else value
 
 
 def write_model(bundle: ModelBundle, path) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "fpca": None, "mixture": None,
-           "selection_table": None, "chosen": None, "removed_sensors": bundle.removed_sensors}
-    if bundle.fpca_models is not None:
-        doc["fpca"] = {
-            "q_c": bundle.fpca_models[0].q_c,
-            "sensors": [_sensor_model_to_json(m) for m in bundle.fpca_models],
-        }
-    if bundle.mixture is not None:
-        doc["mixture"] = {
-            "m": bundle.mixture.m,
-            "proportions": bundle.mixture.proportions.tolist(),
-            "means": bundle.mixture.means.tolist(),
-            "variances": bundle.mixture.variances.tolist(),
-            "zero_mask": bundle.mixture.zero_mask.tolist(),
-        }
-    if bundle.selection_rows is not None:
-        doc["selection_table"] = [asdict(r) for r in bundle.selection_rows]
-    if bundle.chosen is not None:
-        m, lam, gamma, kind = bundle.chosen
-        doc["chosen"] = {"m": m, "lam": lam, "gamma": gamma, "kind": kind}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    """The bundle as one JSON document; the mixture's object starts with
+    its cluster count m and ends with its zero_mask."""
+    models, mixture, chosen = bundle.fpca_models, bundle.mixture, bundle.chosen
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "fpca": None if models is None else {"q_c": models[0].q_c, "sensors": _to_json(models)},
+        "mixture": None if mixture is None else {
+            "m": mixture.m, **_to_json(mixture), "zero_mask": _to_json(mixture.zero_mask)
+        },
+        "selection_table": _to_json(bundle.selection_rows),
+        "chosen": None if chosen is None else dict(zip(_CHOSEN, chosen)),
+        "removed_sensors": bundle.removed_sensors,
+    }
+    _write_json(path, doc)
 
 
 def read_model(path) -> ModelBundle:
@@ -413,7 +410,7 @@ def read_model(path) -> ModelBundle:
         )
     bundle = ModelBundle(removed_sensors=doc.get("removed_sensors"))
     if doc.get("fpca") is not None:
-        bundle.fpca_models = [_sensor_model_from_json(o) for o in doc["fpca"]["sensors"]]
+        bundle.fpca_models = [_from_json(SensorFpcaModel, o) for o in doc["fpca"]["sensors"]]
         q_c = doc["fpca"]["q_c"]
         for model in bundle.fpca_models:
             if model.q_c != q_c:
@@ -421,19 +418,13 @@ def read_model(path) -> ModelBundle:
                     f"fpca q_c is {q_c}, but sensor {model.sensor!r} has {model.q_c} eigenfunctions"
                 )
     if doc.get("mixture") is not None:
-        mx = doc["mixture"]
-        bundle.mixture = MixtureParams(
-            proportions=np.asarray(mx["proportions"]),
-            means=np.asarray(mx["means"]),
-            variances=np.asarray(mx["variances"]),
-        )
-        if not np.array_equal(np.asarray(mx["zero_mask"], dtype=bool), bundle.mixture.zero_mask):
+        bundle.mixture = _from_json(MixtureParams, doc["mixture"])
+        if not np.array_equal(np.asarray(doc["mixture"]["zero_mask"], dtype=bool), bundle.mixture.zero_mask):
             raise DataFormatError("mixture zero_mask must mark exactly the zero means")
     if doc.get("selection_table") is not None:
-        bundle.selection_rows = [SelectionRow(**r) for r in doc["selection_table"]]
+        bundle.selection_rows = [_from_json(SelectionRow, r) for r in doc["selection_table"]]
     if doc.get("chosen") is not None:
-        ch = doc["chosen"]
-        bundle.chosen = (ch["m"], ch["lam"], ch["gamma"], ch["kind"])
+        bundle.chosen = tuple(doc["chosen"][key] for key in _CHOSEN)
     return bundle
 
 
@@ -441,45 +432,55 @@ def read_model(path) -> ModelBundle:
 # assignments and benchmark results
 
 
-def write_assignments(fit: FitResult, path, obs_ids: list[str] | None = None) -> None:
+def write_assignments(fit: FitResult, path, obs_ids: list[str]) -> None:
     """CSV of hard labels plus one responsibility column per cluster."""
     n, m = fit.responsibilities.shape
-    obs_ids = obs_ids or [str(i) for i in range(n)]
     if len(obs_ids) != n:
         raise ValueError("obs_ids length must match the fitted observations")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    _write_csv(path, ["obs_id", "label"] + [f"resp_{k + 1}" for k in range(m)], (
+        [obs, int(label)] + [repr(float(r)) for r in resp]
+        for obs, label, resp in zip(obs_ids, fit.hard_labels, fit.responsibilities)
+    ))
+
+
+def write_removed(sensors: list[str], path) -> None:
+    """The removed sensors' names, one per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(name + "\n" for name in sensors)
+
+
+@contextmanager
+def record_writer(cls, path):
+    """Stream cls records to a CSV with one column per field, named in the
+    header. Yields the function that writes one record as a row. The file
+    is line-buffered, so each row reaches it as it is written and an
+    interrupted run leaves a valid partial file."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="", encoding="utf-8", buffering=1) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["obs_id", "label"] + [f"resp_{k + 1}" for k in range(m)])
-        for obs, label, resp in zip(obs_ids, fit.hard_labels, fit.responsibilities):
-            writer.writerow([obs, int(label)] + [repr(float(r)) for r in resp])
+        writer.writerow(names)
+        yield lambda record: writer.writerow([getattr(record, name) for name in names])
 
 
 def write_benchmark_rows(rows: list[BenchmarkRow], path) -> None:
-    fields = list(BenchmarkRow.__dataclass_fields__)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
+    with record_writer(BenchmarkRow, path) as write:
         for row in rows:
-            writer.writerow([getattr(row, f) for f in fields])
+            write(row)
 
 
-def write_cluster_means(
-    models: list[SensorFpcaModel], mixture: MixtureParams, q_c: int, path
-) -> None:
+def write_cluster_means(models: list[SensorFpcaModel], mixture: MixtureParams, path) -> None:
     """Tidy CSV of per-cluster mean curves, one row per (sensor, cluster, time).
 
     Cluster k's mean curve for a sensor is the sensor mean function plus
     the component functions weighted by that cluster's score means, in the
     sensor's standardized units.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor_id", "cluster", "time", "value"])
-        for s, model in enumerate(models):
-            for k in range(mixture.m):
-                curve = reconstruct(model, mixture.means[k, s * q_c : (s + 1) * q_c])
-                for t, v in zip(model.times, curve):
-                    writer.writerow([model.sensor, k, repr(float(t)), repr(float(v))])
+    _write_csv(path, ["sensor_id", "cluster", "time", "value"], (
+        [model.sensor, k, repr(float(t)), repr(float(v))]
+        for s, model in enumerate(models)
+        for k, means in enumerate(mixture.means[:, s * model.q_c : (s + 1) * model.q_c])
+        for t, v in zip(model.times, reconstruct(model, means))
+    ))
 
 
 def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None:
@@ -487,7 +488,7 @@ def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None
     the design with the frozen population's fixed settings."""
     doc = {
         "labels": data.labels.tolist(),
-        "obs_ids": data.obs_ids or [str(i) for i in range(data.n)],
+        "obs_ids": data.obs_ids,
         "signal_sensors": design.signal_sensor_names,
         "noise_sensors": design.noise_sensor_names,
         "design": {
@@ -504,5 +505,4 @@ def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None
             "seed": design.seed,
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+    _write_json(path, doc)

@@ -25,7 +25,8 @@ from mfclust.basis import BasisSpec, design_matrix, fit_coefficients, gram_matri
 class FunctionalDataSet:
     """n curves per sensor sampled on one shared time grid.
 
-    values has shape (n, p, tau): observation x sensor x time point.
+    values has shape (n, p, tau): observation x sensor x time point. A
+    dataset built without obs_ids numbers its observations "0".."n-1".
     """
 
     times: np.ndarray
@@ -48,7 +49,9 @@ class FunctionalDataSet:
             raise ValueError("values must be finite")
         if len(self.sensor_names) != p:
             raise ValueError("sensor_names length must match sensor axis")
-        if self.obs_ids is not None and len(self.obs_ids) != n:
+        if self.obs_ids is None:
+            self.obs_ids = [str(i) for i in range(n)]
+        if len(self.obs_ids) != n:
             raise ValueError("obs_ids length must match observation axis")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)

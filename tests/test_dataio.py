@@ -605,8 +605,9 @@ def test_assignments_single_cluster(tmp_path):
     B = CoefficientMatrix.from_scores(rng.standard_normal((8, 2)), 1)
     fit = run_em(B, 1, PenaltySpec("none"), seed=0)
     path = tmp_path / "assign.csv"
-    write_assignments(fit, path)
+    write_assignments(fit, path, [str(i) for i in range(8)])
     obs_ids, labels, resps = read_assignments_csv(path)
+    assert obs_ids == [str(i) for i in range(8)]
     assert resps.shape == (8, 1)
     npt.assert_allclose(resps, 1.0)
     npt.assert_array_equal(labels, 0)
