@@ -106,12 +106,13 @@ class MixtureParams:
 class PenaltySpec:
     """Penalty kind plus strength, adaptive exponent, and weights.
 
-    lam and gamma must be nonnegative and finite. weights is (m, q) for the
-    individual penalty (one per mean), (q,) for the variable penalty (one
-    per column) and (m,) for the group penalty (one per cluster); None
-    means unit weights, and so does lam = 0, where the weights do not
-    matter. Infinite weights arise from reference means
-    that are exactly zero and pin the corresponding parameters to zero.
+    lam and gamma must be nonnegative and finite, and weights nonnegative
+    and not NaN. weights is (m, q) for the individual penalty (one per
+    mean), (q,) for the variable penalty (one per column) and (m,) for the
+    group penalty (one per cluster); None means unit weights, and so does
+    lam = 0, where the weights do not matter. Infinite weights arise from
+    reference means that are exactly zero and pin the corresponding
+    parameters to zero.
     """
 
     kind: str
@@ -129,8 +130,8 @@ class PenaltySpec:
             raise ValueError("kind 'none' requires lam == 0")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
+            if not np.all(w >= 0):  # NaN compares false
+                raise ValueError("weights must be nonnegative and not NaN")
             object.__setattr__(self, "weights", w)
 
     def weights_for(self, m: int, q: int) -> np.ndarray:

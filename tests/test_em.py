@@ -774,6 +774,18 @@ def test_penalty_spec_refuses_a_non_finite_or_negative_strength(field, value):
         PenaltySpec("individual", **{field: value})
 
 
+@pytest.mark.parametrize("kind,weights", [
+    ("individual", np.full((2, 6), np.nan)),
+    ("variable", [np.nan, 1, 1, 1, 1, 1]),
+    ("group", [np.nan, 1]),
+    ("group", [-1.0, 1]),
+])
+def test_penalty_spec_refuses_a_nan_or_negative_weight(kind, weights):
+    # a NaN weight once passed the check and fitted nonsense: means zeroed or underflowed densities
+    with pytest.raises(ValueError, match="^weights must be nonnegative and not NaN$"):
+        PenaltySpec(kind, 1.0, weights=np.asarray(weights, dtype=float))
+
+
 def test_run_em_names_a_start_of_the_wrong_shape(monkeypatch):
     rng = np.random.default_rng(33)
     X, _ = two_separated_clouds(rng, n=40, q=4, gap=3.0)
