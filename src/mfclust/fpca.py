@@ -232,13 +232,16 @@ def fit_fpca(
     positive. The sensors share one Gram matrix and one Cholesky factor and
     are solved as one batch. With q_c=None the component count is chosen
     by the (alpha, beta) rule from the cumulative fractions up to
-    min(n - 1, n_basis). The scores are the L2 projections of the centred
+    min(n - 1, n_basis), which needs n >= 2. The scores are the L2 projections of the centred
     curves, stacked sensor-major.
     """
     stats = standardization or {}
     n, p = data.n, data.p
     max_q = min(n - 1, basis.n_basis)
-    check_q_c(max_q if q_c is None else q_c, basis.n_basis, n)
+    if q_c is not None:
+        check_q_c(q_c, basis.n_basis, n)
+    elif n < 2:
+        raise ValueError(f"the component rule needs at least 2 curves, got n={n}")
     coeffs = fit_coefficients(basis, data.times, data.values.reshape(n * p, -1)).reshape(n, p, -1)
     mean_coeffs = coeffs.mean(axis=0)
     coeffs -= mean_coeffs

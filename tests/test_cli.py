@@ -473,6 +473,16 @@ def test_q_c_above_n_minus_1_is_a_data_error(small_run, capsys):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["transform", "fit"])
+def test_component_rule_on_one_curve_is_a_data_error(tmp_path, capsys, command):
+    # without --qc the rule chooses the count, and one curve gives it nothing to choose from
+    data, _ = simulate_small(tmp_path, n=1)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*without_qc(VALID_CALLS[command](data, tmp_path))) == 2
+    assert "data error: the component rule needs at least 2 curves, got n=1\n" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 FROM_SCORES_REFUSED = "--n-basis, --order, --qc, --alpha and --beta need raw curves (--input)"
 
 
