@@ -37,12 +37,6 @@ class DataFormatError(ValueError):
     """A file failed structural validation."""
 
 
-# ---------------------------------------------------------------------------
-# long CSV datasets
-
-_HEADER = ["obs_id", "sensor_id", "time", "value"]
-
-
 def _write_csv(path, header: list[str], rows) -> None:
     """A CSV file of the header, then each row of the iterable rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -54,6 +48,12 @@ def _write_csv(path, header: list[str], rows) -> None:
 def _write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
+
+
+# ---------------------------------------------------------------------------
+# long CSV datasets
+
+_HEADER = ["obs_id", "sensor_id", "time", "value"]
 
 
 def write_long_csv(data: FunctionalDataSet, path) -> None:

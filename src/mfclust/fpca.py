@@ -232,8 +232,8 @@ def fit_fpca(
     positive. The sensors share one Gram matrix and one Cholesky factor and
     are solved as one batch. With q_c=None the component count is chosen
     by the (alpha, beta) rule from the cumulative fractions up to
-    min(n - 1, n_basis), which needs n >= 2. The scores are the L2 projections of the centred
-    curves, stacked sensor-major.
+    min(n - 1, n_basis), which needs n >= 2. The scores are the L2
+    projections of the centred curves, stacked sensor-major.
     """
     stats = standardization or {}
     n, p = data.n, data.p

@@ -589,6 +589,16 @@ def test_benchmark_rows_bytes_are_pinned(tmp_path):
     )
 
 
+def test_record_writer_puts_each_row_in_the_file_as_it_is_written(tmp_path):
+    # an interrupted benchmark leaves every finished replicate in its CSV
+    path = tmp_path / "rows.csv"
+    row = BenchmarkRow("sample-size", 50.0, "none", 1, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0)
+    with dataio.record_writer(BenchmarkRow, path) as write:
+        assert path.read_text(encoding="utf-8").startswith("scenario,level,")
+        write(row)
+        assert path.read_text(encoding="utf-8").endswith("\nsample-size,50.0,none,1,0.0,0.0,0.0,0.0,1.0,1.0,1.0,0\n")
+
+
 def read_assignments_csv(path):
     """Obs ids, hard labels and responsibility matrix of an assignments CSV."""
     with open(path, newline="") as fh:
