@@ -781,7 +781,7 @@ def test_penalty_spec_refuses_a_non_finite_or_negative_strength(field, value):
     ("group", [-1.0, 1]),
 ])
 def test_penalty_spec_refuses_a_nan_or_negative_weight(kind, weights):
-    # a NaN weight once passed the check and fitted nonsense: means zeroed or underflowed densities
+    # NaN compares false with 0, so a check for w < 0 alone lets it through to the fit
     with pytest.raises(ValueError, match="^weights must be nonnegative and not NaN$"):
         PenaltySpec(kind, 1.0, weights=np.asarray(weights, dtype=float))
 
