@@ -36,7 +36,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from mfclust.basis import build_basis, check_size
 from mfclust.dataio import (
@@ -165,11 +165,11 @@ def build_parser() -> _Parser:
     p.add_argument("--penalty", type=_kind_list, default=("group",))
 
     p = sub.add_parser("simulate", help="write a synthetic dataset")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--p-signal", type=int, default=2)
-    p.add_argument("--p-noise", type=int, default=16)
-    p.add_argument("--delta", type=float, default=1.5)
+    p.add_argument("--seed", type=_nonnegative_int, default=SimulationDesign.seed)
+    p.add_argument("--n", type=int, default=SimulationDesign.n)
+    p.add_argument("--p-signal", type=int, default=SimulationDesign.p_signal)
+    p.add_argument("--p-noise", type=int, default=SimulationDesign.p_noise)
+    p.add_argument("--delta", type=float, default=SimulationDesign.delta)
     p.add_argument("--output", required=True)
     p.add_argument("--truth", required=True)
 
@@ -302,8 +302,7 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     _check_distinct_outputs(args, "output", "truth")
     try:
-        design = SimulationDesign(n=args.n, p_signal=args.p_signal, p_noise=args.p_noise,
-                                  delta=args.delta, seed=args.seed)
+        design = SimulationDesign(**{f.name: getattr(args, f.name) for f in fields(SimulationDesign)})
     except ValueError as exc:
         raise UsageError(f"bad design: {exc}") from None
     data = generate_dataset(design)
@@ -389,6 +388,8 @@ def _with_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # a sensor name the terminal cannot encode prints escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)

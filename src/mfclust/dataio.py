@@ -492,17 +492,13 @@ def write_truth(design: SimulationDesign, data: FunctionalDataSet, path) -> None
         "signal_sensors": design.signal_sensor_names,
         "noise_sensors": design.noise_sensor_names,
         "design": {
-            "n": design.n,
-            "p_signal": design.p_signal,
-            "p_noise": design.p_noise,
-            "delta": design.delta,
+            **_to_json(design),
             "m_true": M_TRUE,
             "proportions": list(PROPORTIONS),
             "n_basis": BASIS.n_basis,
             "order": BASIS.order,
             "domain": [BASIS.domain_lo, BASIS.domain_hi],
             "n_times": GRID.size,
-            "seed": design.seed,
         },
     }
     _write_json(path, doc)

@@ -10,9 +10,9 @@ credits every mean component forced to zero.
 
 The kinds of one search share each cluster count's k-means start, so the
 points of a phase are the lanes of one run_em call. At lambda = 0 neither
-kind nor weights matter: the first phase of a cluster count to fit lambda
-= 0 keeps its (row, fit), and every later lambda = 0 point reuses it. Kind
-'none' has only that point.
+kind nor weights matter: each cluster count fits lambda = 0 once, and
+every lambda = 0 point shares that fit or its NumericalError, in a row of
+its own kind, phase and gamma. Kind 'none' has only that point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,22 +156,20 @@ def _fit_points(B, m, specs, init, phase, zero):
     """Fit the grid points, PenaltySpecs, as the lanes of one run_em call;
     return their (row, fit) pairs and the failure messages, both in grid
     order. zero is the lambda = 0 memo of m, a list that the first lambda
-    = 0 lane to fit fills with its (row, fit)."""
-    memo = zero[0] if zero else None
-    laned = [spec for spec in specs if memo is None or spec.lam > 0.0]
+    = 0 lane fills with its FitResult or NumericalError; every other
+    lambda = 0 point shares it."""
+    first = None if zero else next((spec for spec in specs if spec.lam == 0.0), None)
+    laned = [spec for spec in specs if spec.lam > 0.0 or spec is first]
     lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
     done, failures = [], []
     for spec in specs:
-        if memo is not None and spec.lam == 0.0:
-            done.append((replace(memo[0], kind=spec.kind, phase=phase), memo[1]))
-            continue
-        fit = next(lane_fits)
+        fit = next(lane_fits) if spec.lam > 0.0 or spec is first else zero[0]
+        if spec is first:
+            zero.append(fit)
         if isinstance(fit, NumericalError):
             failures.append(f"m={m}, kind={spec.kind}, lam={spec.lam:.4g}, gamma={spec.gamma:g} ({phase}): {fit}")
-            continue
-        done.append((_evaluate_point(B, m, spec, fit, phase), fit))
-        if spec.lam == 0.0 and not zero:
-            zero.append(done[-1])
+        else:
+            done.append((_evaluate_point(B, m, spec, fit, phase), fit))
     return done, failures
 
 

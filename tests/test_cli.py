@@ -525,32 +525,53 @@ def test_fit_from_scores_refuses_a_basis_config_key(small_run, capsys):
 
 def run_cli_process(*args, env=None):
     """The CLI in a child process, as a shell runs it, with env added to
-    the environment: (exit code, stderr)."""
+    the environment (a None value unsets its variable): (exit code,
+    stdout, stderr), read as UTF-8 whatever the locale."""
     env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1]), **(env or {})}
-    done = subprocess.run([sys.executable, "-m", "mfclust.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env)
-    return done.returncode, done.stderr
+    done = subprocess.run([sys.executable, "-m", "mfclust.cli", *map(str, args)], capture_output=True,
+                          encoding="utf-8", env={k: v for k, v in env.items() if v is not None})
+    return done.returncode, done.stdout, done.stderr
 
 
-# a locale whose encoding is ASCII: no C-locale coercion and no UTF-8 mode
-ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-                "PYTHONIOENCODING": "utf-8"}
+# a locale whose encoding is ASCII: no C-locale coercion, no UTF-8 mode and no PYTHONIOENCODING
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": None}
 
 
 def test_non_ascii_sensor_names_read_and_write_alike_in_an_ascii_locale(tmp_path, capsys):
-    # the files are UTF-8 whatever the locale; only the printed table needs PYTHONIOENCODING
+    # the files are UTF-8 whatever the locale; only the printed table goes through the terminal's encoding
     data = generate_dataset(SimulationDesign(n=20, p_signal=1, p_noise=1, seed=3))
     data = dataclasses.replace(data, sensor_names=["température", "pression"])
     write_long_csv(data, tmp_path / "data.csv")
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
     assert run_cli(*VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path / "a")) == 0
-    code, err = run_cli_process(*VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path / "b"),
-                                env=ASCII_LOCALE)
+    code, _, err = run_cli_process(*VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path / "b"),
+                                   env=ASCII_LOCALE)
     assert (code, err) == (0, "")
     for name in ("s.csv", "m.json"):
         assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
     assert "température_pc1" in (tmp_path / "b" / "s.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["transform", "fit"])
+def test_a_sensor_name_stdout_cannot_encode_prints_escaped(tmp_path, capsys, command):
+    # an ASCII terminal gets the name backslash-escaped and the command exits 0, with the same files
+    data = generate_dataset(SimulationDesign(n=12, p_signal=1, p_noise=1, seed=3))
+    write_long_csv(dataclasses.replace(data, sensor_names=["pression", "température"]), tmp_path / "data.csv")
+    calls = {
+        "transform": VALID_CALLS["transform"](tmp_path / "data.csv", tmp_path),
+        "fit": ["fit", "--scores", tmp_path / "s.csv", "--report", tmp_path / "r.json", "--assignments",
+                tmp_path / "a.csv", "--removed", tmp_path / "removed.txt", "--penalty", "group", "--jobs", 1],
+    }
+    assert run_cli(*calls["transform"]) == 0  # the scores fit reads
+    capsys.readouterr()
+    assert run_cli(*calls[command]) == 0
+    utf8_out = capsys.readouterr().out
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code, out, err = run_cli_process(*calls[command], env=ASCII_LOCALE)
+    assert "température" in utf8_out and "temp\\xe9rature" in out
+    assert (code, out, err) == (0, utf8_out.replace("température", "temp\\xe9rature"), "")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
 
 
 def with_long_field(path, lines, lineno, field):
@@ -605,7 +626,7 @@ def unusable_path_call(case, tmp_path, data):
 def test_an_unusable_path_exits_2_without_a_traceback(small_run, case):
     tmp_path, data, _ = small_run
     call, message = unusable_path_call(case, tmp_path, data)
-    code, err = run_cli_process(*call)
+    code, _, err = run_cli_process(*call)
     assert code == 2
     assert err.startswith("data error: ") and message in err and len(err.splitlines()) == 1
     assert "Traceback" not in err

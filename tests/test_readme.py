@@ -10,7 +10,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_library_example_runs(capsys):
-    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     noise = [f"noi{i:02d}" for i in range(1, 17)]
@@ -21,7 +21,7 @@ def test_readme_library_example_runs(capsys):
 
 def command_lines() -> dict[str, list[str]]:
     """The README's command-line block: each command's arguments, by command."""
-    (block,) = re.findall(r"^## Command line\n\n```\n(.*?)^```", README.read_text(), re.M | re.S)
+    (block,) = re.findall(r"^## Command line\n\n```\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     commands = {}
     for line in block.replace("\\\n", " ").splitlines():
         prog, *args = shlex.split(line)

@@ -193,11 +193,11 @@ def test_model_search_reports_every_grid_point():
     assert len(pilot) == 2 * 2  # m x lambda
     assert len(adaptive) == 2 * 2 * 2  # m x gamma x lambda
     assert 2 in report.reference_means and 3 in report.reference_means
-    # at lambda = 0 the adaptive rows repeat the pilot fit, whatever gamma is
-    for row in adaptive:
-        if row.lam == 0.0:
-            (twin,) = [r for r in pilot if r.m == row.m and r.lam == 0.0]
-            assert replace(row, phase="pilot") == twin
+    # at lambda = 0 the adaptive rows repeat the pilot fit, each at its own gamma
+    for m in (2, 3):
+        (twin,) = [r for r in pilot if r.m == m and r.lam == 0.0]
+        zeros = [r for r in adaptive if r.m == m and r.lam == 0.0]
+        assert zeros == [replace(twin, phase="adaptive", gamma=gamma) for gamma in grid.gamma_values]
     # the stored winner is the first converged row with the smallest sort key
     best = report.best_row
     assert best == min((r for r in report.rows if r.converged), key=row_sort_key)
@@ -337,14 +337,17 @@ def test_each_phase_fits_its_lambdas_in_one_call(monkeypatch, kinds, stacks):
     # per m: the first pilot's 3 lambdas, lambda = 0 included, then the 2
     # gammas x 2 positive lambdas of its adaptive phase; a later kind's
     # pilot fits only the 2 positive lambdas. Every phase reuses the one
-    # lambda = 0 fit of its m.
+    # lambda = 0 fit of its m, and each of its rows keeps its own gamma.
     assert calls == [(m, size) for m in (2, 3) for size in stacks]
     assert zero_lanes == {2: 1, 3: 1}
     for report in reports:
-        assert [(r.m, r.phase, r.gamma) for r in report.rows if r.lam == 0.0] == [
-            (2, "pilot", 0.0), (2, "adaptive", 0.0), (2, "adaptive", 0.0),
-            (3, "pilot", 0.0), (3, "adaptive", 0.0), (3, "adaptive", 0.0),
+        zeros = [r for r in report.rows if r.lam == 0.0]
+        assert [(r.m, r.phase, r.gamma) for r in zeros] == [
+            (2, "pilot", 0.0), (2, "adaptive", 1.0), (2, "adaptive", 2.0),
+            (3, "pilot", 0.0), (3, "adaptive", 1.0), (3, "adaptive", 2.0),
         ]
+        for twin, *adaptive in (zeros[:3], zeros[3:]):
+            assert adaptive == [replace(twin, phase="adaptive", gamma=gamma) for gamma in grid.gamma_values]
         assert len(report.rows) == 2 * (3 + 2 * 3)
 
 
@@ -403,4 +406,38 @@ def test_a_failed_lane_is_reported_and_the_others_kept():
         for lam in (1, 0)
     ]
     assert [(row.lam, row.gamma, row.n_zero) for row, _ in fitted] == [(2.0, 1.5, 2 * B.q)]
-    assert zero == []  # a failed lambda = 0 lane leaves the memo empty
+    # a failed lambda = 0 lane leaves its error in the memo, for every later lambda = 0 point to share
+    (error,) = zero
+    assert isinstance(error, em.NumericalError)
+    assert str(error) == "all cluster densities underflowed for some observation"
+
+
+def test_a_failed_lambda_zero_fit_is_fitted_once_per_m(monkeypatch):
+    # means of 1e160 make every density underflow, so every lane fails and no adaptive phase runs; each m fits
+    # lambda = 0 once, and every kind reports that failure as its own
+    B, _ = three_cluster_data(seed=7)
+    lanes, zero_lanes = Counter(), Counter()
+    real = select.run_em
+
+    def counting(B, m, spec, **kwargs):
+        lanes[m] += len(spec)
+        zero_lanes[m] += sum(s.lam == 0.0 for s in spec)
+        return real(B, m, spec, **kwargs)
+
+    monkeypatch.setattr(select, "run_em", counting)
+    monkeypatch.setattr(select, "initialize", lambda B, m, seed: MixtureParams(
+        np.full(m, 1.0 / m), np.full((m, B.q), 1e160), np.ones(B.q)))
+    grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0))
+    errors = model_search(B, grid, ALL_KINDS, seed=0)
+    assert zero_lanes == {2: 1, 3: 1}
+    assert lanes == {2: 4, 3: 4}  # lambda = 0 once, and lambda > 0 once per penalized kind
+    underflow = "all cluster densities underflowed for some observation"
+    for kind, error in zip(ALL_KINDS, errors):
+        lams = ("0",) if kind == "none" else ("0", f"{grid.lambdas(B.n)[1]:.4g}")
+        failures = []
+        for m in (2, 3):
+            failures += [f"m={m}, kind={kind}, lam={lam}, gamma=0 (pilot): {underflow}" for lam in lams]
+            if kind != "none":
+                failures.append(f"m={m}, kind={kind}: no pilot fit converged, adaptive phase skipped")
+        assert isinstance(error, em.NumericalError)
+        assert str(error) == "no grid point produced a converged fit: " + "; ".join(failures)
