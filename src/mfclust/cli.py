@@ -24,9 +24,11 @@ Options per command (besides the input and output paths):
   benchmark  --scenario --reps --kinds --levels --qc --seed --jobs and the
              search grid
 --jobs defaults to the CPU count and does not change any result; fit
---penalty a,b is one search of all its kinds, with one process pool. Every
-EM fit converges when a plain EM step moves its parameters by at most 1e-4
-(Euclidean norm), and stops after at most 500 EM maps.
+--penalty a,b is one search of all its kinds, with one process pool. No
+pool is wider than its jobs (fit's cluster counts, benchmark's replicates),
+and one job runs without a pool. Every EM fit converges when a plain EM
+step moves its parameters by at most 1e-4 (Euclidean norm), and stops
+after at most 500 EM maps.
 """
 
 from __future__ import annotations

@@ -55,6 +55,8 @@ _VARIANCE_FLOOR = 1e-8
 _EMPTY_CLUSTER_TOL = 1e-12
 _NEWTON_MAX_STEPS = 100
 _NEWTON_RTOL = 4 * np.finfo(float).eps
+_STEP_TOL = 1e-4  # a plain EM step that moves theta by at most this converges
+_MAP_CAP = 500  # a lane that has run this many EM maps stops at "max_iter"
 
 PENALTY_KINDS = ("none", "individual", "variable", "group")
 
@@ -146,10 +148,10 @@ class PenaltySpec:
 
 def adaptive_weights(kind: str, gamma: float, reference_means: np.ndarray) -> np.ndarray:
     """Weights 1/|ref_kj|^gamma (individual), 1/max_k |ref_kj|^gamma
-    (variable) or 1/||ref_k||^gamma (group); infinite where the reference
-    is exactly zero."""
+    (variable) or 1/||ref_k||^gamma (group); infinite, without a warning,
+    where the reference is exactly zero or the power overflows."""
     ref = np.asarray(reference_means, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if kind == "group":
             return np.linalg.norm(ref, axis=1) ** (-float(gamma))
         if kind == "variable":
@@ -162,7 +164,7 @@ class FitResult:
     """A mixture fit plus bookkeeping for model selection.
 
     stop_reason says why the fit ended: "converged" (a plain EM step moved
-    the parameters by at most tol), "max_iter" (the iteration cap ran out)
+    the parameters by at most 1e-4), "max_iter" (it ran 500 EM maps)
     or "collapsed" (a cluster lost its mass at an EM iterate or at the
     returned point).
     max_objective_rise is the largest rise of the observed objective from
@@ -274,14 +276,15 @@ def _thresholds(specs, m: int, q: int, q_c: int):
     thresholds for m clusters and q = p q_c columns: lam times each lane's
     weights in their full shape, (L, m, q) individual and none, (L, q)
     variable and (L, m) group, the last times sqrt(q_c). They are 0 for
-    kind none and for every lane at lam 0, and infinite where a weight is:
-    those means are pinned at zero (see _pinned)."""
+    kind none and for every lane at lam 0, and infinite where a weight is or
+    the product overflows: those means are pinned at zero (see _pinned)."""
     kinds = {spec.kind for spec in specs}
     if len(kinds) != 1:
         raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
     (kind,) = kinds
-    thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
-    return kind, thr * np.sqrt(q_c) if kind == "group" else thr
+    with np.errstate(over="ignore"):
+        thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
+        return kind, thr * np.sqrt(q_c) if kind == "group" else thr
 
 
 def _pinned(kind, thr):
@@ -617,7 +620,7 @@ class _Lanes:
         return failed
 
 
-def _em_attempt(B, m, specs, params0, tol, max_iter):
+def _em_attempt(B, m, specs, params0):
     """The EM loop of run_em: per spec, its FitResult or the NumericalError
     that ended its lane."""
     fit = _Fit(B, m, specs)
@@ -648,7 +651,7 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
     # the peak memory grows with the lanes: no name outlives the stack it holds
     del theta, objective, G, T
     stop(failed != 0, live.theta, _COLLAPSED + failed)
-    for step in range(1, max_iter + 1):
+    for step in range(1, _MAP_CAP + 1):
         at_start = live.phase == 0
         np.maximum(live.rise, live.objective - live.start, out=live.rise, where=at_start)
         np.copyto(live.start, live.objective, where=at_start)
@@ -664,13 +667,13 @@ def _em_attempt(B, m, specs, params0, tol, max_iter):
         mapped = np.concatenate((live.T / n, means.reshape(len(means), -1), np.maximum(raw, _VARIANCE_FLOOR)), axis=1)
         # either plain step of a cycle, from theta0 or theta1, may converge
         moved = mapped - live.theta
-        converged = (live.phase < 2) & (np.sqrt(_dots(moved, moved)) <= tol)
+        converged = (live.phase < 2) & (np.sqrt(_dots(moved, moved)) <= _STEP_TOL)
         del means, moved
         (mapped,) = stop(converged, mapped, _CONVERGED, mapped)
         if live.index.size:
             failed = live.advance(fit, mapped)
             stop(failed != 0, live.theta, _COLLAPSED + failed)
-    # where max_iter ran out before the extrapolated point was mapped: theta2
+    # where the map cap ran out before the extrapolated point was mapped: theta2
     stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.anchor, live.theta), _MAX_ITER)
 
     ok = np.flatnonzero(outcome <= _COLLAPSED)
@@ -709,12 +712,10 @@ def run_em(
     m: int,
     spec: PenaltySpec | Sequence[PenaltySpec],
     seed: int = 0,
-    tol: float = 1e-4,
-    max_iter: int = 500,
     init: MixtureParams | None = None,
 ) -> FitResult | list[FitResult | NumericalError]:
     """Penalized EM, accelerated by SQUAREM, until a plain EM step moves the
-    parameters by at most tol.
+    parameters by at most 1e-4.
 
     spec is one PenaltySpec or a sequence of them, the lanes of one fit.
     The lanes share B, m, the start and one penalty kind (a mix raises
@@ -743,7 +744,7 @@ def run_em(
 
     Every lane stops on its own, and FitResult.stop_reason says why:
     "converged" when either plain step of a cycle moves its theta by at most
-    tol in Euclidean norm, "max_iter" when it has run max_iter EM maps, and
+    1e-4 in Euclidean norm, "max_iter" when it has run 500 EM maps, and
     "collapsed" when a cluster's mass is at most 1e-12 at an EM map's input
     (the lane stops there) or at the point the lane returns, even after a
     converged step or its last map. FitResult.iterations
@@ -763,16 +764,12 @@ def run_em(
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     specs = [spec] if isinstance(spec, PenaltySpec) else list(spec)
     if init is None:
         init = initialize(B, m, seed)
     elif init.means.shape != (m, B.q):
         raise ValueError(f"the start has (m, q) = {init.means.shape}, the fit has ({m}, {B.q})")
-    fits = _em_attempt(B, m, specs, init, tol, max_iter)
+    fits = _em_attempt(B, m, specs, init)
     if not isinstance(spec, PenaltySpec):
         return fits
     if isinstance(fits[0], NumericalError):

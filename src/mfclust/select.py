@@ -216,6 +216,18 @@ def _search_one_m(args):
     return outcomes
 
 
+def map_jobs(fn, tasks, n_jobs):
+    """Yield fn(task) for each task of the list tasks, in task order:
+    serially when fewer than two jobs would run, else from a process pool
+    of min(n_jobs, len(tasks)) workers, so that no worker lacks a task."""
+    workers = min(n_jobs, len(tasks))
+    if workers < 2:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, tasks)
+
+
 def _report(outcomes):
     """One kind's SelectionReport from its outcomes in m order, or its NumericalError."""
     rows, failures, reference_means = [], [], {}
@@ -251,17 +263,13 @@ def model_search(
     grid the unpenalized model is always a candidate. Non-converged fits
     are reported but excluded from the minimum-BIC choice; ties resolve to
     the smaller (m, lambda, gamma). Cluster-count tasks are independent
-    and may run in a process pool. A lambda multiplier that overflows at
+    and run through map_jobs. A lambda multiplier that overflows at
     B.n raises ValueError before any fit.
     """
     grid.lambdas(B.n)
     kinds = [kind] if isinstance(kind, str) else list(kind)
     tasks = [(B, m, kinds, grid, seed) for m in sorted(grid.m_values)]
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_search_one_m, tasks))
-    else:
-        outcomes = [_search_one_m(t) for t in tasks]
+    outcomes = list(map_jobs(_search_one_m, tasks, n_jobs))
     reports = [_report(per_m) for per_m in zip(*outcomes)]
     if not isinstance(kind, str):
         return reports

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,7 +24,7 @@ import numpy as np
 from mfclust.basis import build_basis, design_matrix
 from mfclust.em import NumericalError
 from mfclust.fpca import FunctionalDataSet, check_q_c, fit_fpca, standardize
-from mfclust.select import SearchGrid, model_search
+from mfclust.select import SearchGrid, map_jobs, model_search
 
 DEFAULT_KINDS = ("individual", "variable", "group", "none")
 
@@ -361,22 +360,15 @@ def run_scenario(
     cells: defaultdict[tuple, list[ReplicateRecord]] = defaultdict(list)
     n_failed: Counter = Counter()
 
-    def consume(outcome_iter):
-        # pool.map yields in task order, so records stream deterministically
-        # and callers can persist them row by row as replicates finish
-        for recs, failed in outcome_iter:
-            for rec in recs:
-                records.append(rec)
-                cells[rec.level, rec.kind].append(rec)
-                if on_record is not None:
-                    on_record(rec)
-            n_failed.update(failed)
-
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            consume(pool.map(_run_replicate, tasks, chunksize=1))
-    else:
-        consume(map(_run_replicate, tasks))
+    # map_jobs yields in task order, so records stream deterministically
+    # and callers can persist them row by row as replicates finish
+    for recs, failed in map_jobs(_run_replicate, tasks, n_jobs):
+        for rec in recs:
+            records.append(rec)
+            cells[rec.level, rec.kind].append(rec)
+            if on_record is not None:
+                on_record(rec)
+        n_failed.update(failed)
 
     # a level keys its cell as given and as the float its records carry: both hash alike
     rows = [

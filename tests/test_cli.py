@@ -527,10 +527,26 @@ def run_cli_process(*args, env=None):
     """The CLI in a child process, as a shell runs it, with env added to
     the environment (a None value unsets its variable): (exit code,
     stdout, stderr), read as UTF-8 whatever the locale."""
-    env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1]), **(env or {})}
+    env = {**os.environ, "PYTHONPATH": str(Path(mfclust.__file__).parents[1]),
+           # a numpy RuntimeWarning fails the child, as it fails an in-process call under pytest
+           "PYTHONWARNINGS": "error::RuntimeWarning", **(env or {})}
     done = subprocess.run([sys.executable, "-m", "mfclust.cli", *map(str, args)], capture_output=True,
                           encoding="utf-8", env={k: v for k, v in env.items() if v is not None})
     return done.returncode, done.stdout, done.stderr
+
+
+def test_an_overflowing_adaptive_weight_fits_without_a_warning(tmp_path):
+    # at gamma = 400 some weights 1/|ref|^gamma pass the float range: they
+    # are infinite and pin their means, and nothing is printed to stderr
+    assert run_cli("simulate", "--n", 30, "--seed", 2, "--output", tmp_path / "d.csv",
+                   "--truth", tmp_path / "t.json") == 0
+    assert run_cli(*VALID_CALLS["transform"](tmp_path / "d.csv", tmp_path)) == 0
+    code, _, err = run_cli_process(
+        "fit", "--scores", tmp_path / "s.csv", "--m-grid", "1,2,3", "--gamma-grid", 400,
+        "--lambda-multipliers", "0,1", "--penalty", "individual,variable,group", "--jobs", 1,
+        "--report", tmp_path / "r.json", "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "rm.txt",
+    )
+    assert (code, err) == (0, "")
 
 
 # a locale whose encoding is ASCII: no C-locale coercion, no UTF-8 mode and no PYTHONIOENCODING

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -268,6 +269,23 @@ def test_run_scenario_parallel_matches_serial():
     rows_par, recs_par = run_scenario("signal-strength", n_jobs=2, **kwargs)
     assert rows_serial == rows_par
     assert recs_serial == recs_par
+
+
+def test_run_scenario_opens_no_pool_wider_than_its_replicates(monkeypatch):
+    # with fork, a pool starts all of its workers at the first submit
+    widths = []
+    open_pool = ProcessPoolExecutor.__init__
+
+    def spy(self, max_workers=None, *args, **kwargs):
+        widths.append(max_workers)
+        open_pool(self, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
+    kwargs = dict(kinds=("none",), seed=3, levels=(50,), grid=SMALL_GRID)
+    rows, _ = run_scenario("sample-size", reps=1, n_jobs=4, **kwargs)
+    assert widths == [] and rows[0].reps == 1
+    rows, _ = run_scenario("sample-size", reps=3, n_jobs=8, **kwargs)
+    assert widths == [3] and rows[0].reps == 3
 
 
 def test_run_scenario_counts_failed_replicates_per_cell(monkeypatch):
