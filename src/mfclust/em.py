@@ -18,7 +18,11 @@ The E-step works in reduced form. Of log pi_k + log f_k(x_i), only
 x_i . (mu_k / sigma2) + log pi_k - 1/2 sum_j mu_kj^2 / sigma2_j depends on
 k; the rest, -1/2 sum_j x_ij^2 / sigma2_j minus the normalizing constant,
 cancels in the responsibilities and enters the likelihood once, summed
-over the rows. One kernel (_log_joint) computes both.
+over the rows. One kernel (_log_joint) computes both. It reduces over
+clusters along an (L, m, n) stack, whose cluster axis is contiguous, and
+returns the responsibilities as an (L, n, m) array. At m >= 8 that changed
+the order of the cluster sums, so results there may differ from earlier
+releases in the last bits; they are still deterministic per seed.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland, 2008), kept
 monotone by falling back to the plain EM iterate whenever an extrapolated
@@ -36,8 +40,9 @@ the lanes whose extrapolated or stabilized point was rejected), and
 SQUAREM decides everything per lane, with masks: each lane takes the same
 steps, and stops at the same iteration for the same reason, as it would
 fitted alone. A single spec is the one-lane case. Stacked products are one
-GEMM per lane and every reduction runs within a lane, so a lane's numbers
-do not depend on the other lanes.
+GEMM per lane and every reduction runs within a lane, the kernel's over
+clusters along its (L, m, n) stack, so a lane's numbers do not depend on
+the other lanes.
 """
 
 from __future__ import annotations
@@ -222,28 +227,36 @@ def _log_joint(X, Xsq_colsum, proportions, means, variances):
     -1/2 Xsq_colsum . (1 / sigma2_l) - n/2 (q log 2 pi + sum_j log
     sigma2_lj), where Xsq_colsum holds the column sums of X^2.
 
-    Returns tau (L, n, m), the (L,) NLLs and (L,) failure codes: 0 where the
-    lane was computed, 1 where the peak of some row of lj is not finite and
-    2 where the row-term sum is not; _KERNEL_FAILURES says which. A failed
-    lane's tau and NLL are meaningless.
+    lj is held as a C-contiguous (L, m, n) stack, so that the max and the
+    sum over clusters run along a contiguous axis. At m >= 8 that sum is
+    rounded differently from the sum over a trailing cluster axis of
+    earlier releases, so results there may differ from them in the last
+    bits; they are still deterministic per seed.
+
+    Returns tau as a C-ordered (L, n, m) array, the (L,) NLLs and (L,)
+    failure codes: 0 where the lane was computed, 1 where the peak of some
+    row of lj is not finite and 2 where the row-term sum is not;
+    _KERNEL_FAILURES says which. A failed lane's tau and NLL are
+    meaningless.
     """
     n, q = X.shape
     inv = 1.0 / variances
     scaled = means * inv[:, None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         offset = np.log(proportions) - 0.5 * (scaled * means).sum(axis=2)
-        lj = X @ scaled.transpose(0, 2, 1)
-        lj += offset[:, None, :]
-        peak = lj.max(axis=2)
+        # numpy reduces a short trailing axis slowly: cluster axis first
+        lj = np.ascontiguousarray((X @ scaled.transpose(0, 2, 1)).transpose(0, 2, 1))
+        lj += offset[:, :, None]
+        peak = lj.max(axis=1)
         peak_sum = peak.sum(axis=1)
         common = 0.5 * (_dots(inv, Xsq_colsum) + n * (q * _LOG_2PI + np.log(variances).sum(axis=1)))
         failed = np.where(np.isfinite(peak_sum), np.where(np.isfinite(common), 0, 2), 1)
-        lj -= peak[:, :, None]
-        tau = np.exp(lj, out=lj)
-        total = tau.sum(axis=2)
-        tau /= total[:, :, None]
+        lj -= peak[:, None, :]
+        e = np.exp(lj, out=lj)
+        total = e.sum(axis=1)
+        e /= total[:, None, :]
         nll = common - peak_sum - np.log(total).sum(axis=1)
-    return tau, nll, failed
+    return e.transpose(0, 2, 1).copy(), nll, failed
 
 
 def _one_point(X, params):

@@ -57,6 +57,18 @@ def max_norm_minimizer(objective, centers):
     return np.clip(centers, -t, t) if along_bound(t) <= along_bound(0.0) else np.zeros_like(centers)
 
 
+def reference_e_step(X, pi, mu, var):
+    """Responsibilities (n, m) and the observed NLL of a diagonal GMM, by a
+    plain log-sum-exp over each row of scipy's log densities."""
+    logp = np.empty((X.shape[0], len(pi)))
+    for k in range(len(pi)):
+        logp[:, k] = np.log(pi[k]) + norm.logpdf(X, loc=mu[k], scale=np.sqrt(var)).sum(axis=1)
+    mx = logp.max(axis=1, keepdims=True)
+    w = np.exp(logp - mx)
+    total = w.sum(axis=1, keepdims=True)
+    return w / total, -float((mx + np.log(total)).sum())
+
+
 def reference_gmm_em(X, pi0, mu0, var0, tol=1e-9, max_iter=5000):
     """Plain diagonal-covariance GMM EM, written independently of the library.
 
@@ -68,12 +80,7 @@ def reference_gmm_em(X, pi0, mu0, var0, tol=1e-9, max_iter=5000):
     pi, mu, var = np.array(pi0, float), np.array(mu0, float), np.array(var0, float)
     m = len(pi)
     for _ in range(max_iter):
-        logp = np.empty((n, m))
-        for k in range(m):
-            logp[:, k] = np.log(pi[k]) + norm.logpdf(X, loc=mu[k], scale=np.sqrt(var)).sum(axis=1)
-        mx = logp.max(axis=1, keepdims=True)
-        w = np.exp(logp - mx)
-        tau = w / w.sum(axis=1, keepdims=True)
+        tau, _ = reference_e_step(X, pi, mu, var)
 
         pi_new = tau.mean(axis=0)
         mu_new = np.vstack([(tau[:, k : k + 1] * X).sum(axis=0) / tau[:, k].sum() for k in range(m)])

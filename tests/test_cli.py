@@ -808,6 +808,27 @@ def test_benchmark_outputs_do_not_depend_on_jobs(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_fit_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a threaded BLAS splits each lane's GEMM across threads; no output byte may follow the split
+    assert run_cli("simulate", "--n", 80, "--seed", 7, "--output", tmp_path / "d.csv",
+                   "--truth", tmp_path / "t.json") == 0
+    assert run_cli("transform", "--input", tmp_path / "d.csv", "--scores", tmp_path / "s.csv",
+                   "--model", tmp_path / "m.json", "--qc", 3) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        code, stdout, err = run_cli_process(
+            "fit", "--scores", tmp_path / "s.csv", "--penalty", "individual,variable,group,none",
+            "--m-grid", "1,2,3,4", "--jobs", 1, "--report", out / "report.json",
+            "--assignments", out / "assign.csv", "--removed", out / "removed.txt",
+            env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        assert (code, err) == (0, "")
+        outputs.append([stdout, *(digest(out / name) for name in ("report.json", "assign.csv", "removed.txt"))])
+    assert outputs[0] == outputs[1]
+
+
 BAD_SWEEPS = [
     ("sample-size", "--reps", "0", "reps must be at least 1"),
     ("sample-size", "--levels", "50.5", "whole numbers"),

@@ -10,6 +10,7 @@ from helpers import (
     grid_plus_golden,
     max_norm_minimizer,
     mean_update,
+    reference_e_step,
     reference_gmm_em,
     reference_kmeans_once,
     two_separated_clouds,
@@ -206,6 +207,31 @@ def test_e_step_rows_and_proportions_normalized():
     npt.assert_allclose(tau.sum(axis=1), 1.0, atol=1e-10)
     npt.assert_allclose(pi.sum(), 1.0, atol=1e-10)
     assert np.all(tau >= 0) and np.all(tau <= 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 8, 9])
+def test_log_joint_lanes_match_alone_and_a_plain_log_sum_exp(m):
+    # from m = 8 on numpy sums a contiguous axis in 8 partial sums, so the
+    # cluster axis's layout shows there
+    rng = np.random.default_rng(60 + m)
+    n, q, L = 40, 4, 5
+    X = rng.standard_normal((n, q))
+    Xsq_colsum = (X**2).sum(axis=0)
+    pi = rng.dirichlet(np.ones(m), size=L)
+    means = rng.standard_normal((L, m, q))
+    var = rng.uniform(0.5, 2.0, size=(L, q))
+    tau, nll, failed = em._log_joint(X, Xsq_colsum, pi, means, var)
+    assert tau.shape == (L, n, m) and tau.flags.c_contiguous
+    assert not failed.any()
+    npt.assert_allclose(tau.sum(axis=2), 1.0, rtol=0, atol=1e-15)
+    for lane in range(L):
+        one = slice(lane, lane + 1)
+        alone = em._log_joint(X, Xsq_colsum, pi[one], means[one], var[one])
+        assert np.array_equal(tau[lane], alone[0][0]) and (nll[lane], failed[lane]) == (alone[1][0], alone[2][0])
+        if m == 9:
+            ref_tau, ref_nll = reference_e_step(X, pi[lane], means[lane], var[lane])
+            npt.assert_allclose(tau[lane], ref_tau, rtol=1e-12, atol=0)
+            npt.assert_allclose(nll[lane], ref_nll, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
