@@ -398,33 +398,43 @@ def write_model(bundle: ModelBundle, path) -> None:
 
 
 def read_model(path) -> ModelBundle:
+    """The ModelBundle of a model file. Raises DataFormatError, naming the
+    problem, for a file that is not JSON, is of another schema version or
+    lacks the structure write_model gives it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"corrupted model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"model file must hold a JSON object, not a {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataFormatError(
             f"model schema version {version!r} not supported (expected {SCHEMA_VERSION})"
         )
-    bundle = ModelBundle(removed_sensors=doc.get("removed_sensors"))
-    if doc.get("fpca") is not None:
-        bundle.fpca_models = [_from_json(SensorFpcaModel, o) for o in doc["fpca"]["sensors"]]
-        q_c = doc["fpca"]["q_c"]
-        for model in bundle.fpca_models:
-            if model.q_c != q_c:
-                raise DataFormatError(
-                    f"fpca q_c is {q_c}, but sensor {model.sensor!r} has {model.q_c} eigenfunctions"
-                )
-    if doc.get("mixture") is not None:
-        bundle.mixture = _from_json(MixtureParams, doc["mixture"])
-        if not np.array_equal(np.asarray(doc["mixture"]["zero_mask"], dtype=bool), bundle.mixture.zero_mask):
-            raise DataFormatError("mixture zero_mask must mark exactly the zero means")
-    if doc.get("selection_table") is not None:
-        bundle.selection_rows = [_from_json(SelectionRow, r) for r in doc["selection_table"]]
-    if doc.get("chosen") is not None:
-        bundle.chosen = tuple(doc["chosen"][key] for key in _CHOSEN)
+    try:
+        bundle = ModelBundle(removed_sensors=doc.get("removed_sensors"))
+        if doc.get("fpca") is not None:
+            bundle.fpca_models = [_from_json(SensorFpcaModel, o) for o in doc["fpca"]["sensors"]]
+            q_c = doc["fpca"]["q_c"]
+            for model in bundle.fpca_models:
+                if model.q_c != q_c:
+                    raise DataFormatError(
+                        f"fpca q_c is {q_c}, but sensor {model.sensor!r} has {model.q_c} eigenfunctions"
+                    )
+        if doc.get("mixture") is not None:
+            bundle.mixture = _from_json(MixtureParams, doc["mixture"])
+            if not np.array_equal(np.asarray(doc["mixture"]["zero_mask"], dtype=bool), bundle.mixture.zero_mask):
+                raise DataFormatError("mixture zero_mask must mark exactly the zero means")
+        if doc.get("selection_table") is not None:
+            bundle.selection_rows = [_from_json(SelectionRow, r) for r in doc["selection_table"]]
+        if doc.get("chosen") is not None:
+            bundle.chosen = tuple(doc["chosen"][key] for key in _CHOSEN)
+    except KeyError as exc:
+        raise DataFormatError(f"malformed model file: missing key {exc}") from None
+    except TypeError as exc:
+        raise DataFormatError(f"malformed model file: {exc}") from None
     return bundle
 
 

@@ -19,10 +19,9 @@ x_i . (mu_k / sigma2) + log pi_k - 1/2 sum_j mu_kj^2 / sigma2_j depends on
 k; the rest, -1/2 sum_j x_ij^2 / sigma2_j minus the normalizing constant,
 cancels in the responsibilities and enters the likelihood once, summed
 over the rows. One kernel (_log_joint) computes both. It reduces over
-clusters along an (L, m, n) stack, whose cluster axis is contiguous, and
-returns the responsibilities as an (L, n, m) array. At m >= 8 that changed
-the order of the cluster sums, so results there may differ from earlier
-releases in the last bits; they are still deterministic per seed.
+clusters along an (L, m, n) stack, whose cluster axis is contiguous so
+that the reductions are fast, and returns the responsibilities as an
+(L, n, m) array. Results are deterministic per seed.
 
 The EM map is accelerated by SQUAREM (Varadhan & Roland, 2008), kept
 monotone by falling back to the plain EM iterate whenever an extrapolated
@@ -39,7 +38,7 @@ M-step and one E-step kernel call for all live lanes (a second call serves
 the lanes whose extrapolated or stabilized point was rejected), and
 SQUAREM decides everything per lane, with masks: each lane takes the same
 steps, and stops at the same iteration for the same reason, as it would
-fitted alone. A single spec is the one-lane case. Stacked products are one
+fitted alone. One spec alone is the one-lane case. Stacked products are one
 GEMM per lane and every reduction runs within a lane, the kernel's over
 clusters along its (L, m, n) stack, so a lane's numbers do not depend on
 the other lanes.
@@ -228,10 +227,8 @@ def _log_joint(X, Xsq_colsum, proportions, means, variances):
     sigma2_lj), where Xsq_colsum holds the column sums of X^2.
 
     lj is held as a C-contiguous (L, m, n) stack, so that the max and the
-    sum over clusters run along a contiguous axis. At m >= 8 that sum is
-    rounded differently from the sum over a trailing cluster axis of
-    earlier releases, so results there may differ from them in the last
-    bits; they are still deterministic per seed.
+    sum over clusters run along a contiguous axis, where numpy reduces
+    fast. Results are deterministic per seed.
 
     Returns tau as a C-ordered (L, n, m) array, the (L,) NLLs and (L,)
     failure codes: 0 where the lane was computed, 1 where the peak of some
@@ -721,20 +718,16 @@ def _em_attempt(B, m, specs, params0):
 
 
 def run_em(
-    B: CoefficientMatrix,
-    m: int,
-    spec: PenaltySpec | Sequence[PenaltySpec],
-    seed: int = 0,
-    init: MixtureParams | None = None,
-) -> FitResult | list[FitResult | NumericalError]:
+    B: CoefficientMatrix, specs: Sequence[PenaltySpec], init: MixtureParams
+) -> list[FitResult | NumericalError]:
     """Penalized EM, accelerated by SQUAREM, until a plain EM step moves the
     parameters by at most 1e-4.
 
-    spec is one PenaltySpec or a sequence of them, the lanes of one fit.
-    The lanes share B, m, the start and one penalty kind (a mix raises
-    ValueError); lam may differ, 0 included. Each lane is
-    fitted exactly as it would be alone; the lanes only share the array
-    operations.
+    specs is a sequence of PenaltySpecs, the lanes of one fit; a spec
+    fitted alone is a one-element list. The lanes share B, the start init,
+    its cluster count init.m and one penalty kind (a mix raises
+    ValueError); lam may differ, 0 included. Each lane is fitted exactly as
+    it would be alone; the lanes only share the array operations.
 
     One EM map is an E-step followed by the M-step, which updates the means
     first (using the input's variances inside the penalty terms) and then
@@ -765,26 +758,17 @@ def run_em(
     variance-floor warning fires once per call if any lane's variances were
     floored.
 
-    The fit starts from init, or from initialize(B, m, seed) when init is
-    None, and runs once; a failed initialization raises NumericalError, and
-    an init whose (m, q) is not the fit's raises ValueError.
-    Returns the FitResult of a single spec, raising NumericalError when a
-    plain E-step fails (all densities underflow for a row, or the scaled
-    squared scores overflow). For a sequence it returns a list with one
-    entry per lane: its FitResult or, where that lane's plain E-step
-    failed, the NumericalError, while the other lanes go on. Deterministic
-    for fixed (B, m, spec, seed, init).
+    The fit starts from init, typically initialize(B, m, seed), and runs
+    once. Returns a list with one entry per spec: its FitResult or, where
+    that lane's plain E-step failed (all densities underflow for a row, or
+    the scaled squared scores overflow), its NumericalError, while the
+    other lanes go on. A numerical failure is always such an entry; only a
+    bad argument raises: TypeError for a bare PenaltySpec and ValueError
+    for an init whose q is not B.q, both before any EM work. Deterministic
+    for fixed (B, specs, init).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    specs = [spec] if isinstance(spec, PenaltySpec) else list(spec)
-    if init is None:
-        init = initialize(B, m, seed)
-    elif init.means.shape != (m, B.q):
-        raise ValueError(f"the start has (m, q) = {init.means.shape}, the fit has ({m}, {B.q})")
-    fits = _em_attempt(B, m, specs, init)
-    if not isinstance(spec, PenaltySpec):
-        return fits
-    if isinstance(fits[0], NumericalError):
-        raise fits[0]
-    return fits[0]
+    if isinstance(specs, PenaltySpec):
+        raise TypeError("run_em takes a sequence of PenaltySpecs; pass one spec as [spec]")
+    if init.q != B.q:
+        raise ValueError(f"the start has (m, q) = {init.means.shape}, the fit has q = {B.q}")
+    return _em_attempt(B, init.m, list(specs), init)

@@ -160,7 +160,7 @@ def _fit_points(B, m, specs, init, phase, zero):
     lambda = 0 point shares it."""
     first = None if zero else next((spec for spec in specs if spec.lam == 0.0), None)
     laned = [spec for spec in specs if spec.lam > 0.0 or spec is first]
-    lane_fits = iter(run_em(B, m, laned, init=init) if laned else [])
+    lane_fits = iter(run_em(B, laned, init) if laned else [])
     done, failures = [], []
     for spec in specs:
         fit = next(lane_fits) if spec.lam > 0.0 or spec is first else zero[0]
@@ -249,15 +249,16 @@ def _report(outcomes):
 def model_search(
     B: CoefficientMatrix,
     grid: SearchGrid,
-    kind: str | Sequence[str],
+    kinds: Sequence[str],
     seed: int = 0,
     n_jobs: int = 1,
-) -> SelectionReport | list[SelectionReport | NumericalError]:
-    """Evaluate the full (m, lambda, gamma) grid for one penalty kind, or
-    for a sequence of kinds of one dataset in one search. One kind returns
-    its SelectionReport and raises NumericalError when no grid point
-    converged; a sequence returns, per kind in order, its report or its
-    NumericalError, each as if searched alone.
+) -> list[SelectionReport | NumericalError]:
+    """Evaluate the full (m, lambda, gamma) grid for a sequence of penalty
+    kinds of one dataset in one search; one kind searched alone is a
+    one-element list. Returns, per kind in order, its SelectionReport or,
+    where no grid point converged, its NumericalError, each as if searched
+    alone. A numerical failure is always such an entry; only a bad argument
+    raises: TypeError for a bare str, before any fit.
 
     Pilot rows compete alongside adaptive rows, so with 0 in the lambda
     grid the unpenalized model is always a candidate. Non-converged fits
@@ -266,13 +267,9 @@ def model_search(
     and run through map_jobs. A lambda multiplier that overflows at
     B.n raises ValueError before any fit.
     """
+    if isinstance(kinds, str):
+        raise TypeError("model_search takes a sequence of kinds; pass one kind as [kind]")
     grid.lambdas(B.n)
-    kinds = [kind] if isinstance(kind, str) else list(kind)
-    tasks = [(B, m, kinds, grid, seed) for m in sorted(grid.m_values)]
+    tasks = [(B, m, list(kinds), grid, seed) for m in sorted(grid.m_values)]
     outcomes = list(map_jobs(_search_one_m, tasks, n_jobs))
-    reports = [_report(per_m) for per_m in zip(*outcomes)]
-    if not isinstance(kind, str):
-        return reports
-    if isinstance(reports[0], NumericalError):
-        raise reports[0]
-    return reports[0]
+    return [_report(per_m) for per_m in zip(*outcomes)]

@@ -1,11 +1,13 @@
-"""Shared oracles for the EM tests: numeric minimizers and a reference EM."""
+"""Shared oracles for the EM tests: numeric minimizers and a reference EM,
+and the one-lane and one-kind calls of run_em and model_search."""
 
 import itertools
 
 import numpy as np
 from scipy.stats import norm
 
-from mfclust.em import _mean_update_for, _thresholds
+from mfclust.em import FitResult, _mean_update_for, _thresholds, run_em
+from mfclust.select import SelectionReport, model_search
 
 
 def golden_section(f, lo, hi, tol=1e-12):
@@ -153,3 +155,19 @@ def mean_update(X, tau, sigma2, spec, q_c=1):
     kind, thr = _thresholds([spec], tau.shape[1], X.shape[1], q_c)
     G, T, sigma2 = tau.T @ X, tau.sum(axis=0), np.asarray(sigma2, dtype=float)
     return _mean_update_for(kind, thr, q_c, G[None], T[None], sigma2[None])[0]
+
+
+def fit_alone(B, spec, init):
+    """The FitResult of spec fitted alone from init, the one lane of a
+    run_em call; a NumericalError in its place fails the test."""
+    (fit,) = run_em(B, [spec], init)
+    assert isinstance(fit, FitResult), fit
+    return fit
+
+
+def search_alone(B, grid, kind, seed=0, n_jobs=1):
+    """The SelectionReport of kind searched alone, the one entry of a
+    model_search call; a NumericalError in its place fails the test."""
+    (report,) = model_search(B, grid, [kind], seed=seed, n_jobs=n_jobs)
+    assert isinstance(report, SelectionReport), report
+    return report

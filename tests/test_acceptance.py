@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from helpers import (
     align_clusters,
+    fit_alone,
     grid_plus_golden,
     max_norm_minimizer,
     mean_update,
@@ -27,7 +28,6 @@ from mfclust.em import (
     e_step,
     initialize,
     penalized_nll,
-    run_em,
 )
 from mfclust.fpca import (
     CoefficientMatrix,
@@ -80,7 +80,7 @@ def zero_lambda_fits():
                 B.scores, init.proportions, init.means, init.variances, tol=1e-10
             )
             for kind in KINDS_AT_ZERO:
-                fit = run_em(B, 2, PenaltySpec(kind), init=init)
+                fit = fit_alone(B, PenaltySpec(kind), init)
                 perm = align_clusters(mu_ref, fit.params.means)
                 diff = max(
                     np.abs(fit.params.means[perm] - mu_ref).max(),
@@ -339,7 +339,7 @@ def test_criterion_9_metric_unit_suite():
     if abs(pi.sum() - 1.0) > 1e-10:
         failures.append("proportions do not sum to 1")
 
-    fit = run_em(B, 3, PenaltySpec("none"), seed=9)
+    fit = fit_alone(B, PenaltySpec("none"), params)
     perm = [2, 0, 1]
     permuted = MixtureParams(
         proportions=fit.params.proportions[perm],
@@ -359,7 +359,7 @@ def test_criterion_9_metric_unit_suite():
         failures.append("BIC not relabeling invariant")
 
     # effective-dimension arithmetic
-    fit1 = run_em(B, 1, PenaltySpec("none"), seed=1)
+    fit1 = fit_alone(B, PenaltySpec("none"), initialize(B, 1, seed=1))
     d_e = 1 + 4 + 1 * 4 - 0 - 1
     if d_e != 8:
         failures.append("d_e arithmetic (m=1, q=4)")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from helpers import fit_alone, search_alone
 
 from mfclust import dataio
 from mfclust.basis import build_basis
@@ -23,9 +24,9 @@ from mfclust.dataio import (
     write_scores_csv,
     write_truth,
 )
-from mfclust.em import MixtureParams, PenaltySpec, e_step, run_em
+from mfclust.em import MixtureParams, PenaltySpec, e_step, initialize
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, fit_fpca, transform
-from mfclust.select import SearchGrid, SelectionRow, model_search
+from mfclust.select import SearchGrid, SelectionRow
 from mfclust.simbench import BenchmarkRow, SimulationDesign, generate_dataset, run_scenario
 
 
@@ -453,7 +454,7 @@ def test_model_bundle_round_trip_exact(tmp_path):
     basis = build_basis(0, 30, 12, 3)
     models, B = fit_fpca(data, basis, q_c=2)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
-    report = model_search(B, grid, "group", seed=4)
+    report = search_alone(B, grid, "group", seed=4)
     bundle = ModelBundle.from_report(report, fpca_models=models)
 
     path = tmp_path / "model.json"
@@ -494,7 +495,7 @@ def test_model_round_trip_preserves_hard_labels(tmp_path):
     basis = build_basis(0, 30, 12, 3)
     models, B = fit_fpca(data, basis, q_c=2)
     grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
-    report = model_search(B, grid, "group", seed=6)
+    report = search_alone(B, grid, "group", seed=6)
     labels_before = report.best_fit.hard_labels
 
     path = tmp_path / "model.json"
@@ -516,6 +517,22 @@ def test_model_version_mismatch(tmp_path):
     corrupt.write_text("{not json")
     with pytest.raises(DataFormatError, match="corrupted"):
         read_model(corrupt)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "model file must hold a JSON object, not a list"),
+    ({"schema_version": 1, "fpca": {"q_c": 2}}, "malformed model file: missing key 'sensors'"),
+    ({"schema_version": 1, "mixture": {"m": 2}},
+     "malformed model file: MixtureParams.__init__() missing 3 required positional arguments"),
+    ({"schema_version": 1, "chosen": {"m": 2, "gamma": 1.0, "kind": "group"}},
+     "malformed model file: missing key 'lam'"),
+], ids=["array", "fpca-without-sensors", "mixture-without-fields", "chosen-without-lam"])
+def test_model_of_the_wrong_structure_is_a_data_format_error(tmp_path, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError) as exc:
+        read_model(path)
+    assert str(exc.value).startswith(message)
 
 
 def test_model_rejects_zero_mask_disagreeing_with_means(tmp_path):
@@ -613,7 +630,7 @@ def test_assignments_single_cluster(tmp_path):
     from mfclust.fpca import CoefficientMatrix
 
     B = CoefficientMatrix.from_scores(rng.standard_normal((8, 2)), 1)
-    fit = run_em(B, 1, PenaltySpec("none"), seed=0)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 1, seed=0))
     path = tmp_path / "assign.csv"
     write_assignments(fit, path, [str(i) for i in range(8)])
     obs_ids, labels, resps = read_assignments_csv(path)
@@ -627,7 +644,7 @@ def test_assignments_round_trip_consistency(tmp_path):
     design, data = small_dataset(seed=8)
     basis = build_basis(0, 30, 12, 3)
     _, B = fit_fpca(data, basis, q_c=2)
-    fit = run_em(B, 3, PenaltySpec("none"), seed=9)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 3, seed=9))
     path = tmp_path / "assign.csv"
     write_assignments(fit, path, obs_ids=[f"r{i}" for i in range(B.n)])
     obs_ids, labels, resps = read_assignments_csv(path)

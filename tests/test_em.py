@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from helpers import (
     align_clusters,
+    fit_alone,
     grid_plus_golden,
     max_norm_minimizer,
     mean_update,
@@ -195,8 +196,8 @@ def test_overflowing_scaled_squares_raise_numerical_error():
         e_step(B, params)
     with pytest.raises(em.NumericalError):
         penalized_nll(B, params, PenaltySpec("none"))
-    with pytest.raises(em.NumericalError):
-        run_em(B, 2, PenaltySpec("none"), init=params)
+    (fit,) = run_em(B, [PenaltySpec("none")], params)
+    assert isinstance(fit, em.NumericalError)
 
 
 def test_e_step_rows_and_proportions_normalized():
@@ -257,9 +258,10 @@ def test_update_variances_one_hot_pooled():
 
 
 def test_update_variances_floors_degenerate():
-    X = np.full((10, 2), 3.0)
+    B = cm(np.full((10, 2), 3.0))
+    init = initialize(B, 1, seed=0)
     with pytest.warns(UserWarning, match="floored"):
-        sigma2 = run_em(cm(X), 1, PenaltySpec("none"), seed=0).params.variances
+        sigma2 = fit_alone(B, PenaltySpec("none"), init).params.variances
     npt.assert_allclose(sigma2, 1e-8)
 
 
@@ -598,7 +600,7 @@ def test_run_em_matches_reference_on_separated_data(monkeypatch):
     X, _ = two_separated_clouds(rng, n=100, q=4, gap=8.0)
     B = cm(X)
     init = initialize(B, 2, seed=9)
-    fit = run_em(B, 2, PenaltySpec("none"), seed=9)
+    fit = fit_alone(B, PenaltySpec("none"), init)
     pi_ref, mu_ref, var_ref = reference_gmm_em(
         X, init.proportions, init.means, init.variances, tol=1e-10
     )
@@ -612,7 +614,8 @@ def test_run_em_matches_reference_on_separated_data(monkeypatch):
 def test_run_em_single_cluster_is_mle():
     rng = np.random.default_rng(22)
     X = rng.standard_normal((30, 3))
-    fit = run_em(cm(X), 1, PenaltySpec("none"), seed=0)
+    B = cm(X)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 1, seed=0))
     npt.assert_allclose(fit.params.means[0], X.mean(0), atol=1e-10)
     npt.assert_allclose(fit.params.variances, X.var(0), atol=1e-10)
     assert fit.converged and fit.iterations <= 2
@@ -626,7 +629,7 @@ def test_run_em_group_penalty_removes_noise_sensors():
     noise = rng.normal(0, 1.0, size=(n, 4))
     B = CoefficientMatrix.from_scores(np.hstack([signal, noise]), q_c=2)
     spec = PenaltySpec("group", 2.0 * n ** (1 / 3))
-    fit = run_em(B, 2, spec, seed=4)
+    fit = fit_alone(B, spec, initialize(B, 2, seed=4))
     assert fit.converged
     assert fit.removed_sensors == {"s01", "s02"}
     assert fit.n_zero_means >= 8
@@ -637,9 +640,10 @@ def test_run_em_lambda_zero_same_for_all_penalties(kind):
     rng = np.random.default_rng(24)
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=6.0)
     B = cm(X, q_c=2)
-    base = run_em(B, 2, PenaltySpec("none"), seed=2)
+    init = initialize(B, 2, seed=2)
+    base = fit_alone(B, PenaltySpec("none"), init)
     spec = PenaltySpec(kind, 0.0)
-    fit = run_em(B, 2, spec, seed=2)
+    fit = fit_alone(B, spec, init)
     npt.assert_allclose(fit.params.means, base.params.means, atol=1e-12)
     npt.assert_allclose(fit.params.variances, base.params.variances, atol=1e-12)
 
@@ -652,7 +656,7 @@ def test_run_em_objective_monotone(kind, lam):
     X, _ = two_separated_clouds(rng, n=80, q=4, gap=3.0)
     B = cm(X, q_c=2)
     spec = PenaltySpec(kind, lam)
-    fit = run_em(B, 2, spec, seed=6)
+    fit = fit_alone(B, spec, initialize(B, 2, seed=6))
     assert fit.max_objective_rise <= 1e-8
 
 
@@ -674,7 +678,7 @@ def test_run_em_reports_collapse_without_restarting(monkeypatch):
         raise AssertionError("initialize called although a start was given")
 
     monkeypatch.setattr(em, "initialize", no_initialize)
-    fit = run_em(B, 3, PenaltySpec("none"), seed=0, init=far)
+    fit = fit_alone(B, PenaltySpec("none"), far)
     assert not fit.converged and fit.stop_reason == "collapsed"
     assert fit.iterations < 500
     assert fit.responsibilities.sum(axis=0).min() <= 1e-12
@@ -684,18 +688,9 @@ def test_run_em_collapses_where_the_returned_point_empties_a_cluster():
     # every map's input keeps each cluster's mass above 1e-12, but the point
     # returned after the 12th map leaves one cluster with 2.6e-13
     _, B = fit_fpca(generate_dataset(SimulationDesign(n=50, seed=1000)), BASIS, q_c=3)
-    fit = run_em(B, 4, PenaltySpec("group", 0.5 * 50 ** (1 / 3)), init=initialize(B, 4, 1005))
+    fit = fit_alone(B, PenaltySpec("group", 0.5 * 50 ** (1 / 3)), initialize(B, 4, 1005))
     assert fit.stop_reason == "collapsed" and fit.iterations == 12
     assert fit.responsibilities.sum(axis=0).min() <= 1e-12
-
-
-def test_run_em_default_start_is_initialize():
-    B, _ = collapsing_start()
-    spec = PenaltySpec("none")
-    a = run_em(B, 3, spec, seed=4)
-    b = run_em(B, 3, spec, init=initialize(B, 3, seed=4))
-    npt.assert_array_equal(a.params.means, b.params.means)
-    assert a.max_objective_rise == b.max_objective_rise
 
 
 def test_run_em_deterministic():
@@ -703,8 +698,8 @@ def test_run_em_deterministic():
     X = rng.standard_normal((50, 4))
     B = cm(X, q_c=2)
     spec = PenaltySpec("group", 3.0)
-    a = run_em(B, 2, spec, seed=13)
-    b = run_em(B, 2, spec, seed=13)
+    a = fit_alone(B, spec, initialize(B, 2, seed=13))
+    b = fit_alone(B, spec, initialize(B, 2, seed=13))
     npt.assert_array_equal(a.params.means, b.params.means)
     assert a.iterations == b.iterations
 
@@ -714,7 +709,7 @@ def test_relabeling_leaves_objective_and_bookkeeping_unchanged():
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=5.0)
     B = cm(X, q_c=2)
     spec = PenaltySpec("group", 4.0)
-    fit = run_em(B, 2, spec, seed=1)
+    fit = fit_alone(B, spec, initialize(B, 2, seed=1))
     perm = [1, 0]
     permuted = MixtureParams(
         proportions=fit.params.proportions[perm],
@@ -732,7 +727,8 @@ def test_relabeling_leaves_objective_and_bookkeeping_unchanged():
 def test_hard_labels_are_argmax_with_low_index_ties():
     rng = np.random.default_rng(28)
     X, _ = two_separated_clouds(rng, n=40, q=3, gap=7.0)
-    fit = run_em(cm(X), 2, PenaltySpec("none"), seed=3)
+    B = cm(X)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 2, seed=3))
     npt.assert_array_equal(fit.hard_labels, fit.responsibilities.argmax(axis=1))
 
 
@@ -752,24 +748,25 @@ def test_pinned_entries_stay_zero():
         spec = PenaltySpec(kind, 1.0, 1.0, adaptive_weights(kind, 1.0, ref))
         mask = pinned(spec, 2, 4, q_c=2)
         assert mask[low, 0] and mask.sum() == n_pinned, kind
-        fit = run_em(B, 2, spec, init=init)
+        fit = fit_alone(B, spec, init)
         assert fit.converged, kind
         npt.assert_array_equal(fit.params.means[mask], 0.0)
         assert not np.signbit(fit.params.means[mask]).any(), kind
         # at lam = 0 the weights do not matter: nothing is pinned
         unpenalized = dataclasses.replace(spec, lam=0.0)
         assert not pinned(unpenalized, 2, 4, q_c=2).any()
-        assert run_em(B, 2, unpenalized, init=init).params.means.all(), kind
+        assert fit_alone(B, unpenalized, init).params.means.all(), kind
 
 
 def test_run_em_stop_reason_max_iter(monkeypatch):
     rng = np.random.default_rng(32)
     X, _ = two_separated_clouds(rng, n=60, q=4, gap=3.0)
     B, spec = cm(X, q_c=2), PenaltySpec("group", 1.0)
-    start = penalized_nll(B, initialize(B, 2, seed=1), spec)
+    init = initialize(B, 2, seed=1)
+    start = penalized_nll(B, init, spec)
     for cap in (1, 2):
         monkeypatch.setattr(em, "_MAP_CAP", cap)
-        fit = run_em(B, 2, spec, seed=1)
+        fit = fit_alone(B, spec, init)
         assert fit.stop_reason == "max_iter" and not fit.converged
         assert fit.iterations == cap
         # one cycle started, at the start point: the rise is the objective's
@@ -822,13 +819,20 @@ def test_penalty_spec_refuses_a_nan_or_negative_weight(kind, weights):
 def test_run_em_names_a_start_of_the_wrong_shape(monkeypatch):
     rng = np.random.default_rng(33)
     X, _ = two_separated_clouds(rng, n=40, q=4, gap=3.0)
+    start = initialize(cm(X), 2, 0)
+    monkeypatch.setattr(em, "_em_attempt", lambda *args: pytest.fail("EM ran from a start of the wrong shape"))
+    with pytest.raises(ValueError, match=re.escape("the start has (m, q) = (2, 4), the fit has q = 2")):
+        run_em(cm(X[:, :2]), [PenaltySpec("none")], start)
+
+
+def test_run_em_refuses_a_bare_spec_before_any_em_work(monkeypatch):
+    rng = np.random.default_rng(33)
+    X, _ = two_separated_clouds(rng, n=40, q=4, gap=3.0)
     B = cm(X)
     start = initialize(B, 2, 0)
-    monkeypatch.setattr(em, "_em_attempt", lambda *args: pytest.fail("EM ran from a start of the wrong shape"))
-    with pytest.raises(ValueError, match=re.escape("the start has (m, q) = (2, 4), the fit has (3, 4)")):
-        run_em(B, 3, PenaltySpec("none"), init=start)
-    with pytest.raises(ValueError, match=re.escape("the start has (m, q) = (2, 4), the fit has (2, 2)")):
-        run_em(cm(X[:, :2]), 2, [PenaltySpec("none")], init=start)
+    monkeypatch.setattr(em, "_em_attempt", lambda *args: pytest.fail("EM ran on a bare spec"))
+    with pytest.raises(TypeError, match=re.escape("pass one spec as [spec]")):
+        run_em(B, PenaltySpec("none"), start)
 
 
 # ---------------------------------------------------------------------------
@@ -874,9 +878,9 @@ def test_lanes_match_their_fits_alone(monkeypatch, kind, cap):
     ref[2] = 0.0
     weights = adaptive_weights(kind, 1.0, ref)
     specs = [PenaltySpec(kind, 1.0)] + [PenaltySpec(kind, lam, 1.0, weights) for lam in (0.5, 2.0, 1e6)]
-    fits = run_em(B, 3, specs, init=far)
+    fits = run_em(B, specs, far)
     for spec, fit in zip(specs, fits):
-        assert_same_fit(fit, run_em(B, 3, spec, init=far))
+        assert_same_fit(fit, fit_alone(B, spec, far))
     assert [f.stop_reason for f in fits] == ["collapsed", "max_iter", "max_iter", "converged"]
     assert fits[0].iterations == 0
     assert all(f.params.means[2, 0] == 0.0 for f in fits[1:])
@@ -891,12 +895,12 @@ def test_lanes_of_a_lambda_grid_match_their_fits_alone(kind):
     init = initialize(B, 3, seed=2)
     lambdas = [c * 80 ** (1 / 3) for c in (0.5, 1.0, 2.0, 5.0, 10.0)]
     pilot = [PenaltySpec(kind, lam) for lam in lambdas]
-    reference = run_em(B, 3, pilot[1], init=init).params.means
+    reference = fit_alone(B, pilot[1], init).params.means
     weights = adaptive_weights(kind, 1.0, reference)
     specs = pilot + [PenaltySpec(kind, lam, 1.0, weights) for lam in lambdas]
-    fits = run_em(B, 3, specs, init=init)
+    fits = run_em(B, specs, init)
     for spec, fit in zip(specs, fits):
-        assert_same_fit(fit, run_em(B, 3, spec, init=init))
+        assert_same_fit(fit, fit_alone(B, spec, init))
     assert len({f.iterations for f in fits}) > 1
 
 
@@ -908,12 +912,12 @@ def test_lane_state_memory_per_lane():
     _, B = fit_fpca(generate_dataset(SimulationDesign(n=50, seed=0)), BASIS, q_c=3)
     init = initialize(B, 6, seed=1)
     lambdas = SearchGrid().lambdas(B.n)[1:]
-    reference = run_em(B, 6, PenaltySpec("variable", lambdas[2]), init=init).params.means
+    reference = fit_alone(B, PenaltySpec("variable", lambdas[2]), init).params.means
     specs = [PenaltySpec("variable", lam, gamma, adaptive_weights("variable", gamma, reference))
              for gamma in DEFAULT_GAMMA_VALUES for lam in lambdas]
     tracemalloc.start()
     try:
-        fits = run_em(B, 6, specs, init=init)
+        fits = run_em(B, specs, init)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -935,13 +939,13 @@ def test_a_failed_lane_leaves_the_others(kind):
         PenaltySpec(kind, 1.0, 1.0, adaptive_weights(kind, 1.0, np.zeros((2, 4)))),
         PenaltySpec(kind, 3.0),
     ]
-    fits = run_em(B, 2, specs, init=huge)
+    fits = run_em(B, specs, huge)
     for i in (0, 2):
         assert isinstance(fits[i], em.NumericalError)
         assert str(fits[i]) == "all cluster densities underflowed for some observation"
-        with pytest.raises(em.NumericalError, match="underflowed"):
-            run_em(B, 2, specs[i], init=huge)
-    assert_same_fit(fits[1], run_em(B, 2, specs[1], init=huge))
+        (alone,) = run_em(B, [specs[i]], huge)
+        assert isinstance(alone, em.NumericalError) and re.search("underflowed", str(alone))
+    assert_same_fit(fits[1], fit_alone(B, specs[1], huge))
     assert fits[1].params.zero_mask.all()
 
 
@@ -961,8 +965,8 @@ def test_lambda_zero_lanes_match_the_unpenalized_fit(kind):
     weights = adaptive_weights(kind, 1.0, ref)
     specs = [PenaltySpec(kind, 0.0), PenaltySpec(kind, 2.0),
              PenaltySpec(kind, 0.0, 1.0, weights), PenaltySpec(kind, 1.0, 1.0, weights)]
-    fits = run_em(B, 3, specs, init=init)
-    alone = run_em(B, 3, PenaltySpec("none"), init=init)
+    fits = run_em(B, specs, init)
+    alone = fit_alone(B, PenaltySpec("none"), init)
     for fit in (fits[0], fits[2]):
         npt.assert_array_equal(fit.params.proportions, alone.params.proportions)
         npt.assert_array_equal(fit.params.means, alone.params.means)
@@ -978,5 +982,6 @@ def test_lambda_zero_lanes_match_the_unpenalized_fit(kind):
 def test_lanes_need_one_penalty_kind():
     rng = np.random.default_rng(36)
     X, _ = two_separated_clouds(rng, n=40, q=4, gap=4.0)
+    B = cm(X)
     with pytest.raises(ValueError, match="one penalty kind"):
-        run_em(cm(X), 2, [PenaltySpec("group", 1.0), PenaltySpec("individual", 1.0)], seed=0)
+        run_em(B, [PenaltySpec("group", 1.0), PenaltySpec("individual", 1.0)], initialize(B, 2, 0))

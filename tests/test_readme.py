@@ -1,9 +1,13 @@
 """The README's examples run as written and give what they show."""
 
+import ast
+import inspect
 import pathlib
 import re
 import shlex
 
+import mfclust
+from mfclust import em
 from mfclust.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -45,3 +49,33 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     args = build_parser().parse_args(commands["benchmark"])
     assert (args.command, args.scenario, args.reps) == ("benchmark", "sample-size", 50)
     assert (args.output, args.replicates) == ("rows.csv", "reps.csv")
+
+
+def documented_calls():
+    """(name, argument names, keyword names) of each call in the README's
+    inline code, outside fenced blocks, whose function is a name of mfclust
+    or mfclust.em and whose positional arguments are plain names."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    calls = []
+    for span in re.findall(r"`([^`]+)`", prose):
+        try:
+            tree = ast.parse(span, mode="eval")
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and any(hasattr(mod, node.func.id) for mod in (mfclust, em))
+                    and all(isinstance(arg, ast.Name) for arg in node.args)):
+                calls.append((node.func.id, [arg.id for arg in node.args], [kw.arg for kw in node.keywords]))
+    return calls
+
+
+def test_readme_calls_name_their_parameters():
+    calls = documented_calls()
+    assert {"run_em", "model_search", "initialize", "build_basis", "adaptive_weights"} <= {c[0] for c in calls}
+    wrong = []
+    for name, args, keywords in calls:
+        params = list(inspect.signature(getattr(mfclust, name, None) or getattr(em, name)).parameters)
+        if args != params[: len(args)] or not set(keywords) <= set(params):
+            wrong.append(f"{name}({', '.join(args + [f'{kw}=' for kw in keywords])}) against {params}")
+    assert wrong == []

@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from helpers import fit_alone, search_alone
 
 from mfclust import em, select
-from mfclust.em import MixtureParams, PenaltySpec, adaptive_weights, penalized_nll, run_em
+from mfclust.em import MixtureParams, PenaltySpec, adaptive_weights, initialize, penalized_nll
 from mfclust.fpca import CoefficientMatrix
 from mfclust.select import (
     SearchGrid,
@@ -75,9 +76,20 @@ def test_an_overflowing_lambda_is_refused_naming_its_multiplier(monkeypatch):
         model_search(B, grid, ("individual", "none"))
 
 
+def test_model_search_refuses_a_bare_kind_before_any_fit(monkeypatch):
+    # a str is a sequence: unrefused, "group" would be searched as the kinds 'g', 'r', ...
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran for a bare kind")
+
+    monkeypatch.setattr(select, "initialize", no_fit)
+    B, _ = three_cluster_data(n=50)
+    with pytest.raises(TypeError, match=re.escape("pass one kind as [kind]")):
+        model_search(B, small_grid(), "group")
+
+
 def test_adjusted_bic_effective_dimension():
     B, _ = three_cluster_data(noise_cols=2)
-    fit = run_em(B, 1, PenaltySpec("none"), seed=0)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 1, seed=0))
     assert B.q == 4 and fit.n_zero_means == 0
     d_e = 1 + 4 + 4 - 0 - 1
     assert d_e == 8
@@ -87,7 +99,7 @@ def test_adjusted_bic_effective_dimension():
 
 def test_adjusted_bic_drops_per_zeroed_mean():
     B, _ = three_cluster_data(noise_cols=2)
-    fit = run_em(B, 2, PenaltySpec("none"), seed=0)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 2, seed=0))
     bic0 = adjusted_bic(fit, B.n, B.q)
     zeroed = fit
     means = fit.params.means.copy()
@@ -104,7 +116,7 @@ def test_adjusted_bic_drops_per_zeroed_mean():
 
 def test_adjusted_bic_relabeling_invariant():
     B, _ = three_cluster_data()
-    fit = run_em(B, 3, PenaltySpec("none"), seed=1)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 3, seed=1))
     perm = [2, 0, 1]
     params = MixtureParams(
         proportions=fit.params.proportions[perm],
@@ -128,8 +140,8 @@ def test_adjusted_bic_relabeling_invariant():
 def test_two_phase_lambda_zero_grid_reduces_to_unpenalized():
     B, _ = three_cluster_data()
     grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0,))
-    report = model_search(B, grid, "group", seed=5)
-    plain = run_em(B, 3, PenaltySpec("none"), seed=5 + 3)
+    report = search_alone(B, grid, "group", seed=5)
+    plain = fit_alone(B, PenaltySpec("none"), initialize(B, 3, seed=5 + 3))
     npt.assert_allclose(report.best_fit.params.means, plain.params.means, atol=1e-12)
     npt.assert_allclose(report.reference_means[3], plain.params.means, atol=1e-12)
 
@@ -137,7 +149,7 @@ def test_two_phase_lambda_zero_grid_reduces_to_unpenalized():
 def test_two_phase_zeroes_tiny_reference_components():
     B, _ = three_cluster_data(noise_cols=4)
     grid = SearchGrid(m_values=(3,), gamma_values=(2.0,), lambda_multipliers=(0.0, 0.5, 1.0, 2.0))
-    report = model_search(B, grid, "individual", seed=2)
+    report = search_alone(B, grid, "individual", seed=2)
     fit = report.best_fit
     assert fit.converged
     # noise columns (2..5) should be zeroed across all clusters in phase 2
@@ -147,14 +159,14 @@ def test_two_phase_zeroes_tiny_reference_components():
 def test_two_phase_rejects_nonpositive_gamma():
     B, _ = three_cluster_data()
     with pytest.raises(ValueError):
-        model_search(B, replace(small_grid(), gamma_values=(0.0,)), "group")
+        model_search(B, replace(small_grid(), gamma_values=(0.0,)), ["group"])
 
 
 def test_two_phase_deterministic():
     B, _ = three_cluster_data()
     grid = small_grid()
-    a = model_search(B, grid, "group", seed=9)
-    b = model_search(B, grid, "group", seed=9)
+    a = search_alone(B, grid, "group", seed=9)
+    b = search_alone(B, grid, "group", seed=9)
     npt.assert_array_equal(a.best_fit.params.means, b.best_fit.params.means)
     npt.assert_array_equal(a.reference_means[3], b.reference_means[3])
 
@@ -169,7 +181,7 @@ def test_adaptive_weights_at_gamma_zero_equal_unit_weights():
 def test_model_search_recovers_three_clusters():
     B, labels = three_cluster_data(seed=3)
     grid = SearchGrid(m_values=(3,), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0, 3.0))
-    report = model_search(B, grid, "group", seed=4)
+    report = search_alone(B, grid, "group", seed=4)
     assert report.chosen[0] == 3
     assert report.best_fit.converged
     agreement = (report.best_fit.hard_labels == labels).mean()
@@ -180,14 +192,14 @@ def test_model_search_recovers_three_clusters():
 def test_model_search_selects_m_over_grid():
     B, _ = three_cluster_data(seed=5, n=200, sep=5.0)
     grid = SearchGrid(m_values=(1, 2, 3, 4), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0, 3.0))
-    report = model_search(B, grid, "group", seed=6)
+    report = search_alone(B, grid, "group", seed=6)
     assert report.chosen[0] == 3
 
 
 def test_model_search_reports_every_grid_point():
     B, _ = three_cluster_data()
     grid = SearchGrid(m_values=(2, 3), gamma_values=(0.5, 1.0), lambda_multipliers=(0.0, 1.0))
-    report = model_search(B, grid, "individual", seed=7)
+    report = search_alone(B, grid, "individual", seed=7)
     pilot = [r for r in report.rows if r.phase == "pilot"]
     adaptive = [r for r in report.rows if r.phase == "adaptive"]
     assert len(pilot) == 2 * 2  # m x lambda
@@ -208,7 +220,7 @@ def test_model_search_reports_every_grid_point():
 def test_model_search_none_kind_fits_plain_models():
     B, _ = three_cluster_data()
     grid = SearchGrid(m_values=(1, 2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0,))
-    report = model_search(B, grid, "none", seed=8)
+    report = search_alone(B, grid, "none", seed=8)
     assert len(report.rows) == 3
     assert all(r.lam == 0.0 and r.n_zero == 0 for r in report.rows)
     assert report.chosen[0] == 3
@@ -219,7 +231,7 @@ def test_model_search_reports_m_above_n_and_goes_on():
     B = CoefficientMatrix.from_scores(rng.standard_normal((4, 2)), q_c=1)
     grid = SearchGrid(m_values=(1, 2, 3, 4, 5))
     with pytest.warns(UserWarning, match="floored"):
-        report = model_search(B, grid, "none", seed=1)
+        report = search_alone(B, grid, "none", seed=1)
     assert report.failures == ["m=5: initialization failed: need at least m=5 observations, got 4"]
     assert sorted({r.m for r in report.rows}) == [1, 2, 3, 4]
     assert report.best_row.m in (1, 2, 3, 4)
@@ -229,23 +241,18 @@ def test_model_search_grid_order_invariant():
     B, _ = three_cluster_data(seed=9)
     g1 = SearchGrid(m_values=(2, 3, 4), gamma_values=(0.5, 1.0), lambda_multipliers=(0.0, 1.0, 5.0))
     g2 = SearchGrid(m_values=(4, 3, 2), gamma_values=(1.0, 0.5), lambda_multipliers=(5.0, 1.0, 0.0))
-    r1 = model_search(B, g1, "group", seed=10)
-    r2 = model_search(B, g2, "group", seed=10)
+    r1 = search_alone(B, g1, "group", seed=10)
+    r2 = search_alone(B, g2, "group", seed=10)
     assert r1.chosen == r2.chosen
 
 
 def test_model_search_parallel_matches_serial():
     B, _ = three_cluster_data(seed=11)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
-    serial = model_search(B, grid, "group", seed=12, n_jobs=1)
-    parallel = model_search(B, grid, "group", seed=12, n_jobs=2)
+    serial = search_alone(B, grid, "group", seed=12, n_jobs=1)
+    parallel = search_alone(B, grid, "group", seed=12, n_jobs=2)
     assert serial.chosen == parallel.chosen
     assert [r.bic for r in serial.rows] == [r.bic for r in parallel.rows]
-
-
-def as_reports(kinds, result):
-    """model_search's result for kinds as a list of per-kind entries."""
-    return [result] if isinstance(kinds, str) else result
 
 
 ALL_KINDS = ("individual", "variable", "group", "none")
@@ -259,7 +266,7 @@ def far_from_data(start):
     return MixtureParams(start.proportions, means, start.variances)
 
 
-@pytest.mark.parametrize("kinds", ["group", ALL_KINDS], ids=["group", "all-kinds"])
+@pytest.mark.parametrize("kinds", [("group",), ALL_KINDS], ids=["group", "all-kinds"])
 def test_model_search_initializes_once_per_m(monkeypatch, kinds):
     # every start puts its last component far from the data, so every fit
     # with m > 1 collapses; none is restarted from another start, and the
@@ -275,7 +282,7 @@ def test_model_search_initializes_once_per_m(monkeypatch, kinds):
     monkeypatch.setattr(em, "initialize", far_start)
     monkeypatch.setattr(select, "initialize", far_start)
     grid = SearchGrid(m_values=(1, 2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0, 5.0))
-    reports = as_reports(kinds, model_search(B, grid, kinds, seed=3))
+    reports = model_search(B, grid, kinds, seed=3)
     assert calls == {1: 1, 2: 1, 3: 1}
     for report in reports:
         assert report.chosen[0] == 1
@@ -318,22 +325,21 @@ def test_default_grids_match_contract():
     assert 0.0 in grid.lambdas(123)
 
 
-@pytest.mark.parametrize("kinds,stacks", [("individual", [3, 4]), (("individual", "group"), [3, 4, 2, 4])],
+@pytest.mark.parametrize("kinds,stacks", [(("individual",), [3, 4]), (("individual", "group"), [3, 4, 2, 4])],
                          ids=["individual", "individual,group"])
 def test_each_phase_fits_its_lambdas_in_one_call(monkeypatch, kinds, stacks):
     B, _ = three_cluster_data(seed=6)
     calls, zero_lanes = [], Counter()
     real = select.run_em
 
-    def counting(B, m, spec, **kwargs):
-        specs = [spec] if isinstance(spec, PenaltySpec) else spec
-        calls.append((m, len(specs)))
-        zero_lanes[m] += sum(s.lam == 0.0 for s in specs)
-        return real(B, m, spec, **kwargs)
+    def counting(B, specs, init):
+        calls.append((init.m, len(specs)))
+        zero_lanes[init.m] += sum(s.lam == 0.0 for s in specs)
+        return real(B, specs, init)
 
     monkeypatch.setattr(select, "run_em", counting)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0, 2.0), lambda_multipliers=(0.0, 1.0, 5.0))
-    reports = as_reports(kinds, model_search(B, grid, kinds, seed=1))
+    reports = model_search(B, grid, kinds, seed=1)
     # per m: the first pilot's 3 lambdas, lambda = 0 included, then the 2
     # gammas x 2 positive lambdas of its adaptive phase; a later kind's
     # pilot fits only the 2 positive lambdas. Every phase reuses the one
@@ -359,7 +365,7 @@ def test_a_multi_kind_search_equals_its_single_kind_searches(kinds, multipliers)
     together = model_search(B, grid, kinds, seed=4)
     assert len(together) == len(kinds)
     for kind, report in zip(kinds, together):
-        alone = model_search(B, grid, kind, seed=4)
+        alone = search_alone(B, grid, kind, seed=4)
         assert report.rows == alone.rows and report.kind == kind
         assert (report.best_row, report.failures) == (alone.best_row, alone.failures)
         assert report.reference_means.keys() == alone.reference_means.keys()
@@ -373,8 +379,8 @@ def test_a_multi_kind_search_equals_its_single_kind_searches(kinds, multipliers)
 
 
 def test_a_kind_without_a_converged_fit_is_its_own_entry(monkeypatch):
-    # every fit collapses at m in (2, 3), so no kind converges: the sequence form returns each kind's error, and
-    # the single-kind form raises the same error
+    # every fit collapses at m in (2, 3), so no kind converges: a two-kind search returns each kind's error, and
+    # each kind searched alone returns the same error
     B, _ = three_cluster_data(seed=5)
     real = em.initialize
     monkeypatch.setattr(select, "initialize", lambda B, m, seed: far_from_data(real(B, m, seed)))
@@ -383,9 +389,9 @@ def test_a_kind_without_a_converged_fit_is_its_own_entry(monkeypatch):
     assert [type(e) for e in errors] == [em.NumericalError] * 2
     for kind, error in zip(("none", "group"), errors):
         assert str(error).startswith("no grid point produced a converged fit")
-        with pytest.raises(em.NumericalError) as alone:
-            model_search(B, grid, kind, seed=3)
-        assert str(alone.value) == str(error)
+        (alone,) = model_search(B, grid, [kind], seed=3)
+        assert isinstance(alone, em.NumericalError)
+        assert str(alone) == str(error)
 
 
 def test_a_failed_lane_is_reported_and_the_others_kept():
@@ -419,10 +425,10 @@ def test_a_failed_lambda_zero_fit_is_fitted_once_per_m(monkeypatch):
     lanes, zero_lanes = Counter(), Counter()
     real = select.run_em
 
-    def counting(B, m, spec, **kwargs):
-        lanes[m] += len(spec)
-        zero_lanes[m] += sum(s.lam == 0.0 for s in spec)
-        return real(B, m, spec, **kwargs)
+    def counting(B, specs, init):
+        lanes[init.m] += len(specs)
+        zero_lanes[init.m] += sum(s.lam == 0.0 for s in specs)
+        return real(B, specs, init)
 
     monkeypatch.setattr(select, "run_em", counting)
     monkeypatch.setattr(select, "initialize", lambda B, m, seed: MixtureParams(
