@@ -83,8 +83,8 @@ def design_matrix(basis: BasisSpec, times: np.ndarray) -> np.ndarray:
         right[:, j] = knots[spans + j] - t
         saved = np.zeros(n_pts)
         for r in range(j):
-            denom = right[:, r + 1] + left[:, j - r]
-            temp = np.where(denom > 0, vals[:, r] / np.where(denom > 0, denom, 1.0), 0.0)
+            # knots[s+r+1] - knots[s+1-j+r] >= knots[s+1] - knots[s] > 0: spans are nonempty
+            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
             vals[:, r] = saved + right[:, r + 1] * temp
             saved = left[:, j - r] * temp
         vals[:, j] = saved

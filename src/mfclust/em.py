@@ -284,27 +284,19 @@ def e_step(B: CoefficientMatrix, params: MixtureParams) -> tuple[np.ndarray, np.
 def _thresholds(specs, m: int, q: int, q_c: int):
     """The one penalty kind of a stack of specs, one per lane, and its
     thresholds for m clusters and q = p q_c columns: lam times each lane's
-    weights in their full shape, (L, m, q) individual and none, (L, q)
-    variable and (L, m) group, the last times sqrt(q_c). They are 0 for
-    kind none and for every lane at lam 0, and infinite where a weight is or
-    the product overflows: those means are pinned at zero (see _pinned)."""
+    weights, laid over the (L, m, q) means they act on, (L, m, q) individual
+    and none, (L, 1, q) variable and (L, m, 1) group, the last times
+    sqrt(q_c). They are 0 for kind none and for every lane at lam 0, and
+    infinite where a weight is or the product overflows: the means under
+    np.isinf(thr) are pinned at zero."""
     kinds = {spec.kind for spec in specs}
     if len(kinds) != 1:
         raise ValueError(f"the lanes of one fit need one penalty kind, got {sorted(kinds)}")
     (kind,) = kinds
+    layout = {"variable": (1, q), "group": (m, 1)}.get(kind, (m, q))
     with np.errstate(over="ignore"):
-        thr = np.stack([spec.lam * spec.weights_for(m, q) for spec in specs])
+        thr = np.stack([spec.lam * spec.weights_for(m, q).reshape(layout) for spec in specs])
         return kind, thr * np.sqrt(q_c) if kind == "group" else thr
-
-
-def _pinned(kind, thr):
-    """The means that infinite thresholds pin at zero, as a mask broadcasting to (L, m, q)."""
-    inf = np.isinf(thr)
-    if kind == "variable":
-        return inf[:, None, :]
-    if kind == "group":
-        return inf[:, :, None]
-    return inf
 
 
 def _penalty(kind, thr, q_c, means):
@@ -314,10 +306,9 @@ def _penalty(kind, thr, q_c, means):
     # exact zeros contribute nothing even under infinite thresholds
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "variable":
-            size = np.abs(means).max(axis=1)
+            size = np.abs(means).max(axis=1, keepdims=True)
         elif kind == "group":
             size = np.sqrt((means.reshape(L, m, q // q_c, q_c) ** 2).sum(axis=3))
-            thr = thr[:, :, None]
         else:
             size = np.abs(means)
         terms = np.where(size != 0.0, thr * size, 0.0)
@@ -358,7 +349,7 @@ def _variable_update(G, T, sigma2, thr):
     abs_G = np.abs(G)
     A = abs_G / T[:, :, None]
     order = np.argsort(-A, axis=1, kind="stable")
-    budget = (thr * sigma2)[:, None, :]
+    budget = thr * sigma2[:, None, :]
     levels = np.cumsum(np.take_along_axis(abs_G, order, axis=1), axis=1) - budget
     levels /= np.cumsum(np.take_along_axis(np.broadcast_to(T[:, :, None], A.shape), order, axis=1), axis=1)
     c = np.maximum(levels.max(axis=1), 0.0)[:, None, :]
@@ -387,13 +378,13 @@ def _group_update(G, T, sigma2, thr, q_c):
     G3 = G.reshape(L, m, p, q_c)
     sig3 = sigma2.reshape(L, p, q_c)
     scaled = G3 / sig3[:, None]
-    live = np.sqrt((scaled * scaled).sum(axis=3)) > thr[:, :, None]  # (L, m, p)
+    live = np.sqrt((scaled * scaled).sum(axis=3)) > thr  # (L, m, p)
     out = np.zeros((L, m, p, q_c))
     lane, k, block = np.nonzero(live)
     g2 = G3[live] ** 2  # (blocks, q_c)
     T_k = T[lane, k]
     t = T_k[:, None]
-    c = thr[lane, k][:, None] * sig3[lane, block]
+    c = thr[lane, k] * sig3[lane, block]
     r = np.maximum((np.sqrt(g2.sum(axis=1)) - c.max(axis=1)) / T_k, 0.0)
     settled = np.zeros(r.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
@@ -576,12 +567,11 @@ class _Lanes:
     thresholds. theta is the next input of the EM map and (objective, G, T)
     its E-step. phase is the lane's place in its SQUAREM cycle: 0 while
     theta is the cycle's theta0, 1 while it is theta1 and 2 while it is the
-    extrapolated point. anchor holds theta0 at phase 1 and theta2 at phase
-    2, start the objective at theta0 (+inf before the first cycle) and rise
-    the largest rise of start from one cycle to the next so far.
+    extrapolated point. anchor holds theta0 at phase 1 and theta2 at
+    phase 2. Each lane's cycle start and rise stay with _em_attempt.
     """
 
-    ARRAYS = ("index", "thr", "theta", "objective", "G", "T", "phase", "anchor", "start", "rise")
+    ARRAYS = ("index", "thr", "theta", "objective", "G", "T", "phase", "anchor")
 
     def __init__(self, thr, theta, objective, G, T):
         self.thr = thr
@@ -589,8 +579,6 @@ class _Lanes:
         self.theta = self.anchor = theta
         self.objective, self.G, self.T = objective, G, T
         self.phase = np.zeros(len(theta), dtype=int)
-        self.start = np.full(len(theta), np.inf)
-        self.rise = np.full(len(theta), -np.inf)
 
     def drop(self, mask, *arrays):
         """Drop the lanes in mask, here and from arrays stacked like them;
@@ -600,10 +588,10 @@ class _Lanes:
             setattr(self, name, getattr(self, name)[keep])
         return tuple(a[keep] for a in arrays)
 
-    def advance(self, fit, mapped):
+    def advance(self, fit, mapped, start):
         """Move every lane to its next input, given mapped, the EM map of its
-        theta. Returns the failure codes of the plain E-steps, 0 where the
-        lane goes on.
+        theta, and start, its objective at theta0. Returns the failure codes
+        of the plain E-steps, 0 where the lane goes on.
 
         phase 0: theta1 = mapped is mapped next, with theta0 as the anchor.
         phase 1: mapped is theta2, the next anchor; the lane extrapolates and,
@@ -618,7 +606,7 @@ class _Lanes:
         usable &= phase == 1
         theta = np.where(usable[:, None], point, mapped)
         objective, G, T, failed = _expect(fit, self.thr, theta)
-        kept = (failed == 0) & (T.min(axis=1) > _EMPTY_CLUSTER_TOL) & ((phase < 2) | (objective <= self.start))
+        kept = (failed == 0) & (T.min(axis=1) > _EMPTY_CLUSTER_TOL) & ((phase < 2) | (objective <= start))
         anchor = np.where((phase == 0)[:, None], self.theta, np.where((phase == 1)[:, None], mapped, self.anchor))
         back = (usable | (phase == 2)) & ~kept
         if back.any():
@@ -630,19 +618,21 @@ class _Lanes:
         return failed
 
 
-def _em_attempt(B, m, specs, params0):
+def _em_attempt(B, specs, params0):
     """The EM loop of run_em: per spec, its FitResult or the NumericalError
     that ended its lane."""
-    fit = _Fit(B, m, specs)
+    fit = _Fit(B, params0.m, specs)
     n, L = fit.n, len(specs)
     theta = np.concatenate((
         np.tile(params0.proportions, (L, 1)),
-        np.where(_pinned(fit.kind, fit.thr), 0.0, params0.means).reshape(L, -1),
+        np.where(np.isinf(fit.thr), 0.0, params0.means).reshape(L, -1),
         np.tile(params0.variances, (L, 1)),
     ), axis=1)
-    # a stopped lane's point, outcome code, and last cycle's start and rise
+    # a stopped lane's point and outcome code
     final, outcome = np.empty_like(theta), np.empty(L, dtype=int)
-    start, rise = np.empty(L), np.empty(L)
+    # per lane: the objective at its cycle's theta0 (+inf before the first
+    # cycle) and the largest rise of that objective from one cycle to the next
+    start, rise = np.full(L, np.inf), np.full(L, -np.inf)
     iterations = np.zeros(L, dtype=int)
     floored = np.zeros(L, dtype=bool)
 
@@ -653,7 +643,6 @@ def _em_attempt(B, m, specs, params0):
         lanes = live.index[mask]
         final[lanes] = points[mask]
         outcome[lanes] = np.broadcast_to(code, mask.shape)[mask]
-        start[lanes], rise[lanes] = live.start[mask], live.rise[mask]
         return live.drop(mask, *arrays)
 
     objective, G, T, failed = _expect(fit, fit.thr, theta)
@@ -663,8 +652,9 @@ def _em_attempt(B, m, specs, params0):
     stop(failed != 0, live.theta, _COLLAPSED + failed)
     for step in range(1, _MAP_CAP + 1):
         at_start = live.phase == 0
-        np.maximum(live.rise, live.objective - live.start, out=live.rise, where=at_start)
-        np.copyto(live.start, live.objective, where=at_start)
+        lanes = live.index[at_start]
+        rise[lanes] = np.maximum(rise[lanes], live.objective[at_start] - start[lanes])
+        start[lanes] = live.objective[at_start]
         # collapsed, reported as not converged (an extrapolated point is
         # accepted only with every cluster's mass, so this theta is plain)
         stop(live.T.min(axis=1) <= _EMPTY_CLUSTER_TOL, live.theta, _COLLAPSED)
@@ -681,7 +671,7 @@ def _em_attempt(B, m, specs, params0):
         del means, moved
         (mapped,) = stop(converged, mapped, _CONVERGED, mapped)
         if live.index.size:
-            failed = live.advance(fit, mapped)
+            failed = live.advance(fit, mapped, start[live.index])
             stop(failed != 0, live.theta, _COLLAPSED + failed)
     # where the map cap ran out before the extrapolated point was mapped: theta2
     stop(live.index >= 0, np.where((live.phase == 2)[:, None], live.anchor, live.theta), _MAX_ITER)
@@ -771,4 +761,4 @@ def run_em(
         raise TypeError("run_em takes a sequence of PenaltySpecs; pass one spec as [spec]")
     if init.q != B.q:
         raise ValueError(f"the start has (m, q) = {init.means.shape}, the fit has q = {B.q}")
-    return _em_attempt(B, init.m, list(specs), init)
+    return _em_attempt(B, list(specs), init)

@@ -28,3 +28,9 @@ HOOKS = [(module, name) for _, module, name in LAYERS.CALL_COUNTS] + [("em", "_v
 @pytest.mark.parametrize("module,name", HOOKS, ids=[f"{m}.{n}" for m, n in HOOKS])
 def test_benchmark_hook_is_defined(module, name):
     assert LAYERS.defines(str(PROGRAM_DIR), module, name)
+
+
+@pytest.mark.parametrize("part", list(LAYERS.EM_PARTS))
+def test_em_layer_names_a_defined_function(part):
+    # a layer none of whose functions the program defines reads null as em.<part>_s
+    assert any(LAYERS.defines(str(PROGRAM_DIR), "em", name) for name in LAYERS.EM_PARTS[part])

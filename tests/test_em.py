@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +22,6 @@ from mfclust import em
 from mfclust.em import (
     MixtureParams,
     PenaltySpec,
-    _pinned,
     _removed_sensors,
     _thresholds,
     _variances,
@@ -51,7 +51,7 @@ def unpenalized(X, tau):
 
 def pinned(spec, m, q, q_c=1):
     """The (m, q) mask of the means that spec pins at zero in a fit."""
-    return np.broadcast_to(_pinned(*_thresholds([spec], m, q, q_c)), (1, m, q))[0]
+    return np.broadcast_to(np.isinf(_thresholds([spec], m, q, q_c)[1]), (1, m, q))[0]
 
 
 def make_params(pi, means, variances):
@@ -441,6 +441,41 @@ def test_variable_weights_are_per_column():
     npt.assert_allclose(em.penalty_value(means, spec, 1), 2.0 * (3.0 / 1.5 + 0.5 / 2.0))
     with pytest.raises(ValueError, match="weights shape"):
         PenaltySpec(kind="variable", lam=1.0, weights=np.ones((2, 3))).weights_for(2, 3)
+
+
+@pytest.mark.parametrize("kind", ["individual", "variable", "group"])
+def test_penalty_value_is_the_formula_of_its_kind(kind):
+    # m = 2 clusters of p = 2 sensors with q_c = 2 columns each; an all-zero
+    # entry, column or cluster under an infinite weight adds 0, without a warning
+    rng = np.random.default_rng(38)
+    m, q, q_c, lam = 2, 4, 2, 1.5
+    means = rng.normal(size=(m, q))
+    if kind == "individual":
+        weights = rng.uniform(0.5, 2.0, size=(m, q))
+        means[1, 2], weights[1, 2] = 0.0, np.inf
+        zero = np.zeros((m, q), dtype=bool)
+        zero[1, 2] = True
+        expected = lam * sum(w * abs(mu) for w, mu in zip(weights[~zero], means[~zero]))
+    elif kind == "variable":
+        weights = rng.uniform(0.5, 2.0, size=q)
+        means[:, 1], weights[1] = 0.0, np.inf
+        zero = np.zeros((m, q), dtype=bool)
+        zero[:, 1] = True
+        expected = lam * sum(weights[j] * np.abs(means[:, j]).max() for j in (0, 2, 3))
+    else:
+        weights = rng.uniform(0.5, 2.0, size=m)
+        means[1], weights[1] = 0.0, np.inf
+        zero = np.zeros((m, q), dtype=bool)
+        zero[1] = True
+        blocks = means[0].reshape(-1, q_c)
+        expected = lam * np.sqrt(q_c) * weights[0] * sum(np.linalg.norm(block) for block in blocks)
+    spec = PenaltySpec(kind, lam, 1.0, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        npt.assert_allclose(em.penalty_value(means, spec, q_c), expected, rtol=1e-14)
+    _, thr = _thresholds([spec], m, q, q_c)
+    assert thr.ndim == 3 and np.broadcast_shapes(thr.shape, (1, m, q)) == (1, m, q)
+    npt.assert_array_equal(pinned(spec, m, q, q_c), zero)
 
 
 @pytest.mark.parametrize("case", range(4))

@@ -13,14 +13,30 @@ from mfclust.cli import build_parser, main
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_library_example_runs(capsys):
+def library_example() -> str:
     (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    return block
+
+
+def test_readme_library_example_runs(capsys):
+    block = library_example()
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     noise = [f"noi{i:02d}" for i in range(1, 17)]
     assert namespace["m"] == 3
     assert sorted(namespace["report"].best_fit.removed_sensors) == noise
     assert capsys.readouterr().out == f"3 {noise}\n"
+
+
+def test_readme_library_example_uses_what_it_imports():
+    tree = ast.parse(library_example())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported and sorted(imported - loaded) == []
 
 
 def command_lines() -> dict[str, list[str]]:
