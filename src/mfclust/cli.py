@@ -5,7 +5,8 @@ A JSON config file, given before the command, can set any long option of
 that command (underscored keys), required paths included; explicit flags
 win. Each key is read as its flag with the value's text (a list in comma
 form), so argparse checks it like the flag: a key that names no option of
-the command, a value the flag refuses, or a null value exits 1. A bad search grid,
+the command, a value the flag refuses, or a null value exits 1, and a bad
+value, typed or from the file, is reported under its flag. A bad search grid,
 basis size, sweep (its --qc included) or simulated design is a usage error,
 raised before any input is read or output written; so are --jobs below 1,
 a negative --seed, a --qc outside [1, --n-basis], --alpha or --beta
@@ -38,7 +39,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from mfclust.basis import build_basis, check_size
 from mfclust.dataio import (
@@ -86,28 +87,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+def _list_of(convert, what: str):
+    """An argparse type for comma-separated values, each read by convert."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
 def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _nonnegative_int(text: str) -> int:
-    if not text.strip().isdigit():
+    if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
@@ -116,9 +113,9 @@ def _kind_list(text: str) -> tuple[str, ...]:
     kinds = tuple(k.strip() for k in text.split(","))
     for k in kinds:
         if k not in PENALTY_KINDS:
-            raise UsageError(f"unknown penalty kind {k!r}; choose from {PENALTY_KINDS}")
+            raise argparse.ArgumentTypeError(f"unknown penalty kind {k!r}; choose from {PENALTY_KINDS}")
     if len(set(kinds)) < len(kinds):
-        raise UsageError(f"penalty kinds must not repeat, got {text!r}")
+        raise argparse.ArgumentTypeError(f"penalty kinds must not repeat, got {text!r}")
     return kinds
 
 
@@ -145,9 +142,9 @@ def build_parser() -> _Parser:
                          help="variance share for the component rule (default 0.8)")
 
     grid_opts = argparse.ArgumentParser(add_help=False)
-    grid_opts.add_argument("--m-grid", type=_int_list, default=DEFAULT_M_VALUES)
-    grid_opts.add_argument("--gamma-grid", type=_float_list, default=DEFAULT_GAMMA_VALUES)
-    grid_opts.add_argument("--lambda-multipliers", type=_float_list,
+    grid_opts.add_argument("--m-grid", type=_list_of(int, "integers"), default=DEFAULT_M_VALUES)
+    grid_opts.add_argument("--gamma-grid", type=_list_of(float, "numbers"), default=DEFAULT_GAMMA_VALUES)
+    grid_opts.add_argument("--lambda-multipliers", type=_list_of(float, "numbers"),
                            default=DEFAULT_LAMBDA_MULTIPLIERS)
 
     p = sub.add_parser("transform", parents=[basis_opts, qc_opts],
@@ -179,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS))
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--kinds", type=_kind_list, default=DEFAULT_KINDS)
-    p.add_argument("--levels", type=_float_list, default=None)
+    p.add_argument("--levels", type=_list_of(float, "numbers"), default=None)
     p.add_argument("--qc", type=int, default=3)
     p.add_argument("--output", required=True, help="aggregate rows CSV")
     p.add_argument("--replicates", required=True, help="per-replicate CSV")
@@ -285,16 +282,15 @@ def cmd_fit(args) -> int:
     if failed := [r for r in reports if isinstance(r, NumericalError)]:
         raise failed[0]  # the first failing kind, in --penalty order
     # min keeps the first of equal keys: a tie goes to the kind listed first
-    best = replace(
-        min(reports, key=lambda r: row_sort_key(r.best_row)),
-        rows=[row for r in reports for row in r.rows],
-    )
-    write_model(ModelBundle.from_report(best, fpca_models=models), args.report)
-    write_assignments(best.best_fit, args.assignments, obs_ids)
-    removed = sorted(best.best_fit.removed_sensors)
+    best = min(reports, key=lambda r: row_sort_key(r.best_row))
+    fit = best.best_fit
+    removed = sorted(fit.removed_sensors)
+    rows = [row for r in reports for row in r.rows]
+    write_model(ModelBundle(models, fit.params, rows, best.chosen, removed), args.report)
+    write_assignments(fit, args.assignments, obs_ids)
     write_removed(removed, args.removed)
     if args.cluster_means:
-        write_cluster_means(models, best.best_fit.params, args.cluster_means)
+        write_cluster_means(models, fit.params, args.cluster_means)
     m, lam, gamma, kind = best.chosen
     print(f"chosen: kind={kind} m={m} lambda={lam:.4g} gamma={gamma:g}")
     print(f"removed {len(removed)} of {B.p} sensors: {', '.join(removed) if removed else '(none)'}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from mfclust.em import FitResult, MixtureParams
 from mfclust.fpca import CoefficientMatrix, FunctionalDataSet, SensorFpcaModel, reconstruct
-from mfclust.select import SelectionReport, SelectionRow
+from mfclust.select import SelectionRow
 from mfclust.simbench import BASIS, GRID, M_TRUE, PROPORTIONS, BenchmarkRow, SimulationDesign
 
 SCHEMA_VERSION = 1
@@ -72,12 +72,12 @@ def read_long_csv(path) -> FunctionalDataSet:
     quotes and line breaks, and LF, CRLF and CR line ends are all read.
     Rows may come in any order; blank lines are skipped. Observations and
     sensors keep their order of first appearance and times are sorted. A bad
-    header, wrong field count, non-numeric field or non-finite time raises
-    DataFormatError naming its line (the number of its csv record), and so
-    does a record csv cannot parse, such as one with a field longer than
-    csv.field_size_limit(). Repeated cells (the first in file order) and
-    missing cells (the first 10) are found after parsing, so a later line's
-    parse error is reported before an earlier repeat.
+    header, wrong field count, non-numeric field or non-finite time or
+    value raises DataFormatError naming its line (the number of its csv
+    record), and so does a record csv cannot parse, such as one with a
+    field longer than csv.field_size_limit(). Repeated cells (the first in
+    file order) and missing cells (the first 10) are found after parsing,
+    so a later line's parse error is reported before an earlier repeat.
 
     The text is read and converted a block of lines at a time
     (read_long_columns); a block that fails a check is read again row by
@@ -165,6 +165,8 @@ def read_long_fields(fields: list[str], width: int) -> tuple[list, list, np.ndar
         raise ValueError(f"non-numeric time or value ({fields[2]!r}, {fields[3]!r})") from None
     if not np.isfinite(t).all():
         raise ValueError(f"non-finite time {fields[2]!r}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite value {fields[3]!r}")
     return fields[0::width], fields[1::width], t, v
 
 
@@ -337,16 +339,6 @@ class ModelBundle:
     selection_rows: list[SelectionRow] | None = None
     chosen: tuple[int, float, float, str] | None = None
     removed_sensors: list[str] | None = None
-
-    @classmethod
-    def from_report(cls, report: SelectionReport, fpca_models=None) -> "ModelBundle":
-        return cls(
-            fpca_models=fpca_models,
-            mixture=report.best_fit.params,
-            selection_rows=report.rows,
-            chosen=report.chosen,
-            removed_sensors=sorted(report.best_fit.removed_sensors),
-        )
 
 
 _CHOSEN = ("m", "lam", "gamma", "kind")  # the keys of a bundle's chosen grid point

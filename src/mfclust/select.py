@@ -184,10 +184,11 @@ def _best_point(points):
 
 def _search_one_m(args):
     """Pilot then adaptive sweeps of every kind for one m, from one k-means
-    initialization. Returns, per kind, m, every evaluated row, the best
-    converged (row, fit) or None, the reference means of the adaptive
-    phase (None for kind 'none') and the failure messages."""
-    B, m, kinds, grid, seed = args
+    initialization, over the search's lambdas and gammas. Returns, per
+    kind, m, every evaluated row, the best converged (row, fit) or None,
+    the reference means of the adaptive phase (None for kind 'none') and
+    the failure messages."""
+    B, m, kinds, lambdas, gammas, seed = args
     try:
         init = initialize(B, m, seed + m)
     except NumericalError as exc:
@@ -195,8 +196,8 @@ def _search_one_m(args):
 
     zero, outcomes = [], []
     for kind in kinds:
-        lambdas = (0.0,) if kind == "none" else grid.lambdas(B.n)
-        pilot = [PenaltySpec(kind, lam) for lam in lambdas]
+        lams = (0.0,) if kind == "none" else lambdas
+        pilot = [PenaltySpec(kind, lam) for lam in lams]
         points, failures = _fit_points(B, m, pilot, init, "pilot", zero)
         reference = None
         if kind != "none":
@@ -206,9 +207,9 @@ def _search_one_m(args):
             else:
                 reference = pilot_best[1].params.means
                 adaptive = []
-                for gamma in grid.gamma_values:
+                for gamma in gammas:
                     weights = adaptive_weights(kind, gamma, reference)
-                    adaptive += [PenaltySpec(kind, lam, float(gamma), weights) for lam in lambdas]
+                    adaptive += [PenaltySpec(kind, lam, float(gamma), weights) for lam in lams]
                 fitted, fails = _fit_points(B, m, adaptive, init, "adaptive", zero)
                 points.extend(fitted)
                 failures.extend(fails)
@@ -269,7 +270,7 @@ def model_search(
     """
     if isinstance(kinds, str):
         raise TypeError("model_search takes a sequence of kinds; pass one kind as [kind]")
-    grid.lambdas(B.n)
-    tasks = [(B, m, list(kinds), grid, seed) for m in sorted(grid.m_values)]
+    lambdas = grid.lambdas(B.n)
+    tasks = [(B, m, list(kinds), lambdas, grid.gamma_values, seed) for m in sorted(grid.m_values)]
     outcomes = list(map_jobs(_search_one_m, tasks, n_jobs))
     return [_report(per_m) for per_m in zip(*outcomes)]

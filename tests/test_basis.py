@@ -141,6 +141,12 @@ def test_fit_residual_orthogonal_to_design():
     npt.assert_allclose(dm.T @ (y - dm @ coef), 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n_values", [30, 32])
+def test_fit_coefficients_refuses_times_and_values_of_different_lengths(n_values):
+    with pytest.raises(ValueError, match="^times and values length mismatch$"):
+        fit_coefficients(build_basis(0, 30, 12, 3), np.linspace(0, 30, 31), np.zeros((2, n_values)))
+
+
 def test_fit_rank_deficient_raises():
     b = build_basis(0, 30, 12, 3)
     with pytest.raises(ValueError, match="rank"):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -273,6 +274,29 @@ def test_fit_rejects_ragged_scores(tmp_path, capsys):
     assert "line 3: expected 3 fields, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header,message", [
+    ("id,s1_pc1", "scores file must start with an obs_id column"),
+    ("obs_id,s1_pc1,s1_x", "bad score column name 's1_x'"),
+    ("obs_id,s1_pc1,_pc2", "bad score column name '_pc2'"),
+    ("obs_id", "scores file has no score columns"),
+    ("obs_id,s1_pc1,s2_pc1,s1_pc2,s2_pc2", "score columns must be sensor-major, component-minor"),
+    ("obs_id,s1_pc1,s1_pc3", "score columns must be sensor-major, component-minor"),
+], ids=["no-obs-id", "unnamed-component", "empty-sensor", "no-scores", "component-major", "gap"])
+def test_fit_refuses_a_bad_score_header(tmp_path, capsys, header, message):
+    width = header.count(",") + 1
+    rows = [",".join([f"o{i}"] + ["0.5"] * (width - 1)) for i in range(6)]
+    scores = tmp_path / "scores.csv"
+    scores.write_text(header + "\n" + "\n".join(rows) + "\n")
+    code = run_cli(
+        "fit", "--scores", scores, "--report", tmp_path / "r.json",
+        "--assignments", tmp_path / "a.csv", "--removed", tmp_path / "x.txt",
+        "--penalty", "none", "--m-grid", "2", "--jobs", 1,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert list(tmp_path.iterdir()) == [scores]
+
+
 def test_transform_rejects_non_finite_time(tmp_path, capsys):
     data, _ = simulate_small(tmp_path)
     lines = data.read_text().splitlines()
@@ -407,6 +431,35 @@ def test_jobs_below_one_exits_1_before_any_work(small_run, capsys, command, valu
     assert run_cli(*VALID_CALLS[command](data, tmp_path), "--jobs", value) == 1
     assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def typed_options() -> list[tuple[str, str]]:
+    """(command, flag) of every command option that has a type or choices."""
+    (commands,) = [a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0])
+        for name, command in commands.items() for action in command._actions
+        if action.option_strings and (action.type is not None or action.choices is not None)
+    ]
+
+
+@pytest.mark.parametrize("value", ["x,y", "\u00b2"], ids=["comma", "superscript-two"])
+@pytest.mark.parametrize("command,flag", typed_options())
+def test_a_bad_option_value_is_reported_under_its_flag(tmp_path, command, flag, value):
+    # "\u00b2" passes str.isdigit() but not int(); argparse must name the
+    # flag, never the private function that read it
+    argv = [str(a) for a in VALID_CALLS[command](tmp_path / "d.csv", tmp_path)]
+    with pytest.raises(cli.UsageError) as exc:
+        cli.build_parser().parse_args([*argv, flag, value])
+    assert str(exc.value).startswith(f"argument {flag}: ")
+    assert "invalid _" not in str(exc.value)
+
+
+def test_the_option_guard_walks_every_list_option():
+    assert {
+        ("fit", "--m-grid"), ("fit", "--gamma-grid"), ("fit", "--lambda-multipliers"), ("fit", "--penalty"),
+        ("benchmark", "--kinds"), ("benchmark", "--levels"), ("fit", "--jobs"), ("simulate", "--seed"),
+    } <= set(typed_options())
 
 
 @pytest.mark.parametrize("command,flags,config", [
@@ -911,6 +964,22 @@ def test_config_after_command_exits_1_unread(tmp_path, capsys, content):
     assert code == 1
     assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cfg.json"])
+
+
+def test_config_without_a_path_exits_1(capsys):
+    assert run_cli("--config") == 1
+    assert capsys.readouterr().err == "usage error: --config needs a file path\n"
+
+
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_a_bad_config_value_is_reported_under_its_flag(tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_grid": "1,a"}))
+    config = ["--config", cfg] if form == "separate" else [f"--config={cfg}"]
+    assert run_cli(*config, *VALID_CALLS["fit"](tmp_path / "missing.csv", tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --m-grid: expected comma-separated integers, got '1,a'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_abbreviated_config_flag_exits_1(tmp_path, capsys):

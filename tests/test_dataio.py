@@ -195,6 +195,8 @@ def reference_read_long_csv(path):
                 ) from None
             if not np.isfinite(t):
                 raise DataFormatError(f"line {lineno}: non-finite time {time_s!r}")
+            if not np.isfinite(v):
+                raise DataFormatError(f"line {lineno}: non-finite value {value_s!r}")
             samples.append((obs, sensor, t, v))
     if not samples:
         raise DataFormatError("no data rows")
@@ -244,6 +246,7 @@ def block_edge_text(case, tmp_path):
         "bad-row-late": ("o3,s2,1,oops", "line 29: non-numeric"),
         "ragged-late": ("o3,s2,1", "line 29: expected 4 fields"),
         "non-finite-late": ("o3,s2,inf,1.0", "line 29: non-finite time"),
+        "non-finite-value-late": ("o3,s2,1,nan", "line 29: non-finite value"),
     }
     message = None
     if case in expected:
@@ -261,7 +264,7 @@ def block_edge_text(case, tmp_path):
 @pytest.mark.parametrize(
     "case",
     ["lf", "crlf", "cr", "quoted-late", "bad-row-late", "bad-row-after-quote",
-     "ragged-late", "non-finite-late", "duplicate", "missing"],
+     "ragged-late", "non-finite-late", "non-finite-value-late", "duplicate", "missing"],
 )
 def test_long_csv_blocks_read_as_rows(tmp_path, monkeypatch, case, block):
     text, message = block_edge_text(case, tmp_path)
@@ -384,6 +387,23 @@ def test_long_csv_rejects_non_finite_time(tmp_path, time):
         read_long_csv(path)
 
 
+@pytest.mark.parametrize("block", [64, dataio._BLOCK])
+@pytest.mark.parametrize("where,lineno", [("early", 4), ("late", 60)])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_long_csv_names_the_line_of_a_non_finite_value(tmp_path, monkeypatch, value, where, lineno, block):
+    rows = [f"o{i},s1,{t},1.5" for i in range(20) for t in (0, 1, 2)]
+    rows[-2] = f"o19,s1,1,-{value}"  # line 60
+    if where == "early":
+        rows[2] = f"o0,s1,2,{value}"  # line 4: the first bad row in file order
+    path = tmp_path / "values.csv"
+    path.write_text("obs_id,sensor_id,time,value\n" + "\n".join(rows) + "\n")
+    monkeypatch.setattr(dataio, "_BLOCK", block)
+    sign = "-" if where == "late" else ""
+    with pytest.raises(DataFormatError) as exc:
+        read_long_csv(path)
+    assert str(exc.value) == f"line {lineno}: non-finite value '{sign}{value}'"
+
+
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
 def test_scores_csv_rejects_non_finite_score(tmp_path, score):
     path = tmp_path / "scores.csv"
@@ -455,7 +475,8 @@ def test_model_bundle_round_trip_exact(tmp_path):
     models, B = fit_fpca(data, basis, q_c=2)
     grid = SearchGrid(m_values=(2, 3), gamma_values=(1.0,), lambda_multipliers=(0.0, 1.0))
     report = search_alone(B, grid, "group", seed=4)
-    bundle = ModelBundle.from_report(report, fpca_models=models)
+    fit = report.best_fit
+    bundle = ModelBundle(models, fit.params, report.rows, report.chosen, sorted(fit.removed_sensors))
 
     path = tmp_path / "model.json"
     write_model(bundle, path)
@@ -499,7 +520,7 @@ def test_model_round_trip_preserves_hard_labels(tmp_path):
     labels_before = report.best_fit.hard_labels
 
     path = tmp_path / "model.json"
-    write_model(ModelBundle.from_report(report, fpca_models=models), path)
+    write_model(ModelBundle(models, report.best_fit.params), path)
     back = read_model(path)
 
     scores = [transform(m, data.values[:, s, :]) for s, m in enumerate(back.fpca_models)]
@@ -546,6 +567,33 @@ def test_model_rejects_zero_mask_disagreeing_with_means(tmp_path):
     doc["mixture"]["zero_mask"][0][0] = False
     path.write_text(json.dumps(doc))
     with pytest.raises(DataFormatError, match="zero_mask"):
+        read_model(path)
+
+
+MIXTURE_REFUSALS = [
+    ({"proportions": [1.0]}, "proportions must have one entry per cluster"),
+    ({"variances": [1.0, 1.0, 1.0]}, "variances must have one entry per column"),
+    ({"proportions": [0.6, 0.6]}, "proportions must be nonnegative and sum to 1"),
+    ({"proportions": [1.5, -0.5]}, "proportions must be nonnegative and sum to 1"),
+    ({"variances": [1.0, 0.0]}, "variances must be positive"),
+]
+
+
+@pytest.mark.parametrize("route", ["direct", "model-file"])
+@pytest.mark.parametrize("edit,message", MIXTURE_REFUSALS,
+                         ids=["proportions-shape", "variances-shape", "sum", "negative", "variance-zero"])
+def test_mixture_params_refuse_bad_shapes_and_values(tmp_path, edit, message, route):
+    fields = {"proportions": [0.5, 0.5], "means": [[0.0, 1.0], [2.0, 0.0]], "variances": [1.0, 1.0]}
+    if route == "direct":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MixtureParams(**{**fields, **edit})
+        return
+    path = tmp_path / "model.json"
+    write_model(ModelBundle(mixture=MixtureParams(**fields)), path)
+    doc = json.loads(path.read_text())
+    doc["mixture"].update(edit)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         read_model(path)
 
 
@@ -638,6 +686,16 @@ def test_assignments_single_cluster(tmp_path):
     assert resps.shape == (8, 1)
     npt.assert_allclose(resps, 1.0)
     npt.assert_array_equal(labels, 0)
+
+
+@pytest.mark.parametrize("n_ids", [7, 9])
+def test_assignments_refuse_ids_of_another_length(tmp_path, n_ids):
+    B = CoefficientMatrix.from_scores(np.random.default_rng(7).standard_normal((8, 2)), 1)
+    fit = fit_alone(B, PenaltySpec("none"), initialize(B, 1, seed=0))
+    path = tmp_path / "assign.csv"
+    with pytest.raises(ValueError, match="^obs_ids length must match the fitted observations$"):
+        write_assignments(fit, path, [str(i) for i in range(n_ids)])
+    assert not path.exists()
 
 
 def test_assignments_round_trip_consistency(tmp_path):

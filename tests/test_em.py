@@ -105,6 +105,12 @@ def test_initialize_deterministic():
     npt.assert_array_equal(a.variances, b.variances)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_initialize_rejects_m_below_one(m):
+    with pytest.raises(ValueError, match="^m must be at least 1$"):
+        initialize(cm(np.zeros((3, 2))), m, seed=0)
+
+
 def test_initialize_rejects_m_above_n():
     with pytest.raises(em.NumericalError, match="need at least m=5 observations, got 3"):
         initialize(cm(np.zeros((3, 2))), 5, seed=0)
@@ -837,6 +843,16 @@ def test_an_overflowing_threshold_is_infinite_without_a_warning(spec, q, q_c):
 def test_penalty_spec_refuses_a_non_finite_or_negative_strength(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value}$"):
         PenaltySpec("individual", **{field: value})
+
+
+@pytest.mark.parametrize("kind,lam,message", [
+    ("ridge", 0.0, "unknown penalty kind 'ridge'"),
+    ("Group", 1.0, "unknown penalty kind 'Group'"),
+    ("none", 1.0, "kind 'none' requires lam == 0"),
+])
+def test_penalty_spec_refuses_an_unknown_kind_or_a_penalized_none(kind, lam, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PenaltySpec(kind, lam)
 
 
 @pytest.mark.parametrize("kind,weights", [

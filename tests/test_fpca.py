@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -218,6 +219,30 @@ def test_assemble_column_map():
 
 def test_assemble_wide():
     assert fit_fpca(make_dataset(np.zeros((4, 42, 31))), BASIS, q_c=3)[1].q == 126
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"values": np.zeros((2, 31))}, "values must have shape (n, p, tau)"),
+    ({"times": GRID[:-1]}, "times length must match the last axis of values"),
+    ({"times": GRID[::-1]}, "times must be strictly increasing"),
+    ({"times": np.r_[GRID[:2], GRID[1:-1]]}, "times must be strictly increasing"),
+    ({"values": np.full((2, 1, 31), np.nan)}, "values must be finite"),
+    ({"values": np.full((2, 1, 31), np.inf)}, "values must be finite"),
+    ({"sensor_names": ["a", "b"]}, "sensor_names length must match sensor axis"),
+    ({"obs_ids": ["o1"]}, "obs_ids length must match observation axis"),
+    ({"labels": [0, 1, 1]}, "labels length must match observation axis"),
+], ids=["values-2d", "times-length", "times-decreasing", "times-repeated", "values-nan", "values-inf",
+        "sensor-names", "obs-ids", "labels"])
+def test_functional_data_set_refuses_bad_shapes_order_and_values(edit, message):
+    fields = {"times": GRID, "values": np.zeros((2, 1, 31)), "sensor_names": ["a"]}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FunctionalDataSet(**{**fields, **edit})
+
+
+@pytest.mark.parametrize("scores", [np.zeros(6), np.zeros((2, 3, 1))], ids=["1d", "3d"])
+def test_coefficient_matrix_refuses_scores_not_2d(scores):
+    with pytest.raises(ValueError, match="^scores must be 2-D$"):
+        CoefficientMatrix(scores=scores, q_c=3, sensor_names=["a"])
 
 
 def test_coefficient_matrix_rejects_ragged_columns():
